@@ -435,7 +435,6 @@ class GaugePotential:
 
     def subdiff(self, x) -> SubdiffInfo:
         x = np.asarray(x, dtype=float).reshape(self.d)
-        m = float(self.body.gauge(x)[0] if np.ndim(self.body.gauge(x)) else self.body.gauge(x))
         m = float(np.atleast_1d(self.body.gauge(x))[0])
         if m >= self.profile.f0:
             raise ConfigError("subdifferential requested outside the domain")

@@ -32,10 +32,9 @@ def _dense(traj, what):
             f"{traj.cadence}")
 
 
-def _total_energy(grid, model, potential, coupling, theta, chi, eps):
+def _total_energy(grid, model, potential, B, theta, chi, eps):
     phi = potential.phi(chi)
-    cell = model.e(theta, chi) + model.lam(chi) + model.beta * phi \
-        + coupling.B_field(chi)
+    cell = model.e(theta, chi) + model.lam(chi) + model.beta * phi + B
     return float(np.dot(grid.volumes, cell)) \
         + eps * float(np.dot(grid.volumes, theta))
 
@@ -85,8 +84,9 @@ def energy_budget(traj, grid, model, potential, coupling, boundary, config):
     """
     eps = config.eps_reg
     times = traj.times
+    Bs = coupling.B_field(traj.chis)
     totals = np.array([
-        _total_energy(grid, model, potential, coupling,
+        _total_energy(grid, model, potential, Bs[n],
                       traj.thetas[n], traj.chis[n], eps)
         for n in range(len(times))])
     res = np.empty(len(times) - 1)
@@ -276,13 +276,13 @@ def upper_envelope(traj, grid, model, potential, coupling, boundary, config):
                         "(n_reg >= 1)")
     _dense(traj, "upper envelope")
     times = traj.times
+    b_olds = coupling.b_field(traj.chis[:-1])
     M = 0.0
     for n in range(len(times) - 1):
         dt = times[n + 1] - times[n]
         ch_old, ch_new = traj.chis[n], traj.chis[n + 1]
         dchi = (ch_new - ch_old) / dt
-        b_old = coupling.b_field(ch_old)
-        src = np.einsum("md,md->m", model.lam_p(ch_new) + b_old, dchi) \
+        src = np.einsum("md,md->m", model.lam_p(ch_new) + b_olds[n], dchi) \
             + model.beta * (potential.phi(ch_new) - potential.phi(ch_old)) / dt
         M = max(M, float(np.max(np.abs(src))))
     v0 = float(np.max(traj.thetas[0]))

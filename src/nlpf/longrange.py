@@ -2,25 +2,31 @@
 
 The pair energy density is B(x) = integral of kappa(x,y) G(chi(x)-chi(y)) dy
 and its variational partner b(x) = 2 integral of kappa(x,y) G'(chi(x)-chi(y)) dy,
-discretized by midpoint quadrature on the grid with a dense symmetric kernel
-matrix.  Symmetry of kappa and evenness of G give the exact pairing identity
-sum_i w_i b_i . chid_i = d/dt sum_i w_i B_i, which is what makes the coupled
-scheme conserve energy on insulated runs.
+discretized by midpoint quadrature on the uniform grid.  Every built-in kernel
+depends on x - y only, so the quadrature matrix W_ij = w kappa(x_i - x_j) is
+Toeplitz (block-Toeplitz in 2D).  It is never formed: its generating stencil
+on the (2n-1)^N cell offsets is applied by zero-padded FFT convolution, in
+O(M log M) time and O(M) memory.  G is a polynomial in |z|^2, and expanding
+|chi_i - chi_j|^2 = |chi_i|^2 + |chi_j|^2 - 2 chi_i . chi_j turns b and B into
+sums of monomials of chi_i times convolved monomials of chi_j, so one batched
+convolution per state gives both.  Evenness of the stencil and of G give the
+exact pairing identity sum_i w_i b_i . chid_i = d/dt sum_i w_i B_i, which is
+what makes the coupled scheme conserve energy on insulated runs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy import integrate
+from scipy.fft import next_fast_len
 
 from .errors import ConfigError
 from .geometry import Grid
-
-_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -29,6 +35,9 @@ _BLOCK = 256
 
 class QuadraticG:
     """G(z) = |z|^2 / 2, the classical Ginzburg-Landau pair term."""
+
+    def __init__(self):
+        self.coeffs = np.array([0.5])  # c[k-1] multiplies |z|^(2k)
 
     def value(self, z: np.ndarray) -> np.ndarray:
         return 0.5 * np.sum(np.square(z), axis=-1)
@@ -144,94 +153,260 @@ class ScaledTopHat:
 # ---------------------------------------------------------------------------
 # assembled coupling
 
+# padded FFT points per chunk when a stack of fields is evaluated: a long
+# trajectory goes through in chunks whose work arrays stay near 100 kB each
+_STACK_POINTS = 1 << 14
+
+
+def _multi_indices(total: int, d: int):
+    """Exponent tuples alpha in N^d with |alpha| <= total."""
+    if d == 0:
+        return [()]
+    return [(k,) + rest for k in range(total + 1)
+            for rest in _multi_indices(total - k, d - 1)]
+
+
+@functools.cache
+def _pair_expansion(degree: int, d: int):
+    """Expansion of sum_j W_ij |chi_i - chi_j|^(2m) for m = 0..degree.
+
+    With a = |chi|^2, the binomial and multinomial theorems applied to
+    |chi_i - chi_j|^2 = a_i + a_j - 2 chi_i . chi_j give
+
+        sum_j W_ij |chi_i - chi_j|^(2m)
+            = sum_(q, alpha) C a_i^p chi_i^alpha (W [a^q chi^alpha])_i
+
+    over q + |alpha| <= m, with p = m - q - |alpha| and
+    C = m! / (p! q! alpha!) (-2)^|alpha|; the same sum with an extra factor
+    chi_j,e convolves a^q chi^(alpha + e) instead.  Returns the right-hand
+    monomials (q, alpha) to convolve, the constant one first, and per m the
+    terms (C, p, alpha, column of a^q chi^alpha, columns of
+    a^q chi^(alpha + e) for e < d, or None at m = degree).
+    """
+    monos = [(q, alpha) for q in range(degree + 1)
+             for alpha in _multi_indices(degree - q, d)]
+    index = {mono: i for i, mono in enumerate(monos)}
+    units = [tuple(int(e == k) for e in range(d)) for k in range(d)]
+    terms = []
+    for m in range(degree + 1):
+        row = []
+        for q in range(m + 1):
+            for alpha in _multi_indices(m - q, d):
+                r = sum(alpha)
+                p = m - q - r
+                coef = math.factorial(m) * (-2.0) ** r / (
+                    math.factorial(p) * math.factorial(q)
+                    * math.prod(map(math.factorial, alpha)))
+                vcols = None if m == degree else tuple(
+                    index[(q, tuple(x + y for x, y in zip(alpha, u)))]
+                    for u in units)
+                row.append((coef, p, alpha, index[(q, alpha)], vcols))
+        terms.append(tuple(row))
+    return tuple(monos), tuple(terms)
+
+
+@dataclass
+class PairFields:
+    """b, B and Kw (chi - shift) of one state, or of a stack of states, all
+    from one batched convolution.
+
+    The fields depend on chi only through differences, so they are computed
+    from chi less its cell mean ``shift``; that keeps the monomials of the
+    expansion, and hence its cancellation, at the size of chi's spread.
+    """
+
+    chi: np.ndarray     # (..., M, d)
+    shift: np.ndarray   # (..., 1, d)
+    b: np.ndarray       # (..., M, d)
+    B: np.ndarray       # (..., M)
+    kchi: np.ndarray    # (..., M, d) Kw (chi - shift)
+
 
 @dataclass
 class NonlocalCoupling:
-    """Dense symmetric kernel matrix with quadrature weights and pair term G.
+    """Kernel quadrature as a convolution stencil, with pair term G.
+
+    ``stencil`` holds w kappa(x_k - x_0) on the (2n-1)^N cell offsets k,
+    zero at k = 0, so (Kw f)_i = sum_(j != i) w kappa(x_i - x_j) f_j is a
+    linear convolution of f with it.  Its spectrum at the zero-padded FFT
+    size, and r = Kw 1, are kept next to it: storage is O(M), and applying
+    Kw to any stack of fields costs one rfftn/irfftn pair.
 
     ``c_b`` is the a priori bound 2 sup|kappa| sup|G'| |Omega| valid for any
     field with values in the declared range.
     """
 
     grid: Grid
-    K: np.ndarray            # (M, M) symmetric by construction
+    stencil: np.ndarray      # (2n_1 - 1, ..., 2n_N - 1), even by construction
     w: np.ndarray            # (M,) quadrature weights (cell volumes)
     G: object
     range_radius: float
     c_b: float
+    spectrum: np.ndarray = field(init=False, repr=False)
+    r: np.ndarray = field(init=False, repr=False)   # (M,) Kw 1
 
-    def b_field(self, chi: np.ndarray) -> np.ndarray:
-        """b_i = 2 sum_j w_j K_ij G'(chi_i - chi_j); shape (M, d)."""
-        chi = np.atleast_2d(chi)
-        m = chi.shape[0]
-        out = np.empty_like(chi)
-        wk = self.K * self.w[None, :]
-        for s in range(0, m, _BLOCK):
-            e = min(s + _BLOCK, m)
-            diff = chi[s:e, None, :] - chi[None, :, :]
-            gp = self.G.grad(diff)
-            out[s:e] = 2.0 * np.einsum("mj,mjd->md", wk[s:e], gp, optimize=False)
-        return out
+    def __post_init__(self):
+        cells = self.grid.cells
+        self._fft_shape = tuple(next_fast_len(2 * n - 1, real=True)
+                                for n in cells)
+        self._fft_axes = tuple(range(1, len(cells) + 1))
+        self._keep = (slice(None),) + tuple(slice(0, n) for n in cells)
+        # circulant layout: offset k sits at index k mod L on every axis
+        padded = np.zeros(self._fft_shape)
+        padded[np.ix_(*[np.arange(1 - n, n) % size for n, size in
+                        zip(cells, self._fft_shape)])] = self.stencil
+        self.spectrum = np.fft.rfftn(padded)
+        self.r = self.apply(np.ones(self.grid.n_cells))
+
+    def apply(self, f: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """Kw f for every trailing length-M column of ``f``.
+
+        ``adjoint`` applies the transpose, whose spectrum is the conjugate;
+        for an even stencil the two agree to rounding.
+        """
+        flat = np.reshape(f, (-1,) + self.grid.cells)
+        spec = self.spectrum.conj() if adjoint else self.spectrum
+        shape, axes = self._fft_shape, self._fft_axes
+        out = np.fft.irfftn(np.fft.rfftn(flat, shape, axes) * spec, shape, axes)
+        return out[self._keep].reshape(np.shape(f))
+
+    def _fields(self, chi: np.ndarray, adjoint: bool = False) -> PairFields:
+        chi = np.asarray(chi, dtype=float)
+        shift = np.add.reduce(chi, axis=-2, keepdims=True) / chi.shape[-2]
+        x = chi - shift
+        c = self.G.coeffs
+        if c.size > 1 or adjoint:
+            return self._expanded_fields(chi, shift, x, adjoint)
+        # G = c|z|^2: b = 4c (r x - Kw x) and B = c (r a - 2 x.Kw x + Kw a)
+        # with a = |x|^2, from one convolution of the columns [x, a]
+        a = np.einsum("...i,...i->...", x, x)
+        conv = self.apply(np.concatenate(
+            [np.swapaxes(x, -1, -2), a[..., None, :]], axis=-2))
+        kx = np.swapaxes(conv[..., :-1, :], -1, -2)
+        b = 4.0 * c[0] * (self.r[:, None] * x - kx)
+        B = c[0] * (self.r * a - 2.0 * np.einsum("...i,...i->...", x, kx)
+                    + conv[..., -1, :])
+        return PairFields(chi=chi, shift=shift, b=b, B=B, kchi=kx)
+
+    def _expanded_fields(self, chi, shift, x, adjoint):
+        """Fields of a polynomial G through the expansion in
+        `_pair_expansion`; ``adjoint`` uses the transposed operator."""
+        x = np.swapaxes(x, -1, -2)                 # (..., d, M)
+        a = np.add.reduce(x * x, axis=-2)          # (..., M)
+        coeffs = self.G.coeffs
+        monos, terms = _pair_expansion(coeffs.size, x.shape[-2])
+
+        def mono(q, alpha):
+            out = a ** q if q else 1.0
+            for e, k in enumerate(alpha):
+                if k:
+                    out = out * x[..., e, :] ** k
+            return out
+
+        # every right-hand monomial in one batched convolution
+        cols = np.empty(a.shape[:-1] + (len(monos), a.shape[-1]))
+        for i, mn in enumerate(monos):
+            cols[..., i, :] = mono(*mn)
+        conv = self.apply(cols, adjoint)
+
+        S, V = [], []      # sum_j W |z|^(2m) and sum_j W |z|^(2m) chi_j
+        for row in terms:
+            s = v = 0.0
+            for coef, p, alpha, col, vcols in row:
+                left = coef * mono(p, alpha)
+                s = s + left * conv[..., col, :]
+                if vcols is not None:
+                    v = v + (left if np.ndim(left) == 0 else
+                             left[..., None, :]) * conv[..., vcols, :]
+            S.append(s)
+            V.append(v)
+        B = sum(c * S[k] for k, c in enumerate(coeffs, start=1))
+        b = sum(4.0 * k * c * (x * S[k - 1][..., None, :] - V[k - 1])
+                for k, c in enumerate(coeffs, start=1))
+        kchi = conv[..., terms[0][0][4], :]    # the columns of chi itself
+        return PairFields(chi=chi, shift=shift, b=np.swapaxes(b, -1, -2), B=B,
+                          kchi=np.swapaxes(kchi, -1, -2))
+
+    def _chunked(self, chi, name):
+        """One member of the PairFields of chi; a stack goes in chunks."""
+        chi = np.asarray(chi, dtype=float)
+        if chi.ndim < 3:
+            return getattr(self._fields(chi), name)
+        n = max(1, _STACK_POINTS // math.prod(self._fft_shape))
+        return np.concatenate([getattr(self._fields(chi[s:s + n]), name)
+                               for s in range(0, max(1, len(chi)), n)])
+
+    def b_field(self, chi: np.ndarray, full: bool = False):
+        """b_i = 2 sum_j w_j K_ij G'(chi_i - chi_j); shape (..., M, d).
+
+        ``chi`` is one field (M, d) or a stack (T, M, d).  With ``full`` the
+        whole PairFields is returned: B and Kw chi come from the same
+        convolution.
+        """
+        return self._fields(chi) if full else self._chunked(chi, "b")
 
     def B_field(self, chi: np.ndarray) -> np.ndarray:
-        """B_i = sum_j w_j K_ij G(chi_i - chi_j); shape (M,)."""
-        chi = np.atleast_2d(chi)
-        m = chi.shape[0]
-        out = np.empty(m)
-        wk = self.K * self.w[None, :]
-        for s in range(0, m, _BLOCK):
-            e = min(s + _BLOCK, m)
-            diff = chi[s:e, None, :] - chi[None, :, :]
-            gv = self.G.value(diff)
-            out[s:e] = np.einsum("mj,mj->m", wk[s:e], gv, optimize=False)
-        return out
+        """B_i = sum_j w_j K_ij G(chi_i - chi_j); shape (..., M)."""
+        return self._chunked(chi, "B")
 
     def total_B(self, chi: np.ndarray) -> float:
         return float(np.dot(self.w, self.B_field(chi)))
 
-    def pairing_residual(self, chi: np.ndarray, chid: np.ndarray):
-        """(lhs, rhs, residual) of the pairing identity for rate field chid.
+    def pairing_residual(self, old: PairFields, new: PairFields, dt: float):
+        """(lhs, rhs, residual) of the pairing identity over one step.
 
-        lhs = sum_i w_i b_i . chid_i; rhs is the chain-rule derivative of the
-        total pair energy.  They agree identically when K is symmetric and G
-        is even, so the residual is a machine-precision check of the
-        assembled operator.
+        lhs = sum_i w_i b_i . chid_i with b at ``old`` and
+        chid = (new.chi - old.chi)/dt; rhs is the chain-rule derivative of
+        the total pair energy, sum_ij w_i W_ij G'(chi_i - chi_j).(chid_i -
+        chid_j), associated the other way round: for quadratic G it pairs
+        chi with Kw chid (the two states' own convolutions) where lhs pairs
+        chid with Kw chi; otherwise the j-sum goes through the transposed
+        operator.  They agree when the stencil is even and G is even, so the
+        residual is a machine-precision check of the assembled operator.
         """
-        chi = np.atleast_2d(chi)
-        chid = np.atleast_2d(chid)
-        lhs = float(np.sum(self.w[:, None] * self.b_field(chi) * chid))
-        m = chi.shape[0]
-        rhs = 0.0
-        wk = self.K * self.w[None, :]
-        for s in range(0, m, _BLOCK):
-            e = min(s + _BLOCK, m)
-            diff = chi[s:e, None, :] - chi[None, :, :]
-            gp = self.G.grad(diff)
-            dd = chid[s:e, None, :] - chid[None, :, :]
-            rhs += float(np.einsum("mj,mjd,mjd->", wk[s:e] * self.w[s:e, None], gp, dd,
-                                   optimize=False))
+        chid = (new.chi - old.chi) / dt
+        wchid = self.w[:, None] * chid
+        lhs = float(np.vdot(wchid, old.b))
+        c = self.G.coeffs
+        if c.size == 1:
+            x = old.chi - old.shift
+            kchid = (new.kchi - old.kchi
+                     + self.r[:, None] * (new.shift - old.shift)) / dt
+            rhs = 2.0 * float(c[0]) * (
+                float(np.vdot(wchid, 2.0 * self.r[:, None] * x - old.kchi))
+                - float(np.vdot(self.w[:, None] * x, kchid)))
+        else:
+            bt = self._fields(old.chi, adjoint=True).b
+            rhs = 0.5 * (lhs + float(np.vdot(wchid, bt)))
         return lhs, rhs, lhs - rhs
 
 
 def build_coupling(grid: Grid, kernel, G, range_radius: float) -> NonlocalCoupling:
-    """Evaluate the kernel on cell-center pairs, mirrored to exact symmetry.
+    """Evaluate a translation-invariant kernel on the cell-offset stencil.
 
+    Offsets along each axis are the centre differences x_k - x_0, k < n,
+    mirrored to negative k, so the stencil is even by construction and ties
+    on a support boundary fall as they do between actual cell pairs.
     ``range_radius`` bounds |chi(x) - chi(y)| (the potential domain diameter)
     and feeds the bound c_b used by the forcing estimate.
     """
-    x = grid.centers
-    m = grid.n_cells
-    K = np.empty((m, m))
-    for s in range(0, m, _BLOCK):
-        e = min(s + _BLOCK, m)
-        K[s:e] = kernel(x[s:e, None, :], x[None, :, :])
-    # mirror the strict upper triangle so symmetry is exact by construction
-    iu = np.triu_indices(m, k=1)
-    K[(iu[1], iu[0])] = K[iu]
-    if np.any(K < 0):
+    centers = grid.centers.reshape(grid.cells + (grid.dim,))
+    offsets = []
+    for a in range(grid.dim):
+        x = centers[tuple(slice(None) if b == a else 0
+                          for b in range(grid.dim)) + (a,)]
+        pos = x - x[0]
+        offsets.append(np.concatenate([-pos[:0:-1], pos]))
+    points = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1)
+    w = grid.volumes.copy()
+    stencil = w[0] * kernel(points, np.zeros(grid.dim))
+    if np.any(stencil < 0):
         raise ConfigError("kernel must be nonnegative")
+    # G(0) = G'(0) = 0, so a cell's pair with itself adds nothing; leaving
+    # it out spares r chi - Kw chi the cancellation of two equal self terms
+    stencil[tuple(n - 1 for n in grid.cells)] = 0.0
     c_b = 2.0 * kernel.sup() * G.sup_grad_norm(range_radius) * grid.domain_volume
-    return NonlocalCoupling(grid=grid, K=K, w=grid.volumes.copy(), G=G,
+    return NonlocalCoupling(grid=grid, stencil=stencil, w=w, G=G,
                             range_radius=range_radius, c_b=c_b)
 
 

@@ -151,6 +151,7 @@ def read_trajectory(out_dir, components=None):
     xis = np.zeros_like(chis)
     if components is not None:
         base = components.config.dt
+        b_olds = components.coupling.b_field(chis[:-1])
         for n in range(1, len(times)):
             dt = times[n] - times[n - 1]
             # accumulated times carry rounding in the last bits; the live
@@ -159,9 +160,8 @@ def read_trajectory(out_dir, components=None):
             k = max(1, int(round(dt / base)))
             if abs(dt - k * base) <= 1e-9 * base:
                 dt = k * base
-            b_old = components.coupling.b_field(chis[n - 1])
             alpha, g = rhs_ell(components.model, thetas[n - 1], chis[n - 1],
-                               b_old, components.config.rho)
+                               b_olds[n - 1], components.config.rho)
             xis[n] = g - alpha[:, None] * (chis[n] - chis[n - 1]) / dt
 
     cadence = 1

@@ -320,10 +320,14 @@ def run(components: RunComponents):
     records = np.zeros(n_steps, dtype=_RECORD_DTYPE)
     rejections = 0
 
-    def advance(st, dt, bar_theta, bar_chi, depth):
-        """One (chi, theta) step from st over dt; splits in half on failure."""
+    def advance(st, fields, dt, bar_theta, bar_chi, depth):
+        """One (chi, theta) step from st over dt; splits in half on failure.
+
+        ``fields`` are the nonlocal fields of st; the new state's are
+        returned with it, so each state is convolved once.
+        """
         nonlocal rejections
-        b_old = coupling.b_field(st.chi)
+        b_old = fields.b
         if np.any(np.linalg.norm(b_old, axis=-1) > coupling.c_b * (1 + 1e-9)):
             raise NumericalError("pair-interaction bound exceeded; kernel "
                                  "assembly inconsistent with its declared sup")
@@ -339,21 +343,24 @@ def run(components: RunComponents):
             if depth >= config.max_halvings:
                 raise
             rejections += 1
-            mid, _ = advance(st, 0.5 * dt, bar_theta, bar_chi, depth + 1)
-            return advance(mid, 0.5 * dt, bar_theta, bar_chi, depth + 1)
+            mid, mid_fields, _ = advance(st, fields, 0.5 * dt, bar_theta,
+                                         bar_chi, depth + 1)
+            return advance(mid, mid_fields, 0.5 * dt, bar_theta, bar_chi,
+                           depth + 1)
         new = State(theta_new, chi_new, xi_new, st.t + dt)
-        return new, (b_old, op)
+        return new, coupling.b_field(chi_new, full=True), op
 
+    fields = coupling.b_field(chi0, full=True)
     for step in range(n_steps):
         dt = min(config.dt, config.horizon - state.t)
         bar_theta, bar_chi = lag.bar()
-        prev = state
-        state, (b_old, op) = advance(state, dt, bar_theta, bar_chi, 0)
+        prev, prev_fields = state, fields
+        state, fields, op = advance(state, fields, dt, bar_theta, bar_chi, 0)
         lag.push(state.theta, state.chi)
 
         # per-step scalar record
         phi_new = _phi_cellwise(potential, state.chi)
-        B_new = coupling.B_field(state.chi)
+        B_new = fields.B
         e_new = model.e(state.theta, state.chi)
         s_new = model.s(state.theta, state.chi)
         E_cell = e_new + model.lam(state.chi) + model.beta * phi_new + B_new
@@ -366,8 +373,7 @@ def run(components: RunComponents):
         S_prev = model.s(prev.theta, prev.chi) - model.sig(prev.chi) - phi_prev
         divq = op.apply(state.theta) - op.robin_load(state.t)
         ent_res = state.theta * (S_cell - S_prev) / dt + divq
-        lhs, rhs, pair_res = coupling.pairing_residual(
-            prev.chi, (state.chi - prev.chi) / dt)
+        _, _, pair_res = coupling.pairing_residual(prev_fields, fields, dt)
         sel_margin = d_bound * c_bound * (1 + 1e-6) \
             - float(np.max(np.linalg.norm(state.xi, axis=-1)))
         records[step] = (state.t, total_E, total_S,

@@ -1,15 +1,24 @@
 """Kernel coupling: interaction field, pairing identity, local limit."""
 
+import dataclasses
+from pathlib import Path
+
+import dense_oracle
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nlpf import longrange
+from nlpf.config import build_components, parse_config_text, resolve_config
 from nlpf.errors import ConfigError
 from nlpf.geometry import build_grid
 from nlpf.longrange import (ConstantKernel, EvenPolynomialG, GaussianKernel,
                             QuadraticG, ScaledTopHat, build_coupling,
                             local_limit_error, local_limit_nu)
+from nlpf.stepper import run
+
+DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 
 
 def two_cell_coupling():
@@ -32,16 +41,23 @@ def test_pairing_identity_oracle():
     cp = two_cell_coupling()
     chi = np.array([[0.0], [1.0]])
     chid = np.array([[1.0], [0.0]])
-    lhs, rhs, residual = cp.pairing_residual(chi, chid)
+    old = cp.b_field(chi, full=True)
+    new = cp.b_field(chi + chid, full=True)
+    lhs, rhs, residual = cp.pairing_residual(old, new, 1.0)
     assert lhs == pytest.approx(-0.5, abs=1e-15)
     assert rhs == pytest.approx(-0.5, abs=1e-15)
     assert abs(residual) <= 1e-15
 
 
 def test_kernel_matrix_is_symmetric():
-    grid = build_grid(1, [1.0], [16])
-    cp = build_coupling(grid, GaussianKernel(0.3, 0.2), QuadraticG(), 1.0)
-    assert np.array_equal(cp.K, cp.K.T)
+    """The matrix is stored as its stencil, so symmetry is evenness."""
+    for cells in ([16], [5, 8]):
+        grid = build_grid(len(cells), [1.0] * len(cells), cells)
+        cp = build_coupling(grid, GaussianKernel(0.3, 0.2), QuadraticG(), 1.0)
+        assert cp.stencil.shape == tuple(2 * n - 1 for n in cells)
+        assert np.array_equal(cp.stencil, cp.stencil[(slice(None, None, -1),)
+                                                     * len(cells)])
+        assert np.all(cp.stencil >= 0.0)
 
 
 def test_negative_kernel_rejected():
@@ -73,7 +89,9 @@ def test_pairing_residual_is_tiny(seed):
     rng = np.random.default_rng(seed)
     chi = rng.random((10, 1))
     chid = rng.normal(size=(10, 1))
-    _, _, residual = cp.pairing_residual(chi, chid)
+    old = cp.b_field(chi, full=True)
+    new = cp.b_field(chi + 1e-3 * chid, full=True)
+    _, _, residual = cp.pairing_residual(old, new, 1e-3)
     assert abs(residual) <= 1e-13
 
 
@@ -131,3 +149,113 @@ def test_local_limit_resolution_warning():
     grid = build_grid(1, [1.0], [8])
     rep = local_limit_error(grid, 16, lambda x: 0.5 * x, lambda x: 0.5 + 0 * x)
     assert rep.resolution_warning
+
+
+# ---------------------------------------------------------------------------
+# convolution operator against the dense oracle
+
+KERNELS = {
+    "constant": lambda dim: ConstantKernel(0.7),
+    "gaussian": lambda dim: GaussianKernel(0.3, 0.2),
+    "tophat": lambda dim: ScaledTopHat(4, dim, 0.5),
+}
+INTERACTIONS = {
+    "quadratic": QuadraticG,
+    "poly2": lambda: EvenPolynomialG([1.0, 0.5]),
+    "poly3": lambda: EvenPolynomialG([0.5, 0.25, 0.1]),
+}
+GRIDS = ([1], [2], [7], [32], [1, 5], [6, 9], [16, 16])
+
+
+def assert_matches_oracle(grid, kernel, G, chi, chid, dt=1.0):
+    """b and B to 1e-13 relative; pairing residual and both of its sums."""
+    cp = build_coupling(grid, kernel, G, 1.0)
+    old = cp.b_field(chi, full=True)
+    new = cp.b_field(chi + dt * chid, full=True)
+    b_ref = dense_oracle.b_field(grid, kernel, G, chi)
+    B_ref = dense_oracle.B_field(grid, kernel, G, chi)
+    assert np.max(np.abs(old.b - b_ref)) <= 1e-13 * np.max(np.abs(b_ref))
+    assert np.max(np.abs(old.B - B_ref)) <= 1e-13 * np.max(np.abs(B_ref))
+    assert np.array_equal(cp.B_field(chi), old.B)
+
+    lhs, rhs, residual = cp.pairing_residual(old, new, dt)
+    assert abs(residual) <= 1e-13
+    chid = (new.chi - old.chi) / dt
+    lhs_ref, rhs_ref = dense_oracle.pairing(grid, kernel, G, chi, chid)
+    scale = float(np.sum(grid.volumes[:, None] * np.abs(b_ref * chid)))
+    assert abs(lhs - lhs_ref) <= 1e-13 * scale
+    assert abs(rhs - rhs_ref) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("cells", GRIDS, ids=lambda c: "x".join(map(str, c)))
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("interaction", INTERACTIONS)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_fft_fields_match_dense_oracle(kernel, interaction, d, cells):
+    dim = len(cells)
+    grid = build_grid(dim, [1.0] * dim, cells)
+    rng = np.random.default_rng([d, *cells])
+    chi = rng.random((grid.n_cells, d))
+    chid = rng.normal(size=chi.shape)
+    assert_matches_oracle(grid, KERNELS[kernel](dim), INTERACTIONS[interaction](),
+                          chi, chid)
+
+
+def test_tophat_tie_matches_oracle():
+    # h = 1/8 and n = 4: cells two apart sit exactly on the inclusive
+    # support radius 1/n, so they interact
+    grid = build_grid(1, [1.0], [8])
+    kernel = ScaledTopHat(4, 1)
+    cp = build_coupling(grid, kernel, QuadraticG(), 1.0)
+    assert cp.stencil[7 + 2] > 0.0 and cp.stencil[7 + 3] == 0.0
+    rng = np.random.default_rng(8)
+    chi = rng.random((8, 1))
+    assert_matches_oracle(grid, kernel, QuadraticG(), chi,
+                          rng.normal(size=chi.shape))
+
+
+def test_stacked_fields_match_per_snapshot(monkeypatch):
+    # a small budget sends the stack through in chunks of two states
+    monkeypatch.setattr(longrange, "_STACK_POINTS", 80)
+    grid = build_grid(2, [1.0, 1.0], [4, 3])
+    cp = build_coupling(grid, GaussianKernel(0.3, 0.4),
+                        EvenPolynomialG([1.0, 0.5]), 1.0)
+    chis = np.random.default_rng(3).random((5, 12, 2))
+    b, B = cp.b_field(chis), cp.B_field(chis)
+    for n, chi in enumerate(chis):
+        one = cp.b_field(chi, full=True)
+        assert np.allclose(b[n], one.b, rtol=0, atol=1e-15)
+        assert np.allclose(B[n], one.B, rtol=0, atol=1e-15)
+    assert cp.b_field(chis[:0]).shape == (0, 12, 2)
+
+
+@pytest.mark.parametrize("interaction", ["quadratic", "poly2"])
+def test_pairing_catches_asymmetric_stencil(interaction):
+    grid = build_grid(2, [1.0, 1.0], [6, 5])
+    G = INTERACTIONS[interaction]()
+    cp = build_coupling(grid, GaussianKernel(0.3, 0.4), G, 1.0)
+    stencil = cp.stencil.copy()
+    stencil[5 + 2, 4 + 1] *= 1.5          # offset (2, 1) but not (-2, -1)
+    bad = dataclasses.replace(cp, stencil=stencil)
+    rng = np.random.default_rng(11)
+    chi = rng.random((30, 2))
+    chi_new = chi + 1e-3 * rng.normal(size=chi.shape)
+    for coupling, broken in ((cp, False), (bad, True)):
+        _, _, residual = coupling.pairing_residual(
+            coupling.b_field(chi, full=True),
+            coupling.b_field(chi_new, full=True), 1e-3)
+        assert (abs(residual) > 1e-11) == broken
+
+
+def test_coupling_memory_128_squared():
+    # the dense kernel matrix of this grid would take 2 GiB
+    raw = parse_config_text(DEFAULT_CFG.read_text())
+    raw.update({"grid.dim": "2", "grid.lengths": "1.0,1.0",
+                "grid.cells": "128,128", "solver.horizon": raw["solver.dt"]})
+    comp, _ = build_components(resolve_config(raw))
+    traj = run(comp)
+    assert traj.records.size == 1
+    assert abs(traj.records["pairing_residual"][0]) <= 1e-11
+    held = sum(v.nbytes for v in vars(comp.coupling).values()
+               if isinstance(v, np.ndarray))
+    assert held <= 4 * 2 ** 20
