@@ -26,16 +26,12 @@ def _build_parser():
                                     "trajectory")
     pr.add_argument("--config", required=True)
     pr.add_argument("--out", required=True)
-    pr.add_argument("--threads", type=int, default=1,
-                    help="worker hint for row-blocked kernels; results are "
-                         "identical for any value")
 
     pv = sub.add_parser("verify", help="re-check invariants of a stored "
                                        "trajectory")
     pv.add_argument("trajectory_dir")
     pv.add_argument("--checks", default="default",
                     help="comma list, or 'default'")
-    pv.add_argument("--threads", type=int, default=1)
 
     pc = sub.add_parser("calibrate", help="solve for the self-consistent "
                                           "truncation level")
@@ -46,13 +42,7 @@ def _build_parser():
     ps.add_argument("kind")
     ps.add_argument("--config", required=True)
     ps.add_argument("--out", help="CSV output path (stdout when omitted)")
-    ps.add_argument("--threads", type=int, default=1)
     return p
-
-
-def _check_threads(n):
-    if n < 1:
-        raise ConfigError("--threads must be at least 1")
 
 
 def _cmd_run(args) -> int:
@@ -60,7 +50,6 @@ def _cmd_run(args) -> int:
     from .snapshots import MANIFEST_NAME, write_trajectory
     from .stepper import run
 
-    _check_threads(args.threads)
     if not os.path.exists(args.config):
         raise ConfigError(f"config file not found: {args.config}")
     resolved = load_config(args.config)
@@ -86,7 +75,6 @@ def _cmd_verify(args) -> int:
     from .diagnostics import DEFAULT_CHECKS, run_checks
     from .snapshots import MANIFEST_NAME, read_trajectory
 
-    _check_threads(args.threads)
     manifest = os.path.join(args.trajectory_dir, MANIFEST_NAME)
     if not os.path.exists(manifest):
         raise ConfigError(f"missing manifest: {manifest}")
@@ -133,7 +121,6 @@ def _cmd_study(args) -> int:
     from .config import load_config
     from .studies import run_study, study_csv
 
-    _check_threads(args.threads)
     if not os.path.exists(args.config):
         raise ConfigError(f"config file not found: {args.config}")
     resolved = load_config(args.config)

@@ -582,7 +582,7 @@ def inclusion_solve(problem: InclusionProblem, potential, dt: float,
 
 
 @dataclass
-class DependenceReport:
+class InclusionGapReport:
     sup_distance: float
     deriv_l1_distance: float
     data_distance: float
@@ -590,7 +590,7 @@ class DependenceReport:
     cdg_constant: float
 
 
-def dependence_gap(tr1: InclusionTrajectory, tr2: InclusionTrajectory) -> DependenceReport:
+def dependence_gap(tr1: InclusionTrajectory, tr2: InclusionTrajectory) -> InclusionGapReport:
     """Measure both trajectory gaps against the data gap and report the
     smallest multiplicative constants closing the stability bounds.
 
@@ -623,7 +623,7 @@ def dependence_gap(tr1: InclusionTrajectory, tr2: InclusionTrajectory) -> Depend
         rhs = init_gap + data_cum[k]
         if rhs > 1e-300:
             cdg = max(cdg, (rate_cum[k] + diff[k]) / rhs)
-    return DependenceReport(
+    return InclusionGapReport(
         sup_distance=sup_distance,
         deriv_l1_distance=deriv_l1,
         data_distance=data_distance,

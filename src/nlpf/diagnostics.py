@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ModeError
-from .geometry import assemble_diffusion, harmonic_face_conductivity
-from .stepper import LagTracker, RunComponents, run
+from .stepper import (LagTracker, RunComponents, cell_budget,
+                      conduction_operator, entropy_residual, phase_source, run)
 from .thermo import generic_coefficients, truncated_entropy_gradient
 
 
@@ -30,32 +30,6 @@ def _dense(traj, what):
         raise ConfigError(
             f"{what} needs every step stored (cadence 1), got cadence "
             f"{traj.cadence}")
-
-
-def _total_energy(grid, model, potential, B, theta, chi, eps):
-    phi = potential.phi(chi)
-    cell = model.e(theta, chi) + model.lam(chi) + model.beta * phi + B
-    return float(np.dot(grid.volumes, cell)) \
-        + eps * float(np.dot(grid.volumes, theta))
-
-
-def _total_entropy(grid, model, potential, theta, chi):
-    cell = model.s(theta, chi) - model.sig(chi) - potential.phi(chi)
-    return float(np.dot(grid.volumes, cell))
-
-
-def _replay_ops(traj, grid, model, boundary):
-    """Diffusion operators per step, reconstructing the coefficient lag."""
-    # cadence 1 gives back exactly the lag sequence of the run; callers that
-    # tolerate coarser snapshots replay the lag at snapshot resolution.
-    lag = LagTracker("previous_step", 1, traj.thetas[0], traj.chis[0])
-    for n in range(len(traj.times) - 1):
-        bar_th, bar_chi = lag.bar()
-        k_cell = model.k(bar_th, bar_chi)
-        op = assemble_diffusion(grid, harmonic_face_conductivity(grid, k_cell),
-                                boundary, k_bounds=(model.k0, model.k1))
-        yield n, op
-        lag.push(traj.thetas[n + 1], traj.chis[n + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -85,17 +59,16 @@ def energy_budget(traj, grid, model, potential, coupling, boundary, config):
     eps = config.eps_reg
     times = traj.times
     Bs = coupling.B_field(traj.chis)
-    totals = np.array([
-        _total_energy(grid, model, potential, Bs[n],
-                      traj.thetas[n], traj.chis[n], eps)
-        for n in range(len(times))])
+    totals = np.empty(len(times))
+    for n, (theta, chi) in enumerate(zip(traj.thetas, traj.chis)):
+        E_cell, _ = cell_budget(model, potential, theta, chi, Bs[n])
+        totals[n] = float(np.dot(grid.volumes, E_cell)) \
+            + eps * float(np.dot(grid.volumes, theta))
     res = np.empty(len(times) - 1)
     for n in range(len(times) - 1):
         dt = times[n + 1] - times[n]
-        out = boundary.gamma_arr * grid.bface_area * (
-            traj.thetas[n + 1][grid.bface_owner]
-            - boundary.theta_gamma_at(times[n + 1]))
-        res[n] = totals[n + 1] - totals[n] + dt * float(np.sum(out))
+        res[n] = totals[n + 1] - totals[n] \
+            + dt * boundary.outflow(traj.thetas[n + 1], times[n + 1])
     drift = float(np.max(np.abs(totals - totals[0])))
     return EnergyBudgetReport(step_residuals=res, drift=drift,
                               scale=max(1.0, abs(totals[0])),
@@ -128,27 +101,28 @@ def entropy_production(traj, grid, model, potential, coupling, boundary,
     theta' (S' - S)/dt + (A theta' - load) equals the dissipation
     mu * |chi_t|^2 plus O(dt) remainders, so it is required to clear a small
     negative tolerance rather than zero.  The global total must not decrease
-    when the boundary is insulated.
+    when the boundary is insulated.  The conductivity is replayed with the
+    run's lag mode and window, pushing the snapshots as the run pushed its
+    accepted states.
     """
     _dense(traj, "entropy production")
     times = traj.times
-    totals = np.array([
-        _total_entropy(grid, model, potential, traj.thetas[n], traj.chis[n])
-        for n in range(len(times))])
+    # the entropy does not involve B, so the energy part is left at B = 0
+    S_cells = [cell_budget(model, potential, theta, chi, 0.0)[1]
+               for theta, chi in zip(traj.thetas, traj.chis)]
+    totals = np.array([float(np.dot(grid.volumes, S)) for S in S_cells])
     tol = 1e-8 * max(1.0, float(np.max(np.abs(totals))))
 
+    lag = LagTracker(config.lag_mode, config.lag_window, traj.thetas[0],
+                     traj.chis[0])
     cell_min = math.inf
     face_max = -math.inf
-    for n, op in _replay_ops(traj, grid, model, boundary):
-        dt = times[n + 1] - times[n]
-        th_new, ch_new = traj.thetas[n + 1], traj.chis[n + 1]
-        th_old, ch_old = traj.thetas[n], traj.chis[n]
-        s_new = model.s(th_new, ch_new) - model.sig(ch_new) \
-            - potential.phi(ch_new)
-        s_old = model.s(th_old, ch_old) - model.sig(ch_old) \
-            - potential.phi(ch_old)
-        divq = op.apply(th_new) - op.robin_load(times[n + 1])
-        resid = th_new * (s_new - s_old) / dt + divq
+    for n in range(1, len(times)):
+        op = conduction_operator(grid, model, boundary, *lag.bar())
+        th_new = traj.thetas[n]
+        lag.push(th_new, traj.chis[n])
+        resid = entropy_residual(th_new, S_cells[n - 1], S_cells[n], op,
+                                 times[n], times[n] - times[n - 1])
         cell_min = min(cell_min, float(np.min(resid)))
         flux = op.face_fluxes(th_new)
         dth = th_new[grid.iface_owner] - th_new[grid.iface_neigh]
@@ -277,13 +251,11 @@ def upper_envelope(traj, grid, model, potential, coupling, boundary, config):
     _dense(traj, "upper envelope")
     times = traj.times
     b_olds = coupling.b_field(traj.chis[:-1])
+    phis = [potential.phi(chi) for chi in traj.chis]
     M = 0.0
     for n in range(len(times) - 1):
-        dt = times[n + 1] - times[n]
-        ch_old, ch_new = traj.chis[n], traj.chis[n + 1]
-        dchi = (ch_new - ch_old) / dt
-        src = np.einsum("md,md->m", model.lam_p(ch_new) + b_olds[n], dchi) \
-            + model.beta * (potential.phi(ch_new) - potential.phi(ch_old)) / dt
+        src = phase_source(model, traj.chis[n], traj.chis[n + 1], b_olds[n],
+                           phis[n], phis[n + 1], times[n + 1] - times[n])
         M = max(M, float(np.max(np.abs(src))))
     v0 = float(np.max(traj.thetas[0]))
     if not boundary.is_insulated:
@@ -525,9 +497,7 @@ def generic_check(model, grid, boundary, coupling=None, n_samples=100,
     # assembled matrix reproduces the same operator up to per-row scaling.
     th_field = rng.uniform(0.5, 2.0, grid.n_cells)
     ch_field = np.tile(dom[0], (grid.n_cells, 1))
-    k_cell = model.k(th_field, ch_field)
-    op = assemble_diffusion(grid, harmonic_face_conductivity(grid, k_cell),
-                            boundary, k_bounds=(model.k0, model.k1))
+    op = conduction_operator(grid, model, boundary, th_field, ch_field)
     ones = np.ones(grid.n_cells)
     null_flux = float(np.max(np.abs(op.face_fluxes(ones)), initial=0.0))
     diag = float(np.max(np.abs(op.matrix.diagonal())))

@@ -189,6 +189,13 @@ class BoundaryData:
     def is_insulated(self) -> bool:
         return bool(np.all(self._gamma_arr == 0.0))
 
+    def outflow(self, theta: np.ndarray, t: float) -> float:
+        """Total heat leaving the domain through Robin faces."""
+        g = self.grid
+        q = self._gamma_arr * g.bface_area * (
+            theta[g.bface_owner] - self.theta_gamma_at(t))
+        return float(np.sum(q))
+
 
 def harmonic_face_conductivity(grid: Grid, k_cell: np.ndarray) -> np.ndarray:
     """Harmonic mean of the owner/neighbour cell conductivities per interior face."""
@@ -230,13 +237,6 @@ class DiffusionOperator:
         """Signed heat flux through each interior face, from owner to neighbour."""
         g = self.grid
         return self.trans * (theta[g.iface_owner] - theta[g.iface_neigh])
-
-    def boundary_outflow(self, theta: np.ndarray, t: float) -> float:
-        """Total heat leaving the domain through Robin faces."""
-        g = self.grid
-        q = self.boundary.gamma_arr * g.bface_area * (
-            theta[g.bface_owner] - self.boundary.theta_gamma_at(t))
-        return float(np.sum(q))
 
     def volume_weighted_divergence(self, theta: np.ndarray) -> float:
         """Exact face-cancelled value of sum_i V_i * (A theta)_i with gamma = 0 rows.

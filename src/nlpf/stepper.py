@@ -180,9 +180,45 @@ def _phi_cellwise(potential, chi):
     return vals
 
 
-def step_theta(grid, boundary, model, state, chi_new, b_old, phi_old, phi_new,
-               bar_theta, bar_chi, dt, config):
-    """Backward-Euler energy step; returns (theta', diffusion operator).
+def conduction_operator(grid, model, boundary, bar_theta, bar_chi):
+    """Diffusion operator with the conductivity frozen at the lagged fields.
+
+    Face values are harmonic means of the cell conductivities; a face value
+    outside the model's [k0, k1] is a contract violation.
+    """
+    face_k = harmonic_face_conductivity(grid, model.k(bar_theta, bar_chi))
+    return assemble_diffusion(grid, face_k, boundary,
+                              k_bounds=(model.k0, model.k1))
+
+
+def cell_budget(model, potential, theta, chi, B):
+    """Per-cell energy E = e + lam + beta phi + B and entropy S = s - sig - phi.
+
+    The regularizing eps theta term is not included in E.  A chi outside the
+    potential domain raises NumericalError.
+    """
+    phi = _phi_cellwise(potential, chi)
+    E_cell = model.e(theta, chi) + model.lam(chi) + model.beta * phi + B
+    S_cell = model.s(theta, chi) - model.sig(chi) - phi
+    return E_cell, S_cell
+
+
+def entropy_residual(theta_new, S_old, S_new, op, t_new, dt):
+    """Cellwise theta' (S' - S)/dt + div q' of one step; the scheme keeps it
+    above a small negative tolerance."""
+    return theta_new * (S_new - S_old) / dt + op.residual(theta_new, t_new)
+
+
+def phase_source(model, chi_old, chi_new, b_old, phi_old, phi_new, dt):
+    """Phase source -(lam'(chi') + b) . dchi/dt - beta dphi/dt of the energy
+    balance."""
+    dchi = chi_new - chi_old
+    return (-np.einsum("md,md->m", model.lam_p(chi_new) + b_old, dchi) / dt
+            - model.beta * (phi_new - phi_old) / dt)
+
+
+def step_theta(model, state, chi_new, b_old, phi_old, phi_new, op, dt, config):
+    """Backward-Euler energy step with diffusion operator ``op``; returns theta'.
 
     Raises NumericalError when the damped Newton stalls; the caller decides
     whether to halve the step.  A converged solve with nonpositive
@@ -190,17 +226,12 @@ def step_theta(grid, boundary, model, state, chi_new, b_old, phi_old, phi_new,
     preserve positivity on its own, so a violation at finite dt is a
     diagnostic, not a repair site.
     """
-    k_cell = model.k(bar_theta, bar_chi)
-    face_k = harmonic_face_conductivity(grid, k_cell)
-    op = assemble_diffusion(grid, face_k, boundary,
-                            k_bounds=(model.k0, model.k1))
     t_new = state.t + dt
     load = op.robin_load(t_new)
     eps = config.eps_reg
 
-    dchi = chi_new - state.chi
-    source = (-np.einsum("md,md->m", model.lam_p(chi_new) + b_old, dchi) / dt
-              - model.beta * (phi_new - phi_old) / dt)
+    source = phase_source(model, state.chi, chi_new, b_old, phi_old, phi_new,
+                          dt)
     base = eps * state.theta + model.e(state.theta, state.chi) \
         + dt * (source + load)
 
@@ -240,7 +271,7 @@ def step_theta(grid, boundary, model, state, chi_new, b_old, phi_old, phi_new,
         raise NumericalError(
             f"temperature positivity violated at t={state.t + dt:.6g}: "
             f"min theta' = {float(np.min(theta)):.3e}")
-    return theta, op
+    return theta
 
 
 def kirchhoff(model, theta):
@@ -320,11 +351,13 @@ def run(components: RunComponents):
     records = np.zeros(n_steps, dtype=_RECORD_DTYPE)
     rejections = 0
 
-    def advance(st, fields, dt, bar_theta, bar_chi, depth):
+    def advance(st, fields, dt, op, depth):
         """One (chi, theta) step from st over dt; splits in half on failure.
 
         ``fields`` are the nonlocal fields of st; the new state's are
-        returned with it, so each state is convolved once.
+        returned with it, so each state is convolved once.  ``op`` is the
+        diffusion operator of the nominal step: the lagged fields it is
+        built from do not change when the step is halved.
         """
         nonlocal rejections
         b_old = fields.b
@@ -336,43 +369,34 @@ def run(components: RunComponents):
         try:
             chi_new, xi_new = step_chi(potential, st.chi, alpha, g, dt)
             phi_new = _phi_cellwise(potential, chi_new)
-            theta_new, op = step_theta(grid, boundary, model, st, chi_new,
-                                       b_old, phi_old, phi_new,
-                                       bar_theta, bar_chi, dt, config)
+            theta_new = step_theta(model, st, chi_new, b_old, phi_old,
+                                   phi_new, op, dt, config)
         except NumericalError:
             if depth >= config.max_halvings:
                 raise
             rejections += 1
-            mid, mid_fields, _ = advance(st, fields, 0.5 * dt, bar_theta,
-                                         bar_chi, depth + 1)
-            return advance(mid, mid_fields, 0.5 * dt, bar_theta, bar_chi,
-                           depth + 1)
+            mid, mid_fields = advance(st, fields, 0.5 * dt, op, depth + 1)
+            return advance(mid, mid_fields, 0.5 * dt, op, depth + 1)
         new = State(theta_new, chi_new, xi_new, st.t + dt)
-        return new, coupling.b_field(chi_new, full=True), op
+        return new, coupling.b_field(chi_new, full=True)
 
     fields = coupling.b_field(chi0, full=True)
+    _, S_prev = cell_budget(model, potential, theta0, chi0, fields.B)
     for step in range(n_steps):
         dt = min(config.dt, config.horizon - state.t)
-        bar_theta, bar_chi = lag.bar()
-        prev, prev_fields = state, fields
-        state, fields, op = advance(state, fields, dt, bar_theta, bar_chi, 0)
+        op = conduction_operator(grid, model, boundary, *lag.bar())
+        prev_fields = fields
+        state, fields = advance(state, fields, dt, op, 0)
         lag.push(state.theta, state.chi)
 
         # per-step scalar record
-        phi_new = _phi_cellwise(potential, state.chi)
-        B_new = fields.B
-        e_new = model.e(state.theta, state.chi)
-        s_new = model.s(state.theta, state.chi)
-        E_cell = e_new + model.lam(state.chi) + model.beta * phi_new + B_new
-        S_cell = s_new - model.sig(state.chi) - phi_new
+        E_cell, S_cell = cell_budget(model, potential, state.theta, state.chi,
+                                     fields.B)
         total_E = float(np.dot(grid.volumes, E_cell)) \
             + config.eps_reg * float(np.dot(grid.volumes, state.theta))
         total_S = float(np.dot(grid.volumes, S_cell))
-
-        phi_prev = _phi_cellwise(potential, prev.chi)
-        S_prev = model.s(prev.theta, prev.chi) - model.sig(prev.chi) - phi_prev
-        divq = op.apply(state.theta) - op.robin_load(state.t)
-        ent_res = state.theta * (S_cell - S_prev) / dt + divq
+        ent_res = entropy_residual(state.theta, S_prev, S_cell, op, state.t, dt)
+        S_prev = S_cell
         _, _, pair_res = coupling.pairing_residual(prev_fields, fields, dt)
         sel_margin = d_bound * c_bound * (1 + 1e-6) \
             - float(np.max(np.linalg.norm(state.xi, axis=-1)))

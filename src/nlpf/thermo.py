@@ -607,25 +607,7 @@ def build_model(name, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# truncations and module-level wrappers
-
-
-def energy_density(model, theta, chi):
-    th = np.asarray(theta, dtype=float)
-    if np.any(th < 0):
-        raise ConfigError("energy_density: negative temperature")
-    return model.e(th, chi), model.e_chi(th, chi)
-
-
-def entropy_density(model, theta, chi):
-    th = np.asarray(theta, dtype=float)
-    if np.any(th < 0):
-        raise ConfigError("entropy_density: negative temperature")
-    return model.s(th, chi), model.s_chi(th, chi)
-
-
-def heat_content(model, theta, chi):
-    return model.u(np.asarray(theta, dtype=float), chi)
+# truncations
 
 
 def truncated_entropy_gradient(model, theta, chi, rho):
@@ -684,28 +666,6 @@ def inverse_temperature(model, w, chi, tol=1e-10, max_iter=100):
                              f"tolerance {tol}; worst residual "
                              f"{float(np.max(np.abs(f))):.3e}")
     return np.where(w == 0.0, 0.0, th)
-
-
-def densities(model, potential, theta, chi, B_value):
-    """(F, E, S) with F = (e - th s) + lam + B + (beta + th) phi + th sig.
-
-    The Helmholtz/internal/entropic triple satisfies F = E - th S exactly;
-    +infinity phi values (chi outside the potential domain) are rejected.
-    """
-    th = np.asarray(theta, dtype=float)
-    chi = np.asarray(chi, dtype=float)
-    phi = np.asarray([potential.phi(c) for c in chi.reshape(-1, model.d)],
-                     dtype=float).reshape(th.shape)
-    if np.any(~np.isfinite(phi)):
-        raise ConfigError("densities: chi outside the potential domain")
-    e = model.e(th, chi)
-    s = model.s(th, chi)
-    lam = model.lam(chi)
-    sig = model.sig(chi)
-    E = e + lam + model.beta * phi + B_value
-    S = s - sig - phi
-    F = (e - th * s) + lam + B_value + (model.beta + th) * phi + th * sig
-    return F, E, S
 
 
 def generic_coefficients(theta, mu, c_v, dchi_E):

@@ -67,7 +67,7 @@ def test_robin_load_and_outflow():
     # each end cell sees gamma * area * theta_gamma / volume = 1*1*2/0.5
     assert np.allclose(load, [4.0, 4.0])
     theta = np.array([3.0, 3.0])
-    out = op.boundary_outflow(theta, 0.0)
+    out = bnd.outflow(theta, 0.0)
     # gamma * area * (theta - theta_gamma) summed over both ends
     assert out == pytest.approx(2.0, rel=1e-14)
 

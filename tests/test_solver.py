@@ -11,7 +11,8 @@ from nlpf.errors import ConfigError, ModeError, NumericalError
 from nlpf.geometry import BoundaryData, build_grid
 from nlpf.longrange import ConstantKernel, QuadraticG, build_coupling
 from nlpf.stepper import (LagTracker, RunComponents, SolverConfig, State,
-                          bound_C_ell, kirchhoff, run, step_chi, step_theta)
+                          bound_C_ell, conduction_operator, kirchhoff, run,
+                          step_chi, step_theta)
 from nlpf.thermo import build_model
 
 from conftest import two_phase_components
@@ -96,9 +97,9 @@ def test_step_theta_single_cell_robin():
     chi_new = st.chi
     zeros = np.zeros((1, 1))
     cfg = SolverConfig(dt=0.05, horizon=1.0)
-    theta_new, op = step_theta(grid, boundary, model, st, chi_new,
-                               zeros.copy(), np.zeros(1), np.zeros(1),
-                               st.theta, st.chi, 0.05, cfg)
+    op = conduction_operator(grid, model, boundary, st.theta, st.chi)
+    theta_new = step_theta(model, st, chi_new, zeros.copy(), np.zeros(1),
+                           np.zeros(1), op, 0.05, cfg)
 
     def residual(x):
         # e(x) - e(1) + dt * 2 gamma (x - 2) / V with V = 1, two end faces
@@ -113,7 +114,7 @@ def test_step_theta_single_cell_robin():
         else:
             lo = mid
     assert theta_new[0] == pytest.approx(lo, abs=1e-12)
-    # the returned operator is the one used inside the Newton solve
+    # the operator used inside the Newton solve
     assert op.matrix.shape == (1, 1)
 
 
@@ -129,8 +130,9 @@ def test_step_theta_positivity_guard():
     chi_new = np.full((1, 1), 0.5)
     b_old = np.full((1, 1), 2000.0)   # (lam' + b) . dchi makes a huge sink
     with pytest.raises(NumericalError):
-        step_theta(grid, boundary, model, st, chi_new, b_old,
-                   np.zeros(1), np.zeros(1), st.theta, st.chi, 0.01, cfg)
+        step_theta(model, st, chi_new, b_old, np.zeros(1), np.zeros(1),
+                   conduction_operator(grid, model, boundary, st.theta,
+                                       st.chi), 0.01, cfg)
 
 
 def test_run_smoke_records_populate(short_run):
@@ -182,12 +184,11 @@ def test_rejection_halves_the_step(monkeypatch):
     comp = two_phase_components(cells=8, horizon=0.02, dt=0.01)
     real = stepper.step_theta
 
-    def flaky(grid, boundary, model, st, chi_new, b_old, phi_old, phi_new,
-              bar_theta, bar_chi, dt, config):
+    def flaky(model, st, chi_new, b_old, phi_old, phi_new, op, dt, config):
         if dt > 0.006:
             raise NumericalError("synthetic overshoot")
-        return real(grid, boundary, model, st, chi_new, b_old, phi_old,
-                    phi_new, bar_theta, bar_chi, dt, config)
+        return real(model, st, chi_new, b_old, phi_old, phi_new, op, dt,
+                    config)
 
     monkeypatch.setattr(stepper, "step_theta", flaky)
     traj = run(comp)

@@ -148,15 +148,19 @@ def test_unknown_model_name():
 
 def test_densities_identity_and_domain():
     from nlpf.convex import IndicatorBox
-    from nlpf.thermo import densities
+    from nlpf.errors import NumericalError
+    from nlpf.stepper import cell_budget
 
     box = IndicatorBox(np.zeros(1), np.ones(1))
     th = np.array([0.5, 1.0, 3.0])
     chi = np.array([[0.2], [0.5], [0.9]])
-    F, E, S = densities(TP, box, th, chi, 0.125)
+    E, S = cell_budget(TP, box, th, chi, 0.125)
+    # free energy F = (e - th s) + lam + B + th sig; phi = 0 inside the box
+    F = (TP.e(th, chi) - th * TP.s(th, chi)) + TP.lam(chi) + 0.125 \
+        + th * TP.sig(chi)
     assert np.allclose(F, E - th * S, rtol=1e-13)
-    with pytest.raises(ConfigError):
-        densities(TP, box, np.array([1.0]), np.array([[2.0]]), 0.0)
+    with pytest.raises(NumericalError):
+        cell_budget(TP, box, np.array([1.0]), np.array([[2.0]]), 0.0)
 
 
 def test_closed_form_envelope():
