@@ -9,7 +9,6 @@ configuration is parseable by the same code and reproduces the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,7 +223,6 @@ _MODEL_KWARGS = {
                         "uniqueness_mode"),
     "multi_phase_power": ("d", "alpha", "mu0", "beta", "lam_amp", "sig_amp"),
     "decoupled_power": ("alpha", "mu0", "beta"),
-    "bad_c4_fixture": ("mu0", "beta", "lam_amp", "sig_amp"),
 }
 
 

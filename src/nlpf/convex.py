@@ -1,206 +1,26 @@
-"""Convex potentials, proximal steps, and the rate-independent inclusion solver.
+"""Constraint potentials, proximal steps, and the rate-independent inclusion solver.
 
-Supported potentials: indicator of a coordinate box, of a centered ball, of
-the corner simplex {x >= 0, sum x <= 1}, and smooth gauge potentials
-``f(M_K(x))`` built from a symmetric convex body K (ball or centered box)
-and an increasing convex C^1 function f with f(0) = f'(0) = 0.
+The order parameter is constrained by the indicator of a closed convex set:
+a coordinate box, a centered ball, or the corner simplex
+{x >= 0, sum x <= 1}.  For an indicator the proximal map is the euclidean
+projection onto the set, whatever the weight.
 
 The implicit Euler step of ``alpha zeta' + dphi(zeta) ∋ g`` is a proximal
-map; the subgradient selection recovered from the step satisfies the same
-cone bound as the continuous theory: |xi| <= C for indicators and
-|xi| <= (R/r) C for gauge potentials, whenever |g| <= C and the initial
-value admits a subgradient of norm <= C.
+map; the selection xi = g - alpha (zeta' - zeta)/dt recovered from the step
+lies in the normal cone at zeta' and, because the previous state lies in
+the set, satisfies the cone bound of the continuous theory: |xi| <= |g|.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.stats import qmc
 
-from .errors import ConfigError, NumericalError
-
-_PROX_TOL = 1e-12
-_PROX_MAX_ITER = 100
-
-
-# ---------------------------------------------------------------------------
-# scalar profile functions f
-
-
-class QuadraticProfile:
-    """f(s) = scale * s^2 / 2 on [0, inf)."""
-
-    f0 = math.inf
-
-    def __init__(self, scale: float = 1.0):
-        if scale <= 0:
-            raise ConfigError("profile scale must be positive")
-        self.scale = float(scale)
-
-    def value(self, s):
-        return 0.5 * self.scale * np.square(s)
-
-    def deriv(self, s):
-        return self.scale * np.asarray(s, dtype=float)
-
-    def deriv2(self, s):
-        return np.full_like(np.asarray(s, dtype=float), self.scale)
-
-    def inv_deriv(self, y: float) -> float:
-        return y / self.scale
-
-    @property
-    def sup_deriv(self) -> float:
-        return math.inf
-
-
-class LogBarrierProfile:
-    """f(s) = -log(1 - s^2) on [0, 1); blows up at the gauge unit level."""
-
-    f0 = 1.0
-
-    def value(self, s):
-        s = np.asarray(s, dtype=float)
-        return -np.log1p(-np.square(s))
-
-    def deriv(self, s):
-        s = np.asarray(s, dtype=float)
-        return 2.0 * s / (1.0 - np.square(s))
-
-    def deriv2(self, s):
-        s2 = np.square(np.asarray(s, dtype=float))
-        return 2.0 * (1.0 + s2) / np.square(1.0 - s2)
-
-    def inv_deriv(self, y: float) -> float:
-        # solve 2s/(1-s^2) = y: s = (sqrt(1+y^2)-1)/y for y > 0
-        if y == 0.0:
-            return 0.0
-        return (math.sqrt(1.0 + y * y) - 1.0) / y
-
-    @property
-    def sup_deriv(self) -> float:
-        return math.inf
-
-
-# ---------------------------------------------------------------------------
-# convex bodies for gauges
-
-
-class BallBody:
-    """Centered euclidean ball of radius r; gauge M(x) = |x| / r."""
-
-    def __init__(self, d: int, radius: float):
-        if radius <= 0:
-            raise ConfigError("ball radius must be positive")
-        self.d = int(d)
-        self.r = float(radius)
-        self.R = float(radius)
-
-    def gauge(self, x: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(np.atleast_2d(x), axis=-1) / self.r
-
-    def project_scaled(self, z: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """Closest point of m*K to each row of z."""
-        z = np.atleast_2d(z)
-        nz = np.linalg.norm(z, axis=-1)
-        lim = np.asarray(m, dtype=float) * self.r
-        fac = np.where(nz > lim, np.divide(lim, nz, out=np.ones_like(nz), where=nz > 0), 1.0)
-        return z * fac[..., None]
-
-    def dist_deriv(self, z: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """d/dm of dist^2(z, m K) / 2  =  -r * (|z| - m r)_+ ."""
-        nz = np.linalg.norm(np.atleast_2d(z), axis=-1)
-        return -self.r * np.maximum(nz - np.asarray(m) * self.r, 0.0)
-
-    def dist_deriv2(self, z: np.ndarray, m: np.ndarray) -> np.ndarray:
-        nz = np.linalg.norm(np.atleast_2d(z), axis=-1)
-        return np.where(nz > np.asarray(m) * self.r, self.r ** 2, 0.0)
-
-    def gauge_subdiff(self, x: np.ndarray):
-        """(min-norm element, sup of norms, extreme points) of dM at a point x != 0."""
-        nx = float(np.linalg.norm(x))
-        w = np.asarray(x, dtype=float) / (self.r * nx)
-        return w, float(np.linalg.norm(w)), [w]
-
-
-class BoxBody:
-    """Centered coordinate box with per-axis halfwidths; gauge max_i |x_i|/a_i."""
-
-    def __init__(self, halfwidths: Sequence[float]):
-        a = np.asarray(halfwidths, dtype=float)
-        if a.ndim != 1 or np.any(a <= 0):
-            raise ConfigError("box halfwidths must be positive")
-        self.a = a
-        self.d = a.shape[0]
-        self.r = float(np.min(a))
-        self.R = float(np.linalg.norm(a))
-
-    def gauge(self, x: np.ndarray) -> np.ndarray:
-        return np.max(np.abs(np.atleast_2d(x)) / self.a, axis=-1)
-
-    def project_scaled(self, z: np.ndarray, m: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(z)
-        lim = np.asarray(m, dtype=float)[..., None] * self.a
-        return np.clip(z, -lim, lim)
-
-    def dist_deriv(self, z: np.ndarray, m: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(z)
-        exc = np.maximum(np.abs(z) - np.asarray(m)[..., None] * self.a, 0.0)
-        return -np.sum(self.a * exc, axis=-1)
-
-    def dist_deriv2(self, z: np.ndarray, m: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(z)
-        active = np.abs(z) > np.asarray(m)[..., None] * self.a
-        return np.sum(np.square(self.a) * active, axis=-1)
-
-    def gauge_subdiff(self, x: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        ratios = np.abs(x) / self.a
-        mval = float(np.max(ratios))
-        active = np.flatnonzero(ratios >= mval * (1.0 - 1e-12))
-        extremes = []
-        for i in active:
-            e = np.zeros(self.d)
-            e[i] = math.copysign(1.0, x[i]) / self.a[i]
-            extremes.append(e)
-        # min-norm convex combination: weights proportional to a_i^2
-        wts = np.square(self.a[active])
-        wts = wts / np.sum(wts)
-        w = np.zeros(self.d)
-        for lam, i in zip(wts, active):
-            w[i] = lam * math.copysign(1.0, x[i]) / self.a[i]
-        sup = float(max(np.linalg.norm(e) for e in extremes))
-        return w, sup, extremes
-
-
-# ---------------------------------------------------------------------------
-# subdifferential report
-
-
-@dataclass
-class SubdiffInfo:
-    """Description of dphi at a point: minimal-norm element and norm range.
-
-    ``sup_norm`` is the supremum of |eta| over the subdifferential
-    (``inf`` for an unbounded normal cone at a boundary point), ``extremes``
-    lists generators: extreme points for gauge potentials, cone generators
-    for indicators.
-    """
-
-    min_norm_element: np.ndarray
-    sup_norm: float
-    extremes: list
-    is_cone: bool
-
-
-def _halton(d: int, n: int) -> np.ndarray:
-    sampler = qmc.Halton(d=d, scramble=False)
-    pts = sampler.random(n + 1)[1:]  # drop the degenerate all-zero first point
-    return pts
+from .errors import ConfigError
 
 
 # ---------------------------------------------------------------------------
@@ -231,28 +51,6 @@ class IndicatorBox:
         z = np.atleast_2d(z)
         return np.clip(z, self.lo, self.hi)
 
-    def subdiff(self, x) -> SubdiffInfo:
-        x = np.asarray(x, dtype=float).reshape(self.d)
-        if not self.contains(x)[0]:
-            raise ConfigError("subdifferential requested outside the domain")
-        gens = []
-        for i in range(self.d):
-            if x[i] >= self.hi[i] - self._tol:
-                e = np.zeros(self.d); e[i] = 1.0; gens.append(e)
-            if x[i] <= self.lo[i] + self._tol:
-                e = np.zeros(self.d); e[i] = -1.0; gens.append(e)
-        sup = math.inf if gens else 0.0
-        return SubdiffInfo(np.zeros(self.d), sup, gens, is_cone=True)
-
-    def d_bound(self) -> float:
-        return 1.0
-
-    def domain_sample(self, n: int) -> np.ndarray:
-        return self.lo + (self.hi - self.lo) * _halton(self.d, n)
-
-    def domain_diameter(self) -> float:
-        return float(np.linalg.norm(self.hi - self.lo))
-
 
 class IndicatorBall:
     """Indicator of the centered euclidean ball of given radius."""
@@ -279,25 +77,11 @@ class IndicatorBall:
                        1.0)
         return z * fac[..., None]
 
-    def subdiff(self, x) -> SubdiffInfo:
-        x = np.asarray(x, dtype=float).reshape(self.d)
-        if not self.contains(x)[0]:
-            raise ConfigError("subdifferential requested outside the domain")
-        nx = float(np.linalg.norm(x))
-        if nx >= self.radius - self._tol and nx > 0:
-            return SubdiffInfo(np.zeros(self.d), math.inf, [x / nx], is_cone=True)
-        return SubdiffInfo(np.zeros(self.d), 0.0, [], is_cone=True)
 
-    def d_bound(self) -> float:
-        return 1.0
-
-    def domain_sample(self, n: int) -> np.ndarray:
-        pts = 2.0 * _halton(self.d, 4 * n + 16) - 1.0
-        pts = pts[np.linalg.norm(pts, axis=-1) <= 1.0][:n]
-        return pts * self.radius
-
-    def domain_diameter(self) -> float:
-        return 2.0 * self.radius
+def _halton(d: int, n: int) -> np.ndarray:
+    sampler = qmc.Halton(d=d, scramble=False)
+    pts = sampler.random(n + 1)[1:]  # drop the degenerate all-zero first point
+    return pts
 
 
 class IndicatorSimplex:
@@ -324,29 +108,11 @@ class IndicatorSimplex:
             out[over] = _project_unit_simplex(z[over])
         return out
 
-    def subdiff(self, x) -> SubdiffInfo:
-        x = np.asarray(x, dtype=float).reshape(self.d)
-        if not self.contains(x)[0]:
-            raise ConfigError("subdifferential requested outside the domain")
-        gens = []
-        for i in range(self.d):
-            if x[i] <= self._tol:
-                e = np.zeros(self.d); e[i] = -1.0; gens.append(e)
-        if np.sum(x) >= 1.0 - self._tol:
-            gens.append(np.ones(self.d))
-        sup = math.inf if gens else 0.0
-        return SubdiffInfo(np.zeros(self.d), sup, gens, is_cone=True)
-
-    def d_bound(self) -> float:
-        return 1.0
-
     def domain_sample(self, n: int) -> np.ndarray:
+        """Up to n Halton points of the simplex."""
         pts = _halton(self.d, 4 * n + 16)
         pts = pts[np.sum(pts, axis=-1) <= 1.0][:n]
         return pts
-
-    def domain_diameter(self) -> float:
-        return math.sqrt(2.0) if self.d > 1 else 1.0
 
 
 def _project_unit_simplex(z: np.ndarray) -> np.ndarray:
@@ -358,144 +124,6 @@ def _project_unit_simplex(z: np.ndarray) -> np.ndarray:
     k = np.sum(cond, axis=-1)
     tau = css[np.arange(z.shape[0]), k - 1] / k
     return np.maximum(z - tau[:, None], 0.0)
-
-
-class GaugePotential:
-    """phi(x) = f(M_K(x)) for a symmetric convex body K and profile f.
-
-    The proximal map reduces to a scalar convex problem in the gauge level
-    m = M_K(y): minimize f(m) + (rho/2) dist^2(z, m K) over m in
-    [0, M_K(z)], then project z onto m* K.  On a ball body this coincides
-    with the classical solve along the ray through z; on a box body the
-    level-set form stays exact where the ray ansatz would not.
-    """
-
-    def __init__(self, body, profile):
-        self.body = body
-        self.profile = profile
-        self.d = body.d
-
-    # -- basic evaluations
-
-    def gauge(self, x) -> np.ndarray:
-        return self.body.gauge(x)
-
-    def phi(self, x) -> np.ndarray:
-        m = self.body.gauge(x)
-        out = np.full(m.shape, np.inf)
-        ok = m < self.profile.f0
-        out[ok] = self.profile.value(m[ok])
-        return out
-
-    def contains(self, x) -> np.ndarray:
-        return self.body.gauge(x) < self.profile.f0
-
-    # -- prox via scalar root solve on the gauge level
-
-    def prox(self, z, rho) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        rho = np.broadcast_to(np.asarray(rho, dtype=float), (z.shape[0],))
-        if np.any(rho <= 0):
-            raise ConfigError("prox weight must be positive")
-        m_z = self.body.gauge(z)
-        hi_cap = self.profile.f0 * (1.0 - 1e-12) if math.isfinite(self.profile.f0) else math.inf
-        hi = np.minimum(m_z, hi_cap)
-        lo = np.zeros_like(hi)
-
-        def fprime(m):
-            return self.profile.deriv(m) + rho * self.body.dist_deriv(z, m)
-
-        # trivial rows: z already inside the minimizing level at m = m_z
-        m = 0.5 * hi
-        active = hi > 0
-        if not np.any(active):
-            return self.body.project_scaled(z, np.zeros_like(hi))
-        # F' is nondecreasing: F'(0) <= 0 always (f'(0)=0); root in [0, hi]
-        for it in range(_PROX_MAX_ITER):
-            val = fprime(m)
-            conv = np.abs(val) <= _PROX_TOL * np.maximum(1.0, rho * np.maximum(m_z, 1.0))
-            lo = np.where((val < 0) & active, m, lo)
-            hi = np.where((val > 0) & active, m, hi)
-            active = active & ~conv & (hi - lo > 1e-16 * np.maximum(1.0, m_z))
-            if not np.any(active):
-                break
-            d2 = self.profile.deriv2(m) + rho * self.body.dist_deriv2(z, m)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = m - np.where(d2 > 0, val / np.where(d2 > 0, d2, 1.0), 0.0)
-            bad = ~np.isfinite(newton) | (newton <= lo) | (newton >= hi) | (d2 <= 0)
-            m_next = np.where(bad, 0.5 * (lo + hi), newton)
-            m = np.where(active, m_next, m)
-        else:
-            if np.any(active):
-                raise NumericalError(
-                    f"gauge prox failed to converge; residual {np.max(np.abs(fprime(m)[active]))}")
-        return self.body.project_scaled(z, m)
-
-    # -- subdifferential
-
-    def subdiff(self, x) -> SubdiffInfo:
-        x = np.asarray(x, dtype=float).reshape(self.d)
-        m = float(np.atleast_1d(self.body.gauge(x))[0])
-        if m >= self.profile.f0:
-            raise ConfigError("subdifferential requested outside the domain")
-        if m == 0.0:
-            return SubdiffInfo(np.zeros(self.d), 0.0, [np.zeros(self.d)], is_cone=False)
-        fp = float(self.profile.deriv(m))
-        w_min, w_sup, w_ext = self.body.gauge_subdiff(x)
-        ext = [fp * w for w in w_ext]
-        return SubdiffInfo(fp * w_min, fp * w_sup, ext, is_cone=False)
-
-    def d_bound(self) -> float:
-        return self.body.R / self.body.r
-
-    # -- threshold C1 = f((f')^{-1}(C R)) and its implications
-
-    def c1_threshold(self, C: float) -> float:
-        if C < 0:
-            raise ConfigError("bound C must be nonnegative")
-        y = C * self.body.R
-        if y >= self.profile.sup_deriv:
-            return math.inf
-        s = self.profile.inv_deriv(y)
-        return float(self.profile.value(s))
-
-    def domain_sample(self, n: int) -> np.ndarray:
-        cap = self.profile.f0 if math.isfinite(self.profile.f0) else 1.0
-        shell = 3.0 if not math.isfinite(self.profile.f0) else cap * (1.0 - 1e-9)
-        pts = (2.0 * _halton(self.d, 6 * n + 32) - 1.0) * self.body.R * shell
-        pts = pts[np.atleast_1d(self.body.gauge(pts)) < cap * (1.0 - 1e-12)][:n]
-        return pts
-
-    def domain_diameter(self) -> float:
-        cap = self.profile.f0 if math.isfinite(self.profile.f0) else 3.0
-        return 2.0 * self.body.R * cap
-
-
-def verify_c1_threshold(potential: GaugePotential, C: float, n: int = 1000):
-    """Sample the domain and check both threshold implications.
-
-    Returns (ok, worst) where worst collects the extreme sampled ratios:
-    phi <= C1 must force sup |dphi| <= (R/r) C, and phi >= C1 must force
-    min |dphi| >= C.
-    """
-    c1 = potential.c1_threshold(C)
-    dr = potential.d_bound()
-    pts = potential.domain_sample(n)
-    ok = True
-    worst = {"below_max": 0.0, "above_min": math.inf, "c1": c1}
-    for p in pts:
-        val = float(potential.phi(p)[0])
-        info = potential.subdiff(p)
-        if val <= c1:
-            worst["below_max"] = max(worst["below_max"], info.sup_norm)
-            if info.sup_norm > dr * C * (1.0 + 1e-9) + 1e-12:
-                ok = False
-        if val >= c1 and math.isfinite(c1):
-            nrm = float(np.linalg.norm(info.min_norm_element))
-            worst["above_min"] = min(worst["above_min"], nrm)
-            if nrm < C * (1.0 - 1e-9) - 1e-12:
-                ok = False
-    return ok, worst
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +163,8 @@ class InclusionTrajectory:
         return np.diff(self.zeta, axis=0) / self.dt
 
 
-def inclusion_solve(problem: InclusionProblem, potential, dt: float,
-                    selection_tol: float = 1e-9) -> InclusionTrajectory:
+def inclusion_solve(problem: InclusionProblem, potential,
+                    dt: float) -> InclusionTrajectory:
     """Implicit Euler via proximal steps; returns states and selections.
 
     Each step solves zeta_k = prox(phi, zeta_{k-1} + dt g_k / alpha_k,
@@ -548,11 +176,6 @@ def inclusion_solve(problem: InclusionProblem, potential, dt: float,
     z0 = np.asarray(problem.zeta0, dtype=float).reshape(potential.d)
     if not bool(np.atleast_1d(potential.contains(z0))[0]):
         raise ConfigError("initial value lies outside the potential domain")
-    info0 = potential.subdiff(z0)
-    min_norm0 = float(np.linalg.norm(info0.min_norm_element))
-    if min_norm0 > problem.C + selection_tol:
-        raise ConfigError(
-            f"initial value violates the selection bound: |xi(zeta0)| = {min_norm0} > C = {problem.C}")
 
     n_steps = int(math.ceil(problem.T / dt - 1e-12))
     d = potential.d

@@ -10,7 +10,7 @@ rate density.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -237,16 +237,6 @@ class DiffusionOperator:
         """Signed heat flux through each interior face, from owner to neighbour."""
         g = self.grid
         return self.trans * (theta[g.iface_owner] - theta[g.iface_neigh])
-
-    def volume_weighted_divergence(self, theta: np.ndarray) -> float:
-        """Exact face-cancelled value of sum_i V_i * (A theta)_i with gamma = 0 rows.
-
-        Computed from face fluxes so interior contributions cancel pairwise;
-        the Robin part is added from boundary faces.
-        """
-        g = self.grid
-        q = self.boundary.gamma_arr * g.bface_area * theta[g.bface_owner]
-        return float(np.sum(q))
 
 
 def assemble_diffusion(

@@ -48,9 +48,6 @@ class QuadraticG:
     def sup_grad_norm(self, radius: float) -> float:
         return float(radius)
 
-    def sup_hess_norm(self, radius: float) -> float:
-        return 1.0
-
 
 class EvenPolynomialG:
     """G(z) = sum_k c_k |z|^(2k), k >= 1; even and smooth by construction."""
@@ -80,14 +77,6 @@ class EvenPolynomialG:
         return float(sum(2.0 * k * abs(c) * s ** (k - 1) for k, c in
                          enumerate(self.coeffs, start=1)) * radius)
 
-    def sup_hess_norm(self, radius: float) -> float:
-        s = radius * radius
-        tot = 0.0
-        for k, c in enumerate(self.coeffs, start=1):
-            tot += abs(c) * (2.0 * k * s ** (k - 1) +
-                             4.0 * k * (k - 1) * s ** (k - 1))
-        return float(tot)
-
 
 # ---------------------------------------------------------------------------
 # kernels
@@ -98,7 +87,6 @@ class ConstantKernel:
         if value < 0:
             raise ConfigError("kernel must be nonnegative")
         self.value = float(value)
-        self.lipschitz = 0.0
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.full(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]), self.value)
@@ -115,8 +103,6 @@ class GaussianKernel:
             raise ConfigError("gaussian kernel needs amplitude >= 0, width > 0")
         self.amplitude = float(amplitude)
         self.width = float(width)
-        # max |d kappa / dr| at r = width / sqrt(2)
-        self.lipschitz = amplitude * math.sqrt(2.0) * math.exp(-0.5) / width
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         d2 = np.sum(np.square(x - y), axis=-1)
@@ -130,7 +116,7 @@ class ScaledTopHat:
     """kappa_n(x,y) = n^(N+2) * amplitude on |n (x-y)|^2 <= 1, else 0.
 
     The localizing family behind the local limit; the support boundary is
-    included.  Discontinuous, so no finite Lipschitz bound is reported.
+    included.
     """
 
     def __init__(self, n: int, dim: int, amplitude: float = 1.0):
@@ -139,7 +125,6 @@ class ScaledTopHat:
         self.n = int(n)
         self.dim = int(dim)
         self.amplitude = float(amplitude)
-        self.lipschitz = math.inf
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         d2 = np.sum(np.square(x - y), axis=-1)
@@ -349,9 +334,6 @@ class NonlocalCoupling:
         """B_i = sum_j w_j K_ij G(chi_i - chi_j); shape (..., M)."""
         return self._chunked(chi, "B")
 
-    def total_B(self, chi: np.ndarray) -> float:
-        return float(np.dot(self.w, self.B_field(chi)))
-
     def pairing_residual(self, old: PairFields, new: PairFields, dt: float):
         """(lhs, rhs, residual) of the pairing identity over one step.
 
@@ -442,20 +424,17 @@ class LocalLimitReport:
     resolution_warning: bool
 
 
-def local_limit_error(grid: Grid, n: int, chi_fn, grad_fn,
-                      kappa_tilde: Callable[[float], float] | None = None,
-                      amplitude: float = 1.0) -> LocalLimitReport:
+def local_limit_error(grid: Grid, n: int, chi_fn,
+                      grad_fn) -> LocalLimitReport:
     """Sup over interior cells of |sum_j w_j kappa_n(x_i,x_j)|chi_i-chi_j|^2
-    - nu |grad chi(x_i)|^2| for the scaled top-hat family.
+    - nu |grad chi(x_i)|^2| for the scaled unit top-hat family.
 
-    Interior means distance at least 1/n from the boundary, so the kernel
-    support never leaves the domain.  A resolution warning is raised when the
-    support radius falls under one cell.
+    The pair sum is 2 B for G = |z|^2 / 2, so it comes from the convolution
+    operator.  Interior means distance at least 1/n from the boundary, so
+    the kernel support never leaves the domain.  A resolution warning is
+    raised when the support radius falls under one cell.
     """
-    if kappa_tilde is None:
-        kappa_tilde = lambda s: amplitude if s <= 1.0 else 0.0
-    nu = local_limit_nu(kappa_tilde, grid.dim)
-    kernel = ScaledTopHat(n, grid.dim, amplitude)
+    nu = local_limit_nu(lambda s: 1.0 if s <= 1.0 else 0.0, grid.dim)
     x = grid.centers
     chi = np.asarray([chi_fn(p) for p in x], dtype=float)
     if chi.ndim == 1:
@@ -468,13 +447,10 @@ def local_limit_error(grid: Grid, n: int, chi_fn, grad_fn,
         margin_ok &= (x[:, a] >= support) & (x[:, a] <= grid.lengths[a] - support)
     idx = np.flatnonzero(margin_ok)
 
-    sup_err = 0.0
-    w = grid.volumes
-    for i in idx:
-        kv = kernel(x[i][None, :], x)
-        diff2 = np.sum(np.square(chi[i] - chi), axis=-1)
-        val = float(np.sum(w * kv * diff2))
-        target = nu * float(np.sum(np.square(np.asarray(grad_fn(x[i]), dtype=float))))
-        sup_err = max(sup_err, abs(val - target))
+    coupling = build_coupling(grid, ScaledTopHat(n, grid.dim), QuadraticG(), 1.0)
+    pair = 2.0 * coupling.B_field(chi)
+    target = nu * np.array([np.sum(np.square(np.asarray(grad_fn(x[i]), float)))
+                            for i in idx])
+    sup_err = float(np.max(np.abs(pair[idx] - target), initial=0.0))
     return LocalLimitReport(sup_error=sup_err, n_interior=idx.size, nu=nu,
                             resolution_warning=res_warn)

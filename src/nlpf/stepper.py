@@ -21,10 +21,9 @@ lam and pair-interaction difference quotients, which are O(dt) overall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.sparse import diags
 from scipy.sparse.linalg import spsolve
 
@@ -128,16 +127,6 @@ class LagTracker:
             self._bar_theta = np.mean(self._buffer, axis=0)
             self._bar_chi = chi.copy()
             self._buffer = []
-
-
-def initial_selection_bound(potential, chi0) -> float:
-    """Smallest C such that every cell of chi0 admits a subgradient <= C."""
-    chi0 = np.atleast_2d(chi0)
-    worst = 0.0
-    for row in chi0:
-        info = potential.subdiff(row)
-        worst = max(worst, float(np.linalg.norm(info.min_norm_element)))
-    return worst
 
 
 def bound_C_ell(model, c_b: float, rho: float) -> float:
@@ -275,29 +264,15 @@ def step_theta(model, state, chi_new, b_old, phi_old, phi_new, op, dt, config):
 
 
 def kirchhoff(model, theta):
-    """Primitive of the chi-independent conductivity, K(th) = int_0^th k_bar.
+    """Primitive of the chi-independent conductivity, K(th) = int_0^th k.
 
-    Strictly increasing with k0 th <= K(th) <= k1 th.  Uses the model's
-    closed-form primitive when available, quadrature otherwise.
+    Strictly increasing with k0 th <= K(th) <= k1 th; every model with a
+    chi-independent conductivity gives it in closed form.
     """
     if not getattr(model, "k_independent_of_chi", False):
         raise ModeError("Kirchhoff transform needs a conductivity depending "
                         "on temperature only (uniqueness mode)")
-    th = np.asarray(theta, dtype=float)
-    prim = getattr(model, "k_bar_primitive", None)
-    if prim is not None:
-        out = prim(th)
-    else:
-        kbar = model.k_bar
-        flat = th.ravel()
-        out = np.empty_like(flat)
-        for i, t in enumerate(flat):
-            val, _ = integrate.quad(lambda s: float(kbar(np.asarray(s))),
-                                    0.0, t, epsabs=1e-12, epsrel=1e-12,
-                                    limit=200)
-            out[i] = val
-        out = out.reshape(th.shape)
-    return out
+    return model.k_bar_primitive(np.asarray(theta, dtype=float))
 
 
 @dataclass
@@ -337,10 +312,9 @@ def run(components: RunComponents):
     if not np.all(potential.contains(chi0)):
         raise ConfigError("initial phase field must lie in the potential domain")
 
-    c0 = initial_selection_bound(potential, chi0)
-    c_ell = bound_C_ell(model, coupling.c_b, config.rho)
-    c_bound = max(c_ell, c0)
-    d_bound = potential.d_bound()
+    # the normal cone of an indicator holds 0 at chi0, so the selection
+    # obeys the forcing bound alone: |xi| <= C_ell
+    c_bound = bound_C_ell(model, coupling.c_b, config.rho)
 
     n_steps = int(math.ceil(config.horizon / config.dt - 1e-12))
     lag = LagTracker(config.lag_mode, config.lag_window, theta0, chi0)
@@ -398,7 +372,7 @@ def run(components: RunComponents):
         ent_res = entropy_residual(state.theta, S_prev, S_cell, op, state.t, dt)
         S_prev = S_cell
         _, _, pair_res = coupling.pairing_residual(prev_fields, fields, dt)
-        sel_margin = d_bound * c_bound * (1 + 1e-6) \
+        sel_margin = c_bound * (1 + 1e-6) \
             - float(np.max(np.linalg.norm(state.xi, axis=-1)))
         records[step] = (state.t, total_E, total_S,
                          float(np.min(state.theta)), float(np.max(state.theta)),

@@ -1,15 +1,14 @@
 """Constitutive layer: heat capacity, energy and entropy densities, their
 phase gradients, truncations, the inverse energy map, and the model validator.
 
-Every model exposes cv, cv_chi and the integrated quantities
+Every model exposes cv, cv_chi and, in closed form, the integrated quantities
 
-    e(th, x) = int_0^th cv,   s(th, x) = int_0^th cv/tau,   u = int_0^th cv tau,
+    e(th, x) = int_0^th cv,   s(th, x) = int_0^th cv/tau,   u = int_0^th cv tau.
 
-with closed forms for the built-in power models and adaptive quadrature as a
-fallback.  Declared bounds (c_bar, c_lower, c1, ...) are part of the model and
-are cross-examined on a sample lattice by validate_model; a model whose
-declared bounds fail the lattice check is rejected with the violated
-inequality named, never silently repaired.
+Declared bounds (c_bar, c_lower, c1, ...) are part of the model and are
+cross-examined on a sample lattice by validate_model; a model whose declared
+bounds fail the lattice check is rejected with the violated inequality
+named, never silently repaired.
 """
 
 from __future__ import annotations
@@ -17,12 +16,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConfigError, ModelContractError
-
-_QUAD_TOL = 1e-10
-
 
 def _power_ratio(theta, alpha):
     """theta^alpha / (1 + theta^alpha), the common temperature profile."""
@@ -52,18 +47,17 @@ def _power_heat(theta, alpha):
 
 
 class ThermoModel:
-    """Base: quadrature-backed integrals over a model's cv and cv_chi.
+    """Base of the constitutive models.
 
-    Subclasses set d, alpha, beta, mu0, the declared bounds, and override the
-    integrated quantities with closed forms when available.  chi always
-    carries a trailing component axis of length d.
+    Subclasses set d, alpha, beta, mu0, the declared bounds and
+    ctilde_integral_diverges, and give cv, cv_chi and the integrated
+    quantities e, e_chi, s, s_chi, u in closed form.  chi always carries a
+    trailing component axis of length d.
     """
 
     d = 1
     name = "base"
-    has_closed_forms = False
     k_independent_of_chi = False
-    ctilde_integral_diverges = None   # None: unknown, use the Riemann probe
 
     # --- pointwise constitutive functions (must override) ---------------
 
@@ -94,78 +88,6 @@ class ThermoModel:
     def chi_domain_sample(self, n):
         raise NotImplementedError
 
-    # --- integrated quantities (quadrature fallback) ---------------------
-    # Broadcasting contract: theta (...,), chi (..., d) with matching leading
-    # shape, or a single chi row shared by all theta entries.
-
-    def _broadcast(self, theta, chi):
-        th = np.asarray(theta, dtype=float)
-        ch = np.asarray(chi, dtype=float)
-        if ch.ndim == 1:
-            ch = np.broadcast_to(ch, th.shape + (self.d,))
-        else:
-            shape = np.broadcast_shapes(th.shape, ch.shape[:-1])
-            th = np.broadcast_to(th, shape)
-            ch = np.broadcast_to(ch, shape + (self.d,))
-        return th, ch
-
-    def _quad_scalar(self, integrand, upper):
-        if upper == 0.0:
-            return 0.0
-        val, _ = integrate.quad(integrand, 0.0, upper,
-                                epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-        return val
-
-    def e(self, theta, chi):
-        th, ch = self._broadcast(theta, chi)
-        out = np.empty(th.shape)
-        for idx in np.ndindex(th.shape):
-            x = ch[idx]
-            out[idx] = self._quad_scalar(lambda t: float(self.cv(t, x)), th[idx])
-        return out
-
-    def e_chi(self, theta, chi):
-        th, ch = self._broadcast(theta, chi)
-        out = np.empty(th.shape + (self.d,))
-        for idx in np.ndindex(th.shape):
-            x = ch[idx]
-            for c in range(self.d):
-                out[idx + (c,)] = self._quad_scalar(
-                    lambda t: float(np.asarray(self.cv_chi(t, x))[..., c]),
-                    th[idx])
-        return out
-
-    def s(self, theta, chi):
-        # substitution tau = y^2 flattens the integrable endpoint of cv/tau
-        th, ch = self._broadcast(theta, chi)
-        out = np.empty(th.shape)
-        for idx in np.ndindex(th.shape):
-            x = ch[idx]
-            out[idx] = self._quad_scalar(
-                lambda y: 2.0 * float(self.cv(y * y, x)) / y,
-                math.sqrt(th[idx]))
-        return out
-
-    def s_chi(self, theta, chi):
-        th, ch = self._broadcast(theta, chi)
-        out = np.empty(th.shape + (self.d,))
-        for idx in np.ndindex(th.shape):
-            x = ch[idx]
-            for c in range(self.d):
-                out[idx + (c,)] = self._quad_scalar(
-                    lambda y: 2.0 * float(np.asarray(self.cv_chi(y * y, x))[..., c]) / y,
-                    math.sqrt(th[idx]))
-        return out
-
-    def u(self, theta, chi):
-        th, ch = self._broadcast(theta, chi)
-        out = np.empty(th.shape)
-        for idx in np.ndindex(th.shape):
-            x = ch[idx]
-            out[idx] = self._quad_scalar(
-                lambda t: float(self.cv(t, x)) * t, th[idx])
-        return out
-
     # --- even/odd extensions used by the implicit temperature solve ------
 
     def e_ext(self, theta, chi):
@@ -190,7 +112,6 @@ class TwoPhasePowerModel(ThermoModel):
 
     d = 1
     name = "two_phase_power"
-    has_closed_forms = True
 
     def __init__(self, alpha=1, mu0=1.0, beta=1.0, lam_amp=0.1, sig_amp=0.2,
                  uniqueness_mode=False):
@@ -296,14 +217,10 @@ class TwoPhasePowerModel(ThermoModel):
         k2p = 1.0 + 0.5 * th / (1.0 + th)       # phase-0 profile in [1,1.5)
         return np.clip(k1p * x + k2p * (1.0 - x), self.k0, self.k1)
 
-    def k_bar(self, theta):
-        if not self.uniqueness_mode:
-            raise ConfigError("k_bar requires uniqueness mode (k independent of chi)")
-        return 2.0 - 1.0 / (1.0 + np.asarray(theta, dtype=float))
-
     def k_bar_primitive(self, theta):
         if not self.uniqueness_mode:
-            raise ConfigError("k_bar requires uniqueness mode (k independent of chi)")
+            raise ConfigError("k_bar_primitive requires uniqueness mode "
+                              "(k independent of chi)")
         th = np.asarray(theta, dtype=float)
         return 2.0 * th - np.log1p(th)
 
@@ -330,7 +247,6 @@ class MultiPhasePowerModel(ThermoModel):
     """Vector variant on the simplex: cv = (1 + <a, chi>) th^a/(1+th^a)."""
 
     name = "multi_phase_power"
-    has_closed_forms = True
 
     def __init__(self, d=2, alpha=1, mu0=1.0, beta=1.0, lam_amp=0.1,
                  sig_amp=0.2, weights=None):
@@ -443,7 +359,6 @@ class DecoupledPowerModel(ThermoModel):
 
     d = 1
     name = "decoupled_power"
-    has_closed_forms = True
     k_independent_of_chi = True
 
     def __init__(self, alpha=1, mu0=1.0, beta=1.0, uniqueness_mode=True):
@@ -515,9 +430,6 @@ class DecoupledPowerModel(ThermoModel):
         shape = np.broadcast_shapes(th.shape, np.asarray(chi).shape[:-1])
         return np.broadcast_to(2.0 - 1.0 / (1.0 + th), shape).copy()
 
-    def k_bar(self, theta):
-        return 2.0 - 1.0 / (1.0 + np.asarray(theta, dtype=float))
-
     def k_bar_primitive(self, theta):
         th = np.asarray(theta, dtype=float)
         return 2.0 * th - np.log1p(th)
@@ -534,68 +446,10 @@ class DecoupledPowerModel(ThermoModel):
         return np.linspace(0.0, 1.0, n)[:, None]
 
 
-class BadC4Fixture(TwoPhasePowerModel):
-    """Deliberately broken: cv = (0.2 + x) th/(1+th) with declared c1 = 1.
-
-    The ratio |cv_chi|/cv = 1/(0.2 + x) reaches 5 at x = 0, so the declared
-    gradient-domination constant is false and the validator must say so.
-    """
-
-    name = "bad_c4_fixture"
-    has_closed_forms = True
-
-    def __init__(self, **kw):
-        super().__init__(alpha=1, **kw)
-        self.c1 = 1.0
-        self.c_bar = 1.2
-        self.c_lower = 0.1   # honest: inf of (0.2+x) p on theta >= 1
-
-    def cv(self, theta, chi):
-        x = np.asarray(chi, dtype=float)[..., 0]
-        return (0.2 + x) * _power_ratio(np.asarray(theta, float), 1)
-
-    def cv_chi(self, theta, chi):
-        th = np.asarray(theta, dtype=float)
-        shape = np.broadcast_shapes(th.shape, np.asarray(chi).shape[:-1])
-        out = np.empty(shape + (1,))
-        out[..., 0] = _power_ratio(th, 1)
-        return out
-
-    def e(self, theta, chi):
-        x = np.asarray(chi, dtype=float)[..., 0]
-        return (0.2 + x) * _power_primitive(np.asarray(theta, float), 1)
-
-    def e_chi(self, theta, chi):
-        th = np.asarray(theta, dtype=float)
-        shape = np.broadcast_shapes(th.shape, np.asarray(chi).shape[:-1])
-        out = np.empty(shape + (1,))
-        out[..., 0] = _power_primitive(th, 1)
-        return out
-
-    def s(self, theta, chi):
-        x = np.asarray(chi, dtype=float)[..., 0]
-        return (0.2 + x) * _power_entropy(np.asarray(theta, float), 1)
-
-    def s_chi(self, theta, chi):
-        th = np.asarray(theta, dtype=float)
-        shape = np.broadcast_shapes(th.shape, np.asarray(chi).shape[:-1])
-        out = np.empty(shape + (1,))
-        out[..., 0] = _power_entropy(th, 1)
-        return out
-
-    def u(self, theta, chi):
-        x = np.asarray(chi, dtype=float)[..., 0]
-        return (0.2 + x) * _power_heat(np.asarray(theta, float), 1)
-
-    def c_tilde(self, theta):
-        return 0.2 * _power_ratio(np.asarray(theta, dtype=float), 1)
-
-
 MODEL_REGISTRY = {
     "two_phase_power": TwoPhasePowerModel,
     "multi_phase_power": MultiPhasePowerModel,
     "decoupled_power": DecoupledPowerModel,
-    "bad_c4_fixture": BadC4Fixture,
 }
 
 
@@ -696,22 +550,6 @@ def _check(ok, name, message, report):
         raise ModelContractError(name, message)
 
 
-def _riemann_divergence_probe(integrand, octaves=50, threshold=20.0):
-    """Lower-Riemann dyadic probe of int_0^1 f: True if the lower sums blow up.
-
-    Sums inf-of-endpoint estimates over [2^-k-1, 2^-k]; a logarithmically
-    divergent integrand contributes a constant per octave, a convergent one a
-    geometric tail, so a fixed threshold separates them at this resolution.
-    """
-    total = 0.0
-    for k in range(octaves):
-        a, b = 2.0 ** (-k - 1), 2.0 ** (-k)
-        total += (b - a) * min(integrand(a), integrand(b))
-        if total > threshold:
-            return True
-    return False
-
-
 def validate_model(model, uniqueness_mode=False, n_theta=120, n_chi=25,
                    theta_max=50.0):
     """Check every declared bound on a sample lattice; raise on violation.
@@ -792,13 +630,7 @@ def validate_model(model, uniqueness_mode=False, n_theta=120, n_chi=25,
         v2mu = np.square(v) / model.mu(v)
         _check(np.all(np.diff(v2mu) >= -1e-14),
                "h2-mono", "need v^2/mu(v) nondecreasing", report)
-        if model.ctilde_integral_diverges is not None:
-            diverges = bool(model.ctilde_integral_diverges)
-        else:
-            diverges = _riemann_divergence_probe(
-                lambda v: float(model.c_tilde(np.asarray(v))
-                                * model.mu(np.asarray(v)) / v ** 2))
-        _check(diverges,
+        _check(bool(model.ctilde_integral_diverges),
                "h2-div", "need the small-temperature integral of "
                "c_tilde mu / v^2 to diverge", report)
         _check(np.all(model.c_tilde(th[1:]) > 0),

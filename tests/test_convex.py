@@ -1,18 +1,14 @@
 """Constraint potentials, proximal maps, and the scalar inclusion solver."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nlpf.convex import (BallBody, GaugePotential, IndicatorBall,
-                         IndicatorBox, IndicatorSimplex, InclusionProblem,
-                         LogBarrierProfile, QuadraticProfile,
-                         dependence_gap, derivative_convergence,
-                         dissipation_identity_residuals, inclusion_solve,
-                         verify_c1_threshold)
+from nlpf.convex import (IndicatorBall, IndicatorBox, IndicatorSimplex,
+                         InclusionProblem, dependence_gap,
+                         derivative_convergence,
+                         dissipation_identity_residuals, inclusion_solve)
 from nlpf.errors import ConfigError
 
 
@@ -42,54 +38,6 @@ def test_simplex_prox_properties():
     for p, zz in zip(out, z):
         gaps = (ys - p) @ (zz - p)
         assert np.max(gaps) <= 1e-10
-
-
-def test_gauge_prox_oracle():
-    # quadratic profile over the unit ball: phi(x) = |x|^2 / 2, so the
-    # prox of (2, 0) at unit weight solves m + (m - 2) = 0, i.e. (1, 0)
-    gp = GaugePotential(BallBody(2, 1.0), QuadraticProfile())
-    out = gp.prox(np.array([[2.0, 0.0]]), np.array([1.0]))
-    assert np.allclose(out, [[1.0, 0.0]], atol=1e-12)
-
-
-def test_gauge_prox_optimality():
-    gp = GaugePotential(BallBody(2, 1.0), QuadraticProfile())
-    rng = np.random.default_rng(7)
-    z = rng.normal(scale=1.5, size=(30, 2))
-    rho = 0.25 + rng.random(30)
-    x = gp.prox(z, rho)
-    xi = rho[:, None] * (z - x)
-    # convexity certificate: phi(y) >= phi(x) + xi . (y - x)
-    ys = rng.normal(scale=1.5, size=(20, 2))
-    phis = gp.phi(ys)
-    for xx, xxi in zip(x, xi):
-        lower = float(gp.phi(xx[None])[0]) + (ys - xx) @ xxi
-        assert np.min(phis - lower) >= -1e-9
-
-
-def test_c1_threshold_oracle():
-    gp = GaugePotential(BallBody(2, 1.0), QuadraticProfile())
-    assert gp.c1_threshold(2.0) == pytest.approx(2.0, rel=1e-14)
-    with pytest.raises(ConfigError):
-        gp.c1_threshold(-1.0)
-
-
-@pytest.mark.parametrize("profile", [QuadraticProfile(), LogBarrierProfile()])
-def test_c1_threshold_implications(profile):
-    gp = GaugePotential(BallBody(2, 1.0), profile)
-    ok, worst = verify_c1_threshold(gp, 2.0, n=400)
-    assert ok, worst
-
-
-def test_box_subdiff_structure():
-    box = IndicatorBox(np.zeros(2), np.ones(2))
-    inside = box.subdiff(np.array([0.5, 0.5]))
-    assert np.all(inside.min_norm_element == 0.0)
-    assert inside.sup_norm == 0.0
-    face = box.subdiff(np.array([1.0, 0.5]))
-    assert np.all(face.min_norm_element == 0.0)
-    assert face.sup_norm == math.inf
-    assert face.is_cone and len(face.extremes) == 1
 
 
 @given(st.integers(1, 3), st.integers(0, 2 ** 31 - 1))

@@ -135,6 +135,22 @@ def test_calibration_oracle():
     assert not ok(res.rho_star / 1.01)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("c_star", [0.5, 1.0, 50.0])
+def test_calibration_brackets_by_doubling(c_star, dim):
+    """The substitution holds at rho_star and fails 1% below it, found in
+    a few dozen evaluations (a doubling bracket, then bisection)."""
+    res = calibrate_rho(c_star, dim)
+    p = moser_exponent(dim)
+
+    def ok(rho):
+        return c_star * (1.0 + math.log(rho)) ** p <= rho / 2.0
+
+    assert ok(res.rho_star)
+    assert res.rho_star == 1.0 or not ok(res.rho_star / 1.01)
+    assert res.evaluations <= 64
+
+
 def test_calibration_monotone_in_constant():
     r1 = calibrate_rho(1.0, 1).rho_star
     r2 = calibrate_rho(2.0, 1).rho_star
@@ -193,6 +209,30 @@ def test_generic_identities():
     assert rep.identity_max <= 1e-13
     assert rep.degeneracy_max <= 1e-13
     assert rep.conduction_null <= 1e-13
+
+
+def test_generic_check_catches_unbalanced_row(monkeypatch):
+    """Scaling one row of the conduction matrix keeps every row sum zero,
+    so constants are still annihilated, but the volume-weighted total of
+    A theta no longer vanishes: the check must fail."""
+    from nlpf import diagnostics
+
+    grid = build_grid(1, [1.0], [8])
+    model = build_model("two_phase_power", alpha=1)
+    boundary = BoundaryData(grid, 0.0, 1.0)
+    real = diagnostics.conduction_operator
+
+    def unbalanced(*args):
+        op = real(*args)
+        op.matrix = op.matrix.tolil()
+        op.matrix[3] = 2.0 * op.matrix[3]
+        op.matrix = op.matrix.tocsr()
+        return op
+
+    monkeypatch.setattr(diagnostics, "conduction_operator", unbalanced)
+    rep = generic_check(model, grid, boundary)
+    assert not rep.ok()
+    assert rep.conduction_null > 1e-3
 
 
 def test_generic_check_demands_insulation():

@@ -33,7 +33,7 @@ def test_two_cell_oracle():
     chi = np.array([[0.0], [1.0]])
     assert np.allclose(cp.b_field(chi), [[-1.0], [1.0]], atol=1e-15)
     assert np.allclose(cp.B_field(chi), [0.25, 0.25], atol=1e-15)
-    assert cp.total_B(chi) == pytest.approx(0.25, abs=1e-15)
+    assert np.dot(cp.w, cp.B_field(chi)) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_pairing_identity_oracle():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import nlpf.stepper as stepper
 from nlpf.convex import IndicatorBox
@@ -210,21 +211,15 @@ def test_kirchhoff_requires_uniqueness_mode():
 
 
 def test_kirchhoff_closed_form_and_quadrature():
+    """K(theta) = 2 theta - log(1 + theta): the closed-form primitive agrees
+    with the integral of k = 2 - 1/(1 + theta), by hand and by quadrature."""
     model = build_model("two_phase_power", alpha=1, uniqueness_mode=True)
-    # K(theta) = 2 theta - log(1 + theta)
     val = kirchhoff(model, np.array([2.0]))
     assert val[0] == pytest.approx(4.0 - math.log(3.0), rel=1e-12)
-
-    class RampK:
-        """Minimal stand-in with k_bar = 1 + s and no primitive attribute,
-        to exercise the quadrature route: K(2) = 2 + 2 = 4."""
-        k_independent_of_chi = True
-
-        def k_bar(self, theta):
-            return 1.0 + np.asarray(theta)
-
-    val = kirchhoff(RampK(), np.array([2.0]))
-    assert val[0] == pytest.approx(4.0, rel=1e-10)
+    chi = np.zeros((1, 1))
+    quad, _ = integrate.quad(lambda s: float(model.k(np.array([s]), chi)[0]),
+                             0.0, 2.0, epsabs=1e-13, epsrel=1e-13)
+    assert val[0] == pytest.approx(quad, rel=1e-12)
 
 
 def test_cadence_thins_snapshots():

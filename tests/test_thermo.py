@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import quadrature_oracle
 from nlpf.errors import ConfigError, ModelContractError
-from nlpf.thermo import (build_model, generic_coefficients,
+from nlpf.thermo import (MODEL_REGISTRY, TwoPhasePowerModel, _power_ratio,
+                         build_model, generic_coefficients,
                          inverse_temperature, truncated_entropy_gradient,
                          truncated_mobility, validate_model)
 
@@ -57,17 +59,14 @@ def test_inverse_temperature_roundtrip(theta, c):
 
 
 def test_quadrature_matches_closed_form():
-    """The generic quadrature path of the base class must agree with the
+    """Adaptive quadrature of cv and cv_chi must agree with the
     hand-integrated expressions the concrete model provides."""
-    from nlpf.thermo import ThermoModel
-
     probe = build_model("two_phase_power", alpha=2)
     th = np.array([0.3, 1.0, 4.2])
     chi = np.tile([[0.25]], (3, 1))
-    e_quad = ThermoModel.e(probe, th, chi)
-    s_quad = ThermoModel.s(probe, th, chi)
-    assert np.allclose(e_quad, probe.e(th, chi), rtol=1e-10)
-    assert np.allclose(s_quad, probe.s(th, chi), rtol=1e-10)
+    for name in ("e", "e_chi", "s", "s_chi", "u"):
+        ref = getattr(quadrature_oracle, name)(probe, th, chi)
+        assert np.allclose(ref, getattr(probe, name)(th, chi), rtol=1e-10), name
 
 
 def test_truncated_entropy_gradient_freezes():
@@ -134,8 +133,35 @@ def test_uniqueness_validation():
     assert info.value.violation == "h2-div"
 
 
+class BadC4Fixture(TwoPhasePowerModel):
+    """Deliberately broken: cv = (0.2 + x) th/(1+th) with declared c1 = 1.
+
+    The ratio |cv_chi|/cv = 1/(0.2 + x) reaches 5 at x = 0, so the declared
+    gradient-domination constant is false and the validator must say so.
+    Only cv and cv_chi are replaced: the lattice check compares nothing
+    else with them before it reaches c4.
+    """
+
+    def __init__(self):
+        super().__init__(alpha=1)
+        self.c1 = 1.0
+        self.c_bar = 1.2
+        self.c_lower = 0.1   # honest: inf of (0.2+x) p on theta >= 1
+
+    def cv(self, theta, chi):
+        x = np.asarray(chi, dtype=float)[..., 0]
+        return (0.2 + x) * _power_ratio(np.asarray(theta, float), 1)
+
+    def cv_chi(self, theta, chi):
+        th = np.asarray(theta, dtype=float)
+        shape = np.broadcast_shapes(th.shape, np.asarray(chi).shape[:-1])
+        out = np.empty(shape + (1,))
+        out[..., 0] = _power_ratio(th, 1)
+        return out
+
+
 def test_bad_fixture_caught():
-    bad = build_model("bad_c4_fixture")
+    bad = BadC4Fixture()
     with pytest.raises(ModelContractError) as info:
         validate_model(bad)
     assert info.value.violation == "c4"
@@ -144,6 +170,8 @@ def test_bad_fixture_caught():
 def test_unknown_model_name():
     with pytest.raises(ConfigError):
         build_model("nope")
+    assert sorted(MODEL_REGISTRY) == ["decoupled_power", "multi_phase_power",
+                                      "two_phase_power"]
 
 
 def test_densities_identity_and_domain():
