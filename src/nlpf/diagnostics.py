@@ -185,9 +185,6 @@ def lower_bound_ode(traj, model, config, forcing_bound=None, substep=None):
     slack; when the model knows a closed-form solution the report carries the
     comparison.
     """
-    if not hasattr(model, "c_tilde"):
-        raise ModeError("lower envelope needs the model's monotone heat "
-                        "capacity minorant c_tilde")
     R = measured_forcing_bound(traj, model, config.rho) \
         if forcing_bound is None else float(forcing_bound)
     w0 = float(np.min(traj.thetas[0]))
@@ -211,12 +208,8 @@ def lower_bound_ode(traj, model, config, forcing_bound=None, substep=None):
         env[i] = w
 
     margins = traj.records["min_theta"] - (1.0 - 1e-6) * env
-    closed = None
-    exact = getattr(model, "lower_bound_closed_form", None)
-    if exact is not None:
-        ref = exact(w0, R, rec_t, config.rho)
-        if ref is not None:
-            closed = float(np.max(np.abs(env - ref)))
+    ref = model.lower_bound_closed_form(w0, R, rec_t, config.rho)
+    closed = None if ref is None else float(np.max(np.abs(env - ref)))
     return LowerBoundReport(envelope=env,
                             min_margin=float(np.min(margins)),
                             measured_R=R, w0=w0,
@@ -290,11 +283,14 @@ def fit_moser_constant(traj, config, dim: int) -> float:
     return sup / (1.0 + math.log(config.rho)) ** moser_exponent(dim)
 
 
-def calibrate_rho(c_star: float, dim: int, rel_width: float = 1e-3):
+CALIBRATION_REL_WIDTH = 1e-3
+
+
+def calibrate_rho(c_star: float, dim: int):
     """Smallest rho >= 1 with C* (1 + log rho)^(4+2N) <= rho / 2.
 
     Doubling brackets the crossing, then geometric bisection narrows the
-    bracket to relative width ``rel_width``.  The left side grows
+    bracket to relative width CALIBRATION_REL_WIDTH.  The left side grows
     polylogarithmically and the right side linearly, so past the crossing
     the inequality holds for every larger rho; self-consistency of a
     truncation level is therefore a single substitution.
@@ -318,7 +314,7 @@ def calibrate_rho(c_star: float, dim: int, rel_width: float = 1e-3):
         if hi > 1e305:
             raise ConfigError("no self-consistent truncation level below "
                               "overflow; the fitted constant is implausible")
-    while hi / lo > 1.0 + rel_width:
+    while hi / lo > 1.0 + CALIBRATION_REL_WIDTH:
         mid = math.sqrt(lo * hi)
         if ok(mid):
             hi = mid
@@ -395,7 +391,7 @@ def continuous_dependence(components: RunComponents, delta: float,
     against the same measure of the initial perturbation.
     """
     model = components.model
-    if not getattr(model, "k_independent_of_chi", False):
+    if not model.k_independent_of_chi:
         raise ModeError("continuous dependence needs a conductivity "
                         "depending on temperature only")
     if not components.boundary.is_insulated:

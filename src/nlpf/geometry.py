@@ -10,6 +10,7 @@ rate density.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -77,56 +78,24 @@ def build_grid(dim: int, lengths: Sequence[float], cells: Sequence[int]) -> Grid
     vol = float(np.prod(h))
     volumes = np.full(m, vol)
 
-    own, nbr, area, dist = [], [], [], []
-    if dim == 1:
-        nx = cells[0]
-        for i in range(nx - 1):
-            own.append(i)
-            nbr.append(i + 1)
-            area.append(1.0)
-            dist.append(h[0])
-    else:
-        nx, ny = cells
-        # all x-direction faces first, then y-direction, each lexicographic
-        for ix in range(nx - 1):
-            for iy in range(ny):
-                own.append(ix * ny + iy)
-                nbr.append((ix + 1) * ny + iy)
-                area.append(h[1])
-                dist.append(h[0])
-        for ix in range(nx):
-            for iy in range(ny - 1):
-                own.append(ix * ny + iy)
-                nbr.append(ix * ny + iy + 1)
-                area.append(h[0])
-                dist.append(h[1])
-
-    bown, bnorm, barea = [], [], []
-    if dim == 1:
-        nx = cells[0]
-        for cell, sgn in ((0, -1.0), (nx - 1, 1.0)):
-            bown.append(cell)
-            bnorm.append([sgn])
-            barea.append(1.0)
-    else:
-        nx, ny = cells
-        # sides ordered: x-low, x-high, y-low, y-high; owners lexicographic
-        for iy in range(ny):
-            bown.append(0 * ny + iy)
-            bnorm.append([-1.0, 0.0])
-            barea.append(h[1])
-        for iy in range(ny):
-            bown.append((nx - 1) * ny + iy)
-            bnorm.append([1.0, 0.0])
-            barea.append(h[1])
-        for ix in range(nx):
-            bown.append(ix * ny + 0)
-            bnorm.append([0.0, -1.0])
-            barea.append(h[0])
-        for ix in range(nx):
-            bown.append(ix * ny + ny - 1)
-            bnorm.append([0.0, 1.0])
-            barea.append(h[0])
+    ids = np.arange(m).reshape(cells)
+    own, nbr, area, dist, bown, bnorm, barea = ([] for _ in range(7))
+    # interior faces axis by axis (x first), boundary sides x-low, x-high,
+    # y-low, y-high; owners lexicographic within each group
+    for a in range(dim):
+        face_area = float(math.prod(h[:a] + h[a + 1:]))
+        before = (slice(None),) * a
+        own.append(ids[before + (slice(None, -1),)].ravel())
+        nbr.append(ids[before + (slice(1, None),)].ravel())
+        area.append(np.full(own[-1].size, face_area))
+        dist.append(np.full(own[-1].size, h[a]))
+        for index, sign in ((0, -1.0), (-1, 1.0)):
+            side = ids[before + (index,)].ravel()
+            normal = np.zeros((side.size, dim))
+            normal[:, a] = sign
+            bown.append(side)
+            bnorm.append(normal)
+            barea.append(np.full(side.size, face_area))
 
     grid = Grid(
         dim=dim,
@@ -135,13 +104,13 @@ def build_grid(dim: int, lengths: Sequence[float], cells: Sequence[int]) -> Grid
         h=h,
         centers=centers,
         volumes=volumes,
-        iface_owner=np.asarray(own, dtype=np.int64),
-        iface_neigh=np.asarray(nbr, dtype=np.int64),
-        iface_area=np.asarray(area, dtype=float),
-        iface_dist=np.asarray(dist, dtype=float),
-        bface_owner=np.asarray(bown, dtype=np.int64),
-        bface_normal=np.asarray(bnorm, dtype=float).reshape(-1, dim),
-        bface_area=np.asarray(barea, dtype=float),
+        iface_owner=np.concatenate(own),
+        iface_neigh=np.concatenate(nbr),
+        iface_area=np.concatenate(area),
+        iface_dist=np.concatenate(dist),
+        bface_owner=np.concatenate(bown),
+        bface_normal=np.concatenate(bnorm),
+        bface_area=np.concatenate(barea),
     )
     assert abs(float(np.sum(grid.volumes)) - grid.domain_volume) <= 1e-12 * grid.domain_volume
     return grid

@@ -396,22 +396,20 @@ def build_coupling(grid: Grid, kernel, G, range_radius: float) -> NonlocalCoupli
 # local limit
 
 
-def local_limit_nu(kappa_tilde: Callable[[float], float], dim: int,
-                   support: float = 1.0) -> float:
+def local_limit_nu(kappa_tilde: Callable[[float], float], dim: int) -> float:
     """nu = (1/N) integral over R^N of kappa_tilde(|z|^2) |z|^2 dz.
 
     ``kappa_tilde`` is the radial profile as a function of s = |z|^2 with
-    support in [0, support].  Adaptive quadrature; exact reference values:
+    support in [0, 1].  Adaptive quadrature; exact reference values:
     top-hat gives 2/3 in 1D and pi/4 in 2D.
     """
-    rmax = math.sqrt(support)
     if dim == 1:
         val, _ = integrate.quad(lambda z: kappa_tilde(z * z) * z * z,
-                                -rmax, rmax, limit=200)
+                                -1.0, 1.0, limit=200)
         return float(val)
     if dim == 2:
         val, _ = integrate.quad(lambda r: kappa_tilde(r * r) * r ** 3,
-                                0.0, rmax, limit=200)
+                                0.0, 1.0, limit=200)
         return float(math.pi * val)
     raise ConfigError("local limit supported for dim 1 and 2")
 

@@ -269,7 +269,7 @@ def kirchhoff(model, theta):
     Strictly increasing with k0 th <= K(th) <= k1 th; every model with a
     chi-independent conductivity gives it in closed form.
     """
-    if not getattr(model, "k_independent_of_chi", False):
+    if not model.k_independent_of_chi:
         raise ModeError("Kirchhoff transform needs a conductivity depending "
                         "on temperature only (uniqueness mode)")
     return model.k_bar_primitive(np.asarray(theta, dtype=float))

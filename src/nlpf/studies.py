@@ -82,7 +82,7 @@ def dependence(resolved):
     while the response is linear.
     """
     comp, _ = build_components(resolved)
-    if not getattr(comp.model, "k_independent_of_chi", False):
+    if not comp.model.k_independent_of_chi:
         raise ModeError("dependence study needs thermo.uniqueness_mode = true")
     base = run(comp)
     rows = []

@@ -1,14 +1,19 @@
-"""Constitutive layer: heat capacity, energy and entropy densities, their
-phase gradients, truncations, the inverse energy map, and the model validator.
+"""Constitutive layer: the power-law model family, its truncations, the
+inverse energy map, and the model validator.
 
-Every model exposes cv, cv_chi and, in closed form, the integrated quantities
+Every registered model is a PowerModel with heat capacity
+
+    cv(th, x) = (1 + <a, x>) th^alpha / (1 + th^alpha),   alpha in {1, 2},
+
+and, in closed form, the integrated quantities
 
     e(th, x) = int_0^th cv,   s(th, x) = int_0^th cv/tau,   u = int_0^th cv tau.
 
-Declared bounds (c_bar, c_lower, c1, ...) are part of the model and are
-cross-examined on a sample lattice by validate_model; a model whose declared
-bounds fail the lattice check is rejected with the violated inequality
-named, never silently repaired.
+multi_phase_power is the family on the d-simplex; two_phase_power fixes
+d = 1, a = 1/2 and a double-well lam; decoupled_power sets a = 0, drops the
+wells and makes k depend on temperature only.  Declared bounds (c_bar, c1,
+...) are cross-examined on a sample lattice by validate_model, which names
+the violated inequality instead of repairing the model.
 """
 
 from __future__ import annotations
@@ -17,7 +22,9 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, ModelContractError
+from .convex import IndicatorSimplex
+from .errors import ConfigError, ModelContractError, NumericalError
+
 
 def _power_ratio(theta, alpha):
     """theta^alpha / (1 + theta^alpha), the common temperature profile."""
@@ -46,49 +53,131 @@ def _power_heat(theta, alpha):
     return 0.5 * np.square(theta) - 0.5 * np.log1p(np.square(theta))
 
 
-class ThermoModel:
-    """Base of the constitutive models.
-
-    Subclasses set d, alpha, beta, mu0, the declared bounds and
-    ctilde_integral_diverges, and give cv, cv_chi and the integrated
-    quantities e, e_chi, s, s_chi, u in closed form.  chi always carries a
-    trailing component axis of length d.
+class PowerModel:
+    """The power-law family with weights a (nonnegative, sum <= 1, so cv > 0
+    on the simplex), wells lam = lam_amp |chi|^2 and sig = sig_amp |chi|^2,
+    and mu = mu0 (1+th).  k mixes two temperature profiles by the phase
+    fraction, or is the first one alone in uniqueness mode.  chi always
+    carries a trailing component axis of length d.
     """
 
-    d = 1
-    name = "base"
-    k_independent_of_chi = False
+    c_lower = 0.5                                  # cv >= 1/2 for th >= 1
+    k0, k1 = 1.0, 2.0
+    L_mu = 0.0                                     # (1+th)/mu is constant
 
-    # --- pointwise constitutive functions (must override) ---------------
+    def __init__(self, d=2, alpha=1, mu0=1.0, beta=1.0, lam_amp=0.1,
+                 sig_amp=0.2, weights=None, uniqueness_mode=False):
+        if d < 1:
+            raise ConfigError("thermo.components must be >= 1")
+        if alpha not in (1, 2):
+            raise ConfigError("thermo.alpha must be 1 or 2")
+        if mu0 <= 0 or beta <= 0:
+            raise ConfigError("thermo.mu0 and thermo.beta must be positive")
+        self.d = int(d)
+        self.alpha = int(alpha)
+        self.mu0 = float(mu0)
+        self.beta = float(beta)
+        self.lam_amp = float(lam_amp)
+        self.sig_amp = float(sig_amp)
+        if weights is None:
+            weights = np.full(self.d, 0.5 / self.d)
+        self.a = np.asarray(weights, dtype=float)
+        if self.a.shape != (self.d,) or self.a.min() < 0 or self.a.sum() > 1.0:
+            raise ConfigError("weights must be nonnegative with sum "
+                              "<= 1 (keeps cv positive on the simplex)")
+        self.k_independent_of_chi = bool(uniqueness_mode)
+
+        # declared bounds, exact by inspection of the closed forms
+        amax = float(self.a.max())               # max of <a,chi> on the simplex
+        self.c_bar = 1.0 + amax
+        q1 = _power_entropy(1.0, self.alpha)          # entropy kernel at th=1
+        sup_qp = 1.0 if self.alpha == 1 else 0.5      # sup of d/dth of that kernel
+        amag = float(np.linalg.norm(self.a))
+        self.c1 = max(amag, (1.0 + amax) * q1, amag * sup_qp)
+        # |chi| <= 1 on the simplex, so the quadratic wells have these slopes
+        self.C_lambda = 2.0 * self.lam_amp
+        self.C_sigma = 2.0 * self.sig_amp
+        self.ctilde_integral_diverges = (self.alpha <= 1)
+
+    def _density(self, profile, theta, chi):
+        """(1 + <a, chi>) profile(theta): one product for one component, else
+        einsum, whose summation order the stored outputs depend on."""
+        x = np.asarray(chi, dtype=float)
+        mix = x[..., 0] * self.a[0] if self.d == 1 \
+            else np.einsum("...d,d->...", x, self.a)
+        return (1.0 + mix) * profile(np.asarray(theta, dtype=float),
+                                     self.alpha)
+
+    def _gradient(self, profile, theta, chi):
+        """a profile(theta), broadcast over theta and the rows of chi."""
+        p = profile(np.asarray(theta, dtype=float), self.alpha)
+        rows = np.shape(chi)[:-1]
+        if p.shape != rows:
+            p = np.broadcast_to(p, np.broadcast_shapes(p.shape, rows))
+        return p[..., None] * self.a
+
+    def _square_norm(self, chi):
+        x = np.asarray(chi, dtype=float)
+        return np.square(x[..., 0]) if self.d == 1 else np.sum(x * x, axis=-1)
 
     def cv(self, theta, chi):
-        raise NotImplementedError
+        return self._density(_power_ratio, theta, chi)
 
     def cv_chi(self, theta, chi):
-        raise NotImplementedError
+        return self._gradient(_power_ratio, theta, chi)
+
+    def e(self, theta, chi):
+        return self._density(_power_primitive, theta, chi)
+
+    def e_chi(self, theta, chi):
+        return self._gradient(_power_primitive, theta, chi)
+
+    def s(self, theta, chi):
+        return self._density(_power_entropy, theta, chi)
+
+    def s_chi(self, theta, chi):
+        return self._gradient(_power_entropy, theta, chi)
+
+    def u(self, theta, chi):
+        return self._density(_power_heat, theta, chi)
 
     def lam(self, chi):
-        raise NotImplementedError
+        return self.lam_amp * self._square_norm(chi)
 
     def lam_p(self, chi):
-        raise NotImplementedError
+        return 2.0 * self.lam_amp * np.asarray(chi, dtype=float)
 
     def sig(self, chi):
-        raise NotImplementedError
+        return self.sig_amp * self._square_norm(chi)
 
     def sig_p(self, chi):
-        raise NotImplementedError
+        return 2.0 * self.sig_amp * np.asarray(chi, dtype=float)
 
     def mu(self, theta):
-        raise NotImplementedError
+        return self.mu0 * (1.0 + np.asarray(theta, dtype=float))
 
     def k(self, theta, chi):
-        raise NotImplementedError
+        th = np.asarray(theta, dtype=float)
+        k1p = 2.0 - 1.0 / (1.0 + th)            # phase-1 profile in [1,2)
+        if self.k_independent_of_chi:
+            shape = np.broadcast_shapes(th.shape, np.asarray(chi).shape[:-1])
+            return np.broadcast_to(k1p, shape).copy()
+        x = np.asarray(chi, dtype=float)
+        # phase fraction: chi itself for one component, else the clipped sum
+        m = x[..., 0] if self.d == 1 \
+            else np.clip(np.sum(x, axis=-1), 0.0, 1.0)
+        k2p = 1.0 + 0.5 * th / (1.0 + th)       # phase-0 profile in [1,1.5)
+        return np.clip(k1p * m + k2p * (1.0 - m), self.k0, self.k1)
+
+    def k_bar_primitive(self, theta):
+        """int_0^th of the temperature-only conductivity 2 - 1/(1+tau)."""
+        th = np.asarray(theta, dtype=float)
+        return 2.0 * th - np.log1p(th)
 
     def chi_domain_sample(self, n):
-        raise NotImplementedError
-
-    # --- even/odd extensions used by the implicit temperature solve ------
+        if self.d == 1:
+            return np.linspace(0.0, 1.0, n)[:, None]
+        return IndicatorSimplex(self.d).domain_sample(n)
 
     def e_ext(self, theta, chi):
         """Odd extension sign(th) e(|th|, x), matching the even cv extension."""
@@ -99,90 +188,30 @@ class ThermoModel:
         return self.cv(np.abs(np.asarray(theta, dtype=float)), chi)
 
     def c_tilde(self, theta):
-        """min over the phase domain and over temperatures >= theta of cv."""
-        raise NotImplementedError
+        """min of cv over the phase domain and over temperatures >= theta:
+        cv increases in theta and is least where <a, chi> = 0."""
+        return _power_ratio(np.asarray(theta, dtype=float), self.alpha)
+
+    def lower_bound_closed_form(self, w0, R, t, rho):
+        """Exact comparison solution when the ODE collapses to linear decay:
+        for alpha = 1 the minorant w/(1+w) cancels the linear mobility growth,
+        so w(t) = w0 exp(-R^2 t / (4 mu0)) while the cap is idle (w0 <= rho)."""
+        if self.alpha != 1 or w0 > rho:
+            return None
+        return w0 * np.exp(-(R * R) * np.asarray(t, dtype=float) / (4.0 * self.mu0))
 
 
-class TwoPhasePowerModel(ThermoModel):
-    """Scalar two-phase model: cv = (1 + x/2) th^a/(1+th^a), x in [0,1].
-
-    alpha in {1, 2} with closed-form integrals; mu = mu0 (1+th); conductivity
-    interpolates between two bounded phase profiles and stays in [k0, k1].
-    """
-
-    d = 1
-    name = "two_phase_power"
+class TwoPhasePowerModel(PowerModel):
+    """Scalar two-phase model: d = 1, a = 1/2 on x in [0, 1], with the
+    double well lam = lam_amp x^2 (1-x)^2."""
 
     def __init__(self, alpha=1, mu0=1.0, beta=1.0, lam_amp=0.1, sig_amp=0.2,
                  uniqueness_mode=False):
-        if alpha not in (1, 2):
-            raise ConfigError("two_phase_power: alpha must be 1 or 2")
-        if mu0 <= 0 or beta <= 0:
-            raise ConfigError("two_phase_power: mu0 and beta must be positive")
-        self.alpha = int(alpha)
-        self.mu0 = float(mu0)
-        self.beta = float(beta)
-        self.lam_amp = float(lam_amp)
-        self.sig_amp = float(sig_amp)
-        self.uniqueness_mode = bool(uniqueness_mode)
-        self.k_independent_of_chi = bool(uniqueness_mode)
-
-        # declared bounds, exact by inspection of the closed forms
-        self.c_bar = 1.5
-        self.c_lower = 0.5
-        q1 = _power_entropy(1.0, self.alpha)          # entropy kernel at th=1
-        sup_qp = 1.0 if self.alpha == 1 else 0.5      # sup of d/dth of that kernel
-        self.c1 = max(0.5, 1.5 * q1, 0.5 * sup_qp)
+        super().__init__(d=1, alpha=alpha, mu0=mu0, beta=beta,
+                         lam_amp=lam_amp, sig_amp=sig_amp, weights=[0.5],
+                         uniqueness_mode=uniqueness_mode)
         # lam_p = lam_amp 2x(1-x)(1-2x); |.| <= lam_amp * 2 * max of the cubic
         self.C_lambda = self.lam_amp * 2.0 * (1.0 / (6.0 * math.sqrt(3.0)))
-        self.C_sigma = 2.0 * self.sig_amp
-        self.k0 = 1.0
-        self.k1 = 2.0
-        self.L_mu = 0.0                                # (1+th)/mu is constant
-        self.ctilde_integral_diverges = (self.alpha <= 1)
-
-    # -- constitutive pieces
-
-    def cv(self, theta, chi):
-        x = np.asarray(chi, dtype=float)[..., 0]
-        return (1.0 + 0.5 * x) * _power_ratio(np.asarray(theta, dtype=float),
-                                              self.alpha)
-
-    def cv_chi(self, theta, chi):
-        th = np.asarray(theta, dtype=float)
-        shape = np.broadcast_shapes(th.shape, np.asarray(chi).shape[:-1])
-        out = np.empty(shape + (1,))
-        out[..., 0] = 0.5 * _power_ratio(th, self.alpha)
-        return out
-
-    def e(self, theta, chi):
-        x = np.asarray(chi, dtype=float)[..., 0]
-        return (1.0 + 0.5 * x) * _power_primitive(np.asarray(theta, float),
-                                                  self.alpha)
-
-    def e_chi(self, theta, chi):
-        th = np.asarray(theta, dtype=float)
-        shape = np.broadcast_shapes(th.shape, np.asarray(chi).shape[:-1])
-        out = np.empty(shape + (1,))
-        out[..., 0] = 0.5 * _power_primitive(th, self.alpha)
-        return out
-
-    def s(self, theta, chi):
-        x = np.asarray(chi, dtype=float)[..., 0]
-        return (1.0 + 0.5 * x) * _power_entropy(np.asarray(theta, float),
-                                                self.alpha)
-
-    def s_chi(self, theta, chi):
-        th = np.asarray(theta, dtype=float)
-        shape = np.broadcast_shapes(th.shape, np.asarray(chi).shape[:-1])
-        out = np.empty(shape + (1,))
-        out[..., 0] = 0.5 * _power_entropy(th, self.alpha)
-        return out
-
-    def u(self, theta, chi):
-        x = np.asarray(chi, dtype=float)[..., 0]
-        return (1.0 + 0.5 * x) * _power_heat(np.asarray(theta, float),
-                                             self.alpha)
 
     def lam(self, chi):
         x = np.asarray(chi, dtype=float)[..., 0]
@@ -190,266 +219,21 @@ class TwoPhasePowerModel(ThermoModel):
 
     def lam_p(self, chi):
         x = np.asarray(chi, dtype=float)[..., 0]
-        out = np.empty(x.shape + (1,))
-        out[..., 0] = self.lam_amp * 2.0 * x * (1.0 - x) * (1.0 - 2.0 * x)
-        return out
-
-    def sig(self, chi):
-        x = np.asarray(chi, dtype=float)[..., 0]
-        return self.sig_amp * np.square(x)
-
-    def sig_p(self, chi):
-        x = np.asarray(chi, dtype=float)[..., 0]
-        out = np.empty(x.shape + (1,))
-        out[..., 0] = 2.0 * self.sig_amp * x
-        return out
-
-    def mu(self, theta):
-        return self.mu0 * (1.0 + np.asarray(theta, dtype=float))
-
-    def k(self, theta, chi):
-        th = np.asarray(theta, dtype=float)
-        if self.uniqueness_mode:
-            shape = np.broadcast_shapes(th.shape, np.asarray(chi).shape[:-1])
-            return np.broadcast_to(2.0 - 1.0 / (1.0 + th), shape).copy()
-        x = np.asarray(chi, dtype=float)[..., 0]
-        k1p = 2.0 - 1.0 / (1.0 + th)            # phase-1 profile in [1,2)
-        k2p = 1.0 + 0.5 * th / (1.0 + th)       # phase-0 profile in [1,1.5)
-        return np.clip(k1p * x + k2p * (1.0 - x), self.k0, self.k1)
-
-    def k_bar_primitive(self, theta):
-        if not self.uniqueness_mode:
-            raise ConfigError("k_bar_primitive requires uniqueness mode "
-                              "(k independent of chi)")
-        th = np.asarray(theta, dtype=float)
-        return 2.0 * th - np.log1p(th)
-
-    def c_tilde(self, theta):
-        # cv is increasing in theta and minimized at x = 0
-        return _power_ratio(np.asarray(theta, dtype=float), self.alpha)
-
-    def lower_bound_closed_form(self, w0, R, t, rho):
-        """Exact comparison solution when the ODE collapses to linear decay.
-
-        For alpha = 1 the minorant w/(1+w) cancels the linear mobility
-        growth, so w(t) = w0 exp(-R^2 t / (4 mu0)) as long as the truncation
-        never engages (w decreasing, so w0 <= rho suffices).
-        """
-        if self.alpha != 1 or w0 > rho:
-            return None
-        return w0 * np.exp(-(R * R) * np.asarray(t, dtype=float) / (4.0 * self.mu0))
-
-    def chi_domain_sample(self, n):
-        return np.linspace(0.0, 1.0, n)[:, None]
+        return (self.lam_amp * 2.0 * x * (1.0 - x) * (1.0 - 2.0 * x))[..., None]
 
 
-class MultiPhasePowerModel(ThermoModel):
-    """Vector variant on the simplex: cv = (1 + <a, chi>) th^a/(1+th^a)."""
-
-    name = "multi_phase_power"
-
-    def __init__(self, d=2, alpha=1, mu0=1.0, beta=1.0, lam_amp=0.1,
-                 sig_amp=0.2, weights=None):
-        if d < 1:
-            raise ConfigError("multi_phase_power: d must be >= 1")
-        if alpha not in (1, 2):
-            raise ConfigError("multi_phase_power: alpha must be 1 or 2")
-        self.d = int(d)
-        self.alpha = int(alpha)
-        self.mu0 = float(mu0)
-        self.beta = float(beta)
-        self.lam_amp = float(lam_amp)
-        self.sig_amp = float(sig_amp)
-        if weights is None:
-            weights = np.full(self.d, 0.5 / self.d)
-        self.a = np.asarray(weights, dtype=float)
-        if self.a.shape != (self.d,) or np.any(self.a < 0) or self.a.sum() > 1.0:
-            raise ConfigError("multi_phase_power: weights must be nonnegative "
-                              "with sum <= 1 (keeps cv positive on the simplex)")
-        self.uniqueness_mode = False
-        amax = float(self.a.max())               # max of <a,chi> on the simplex
-        self.c_bar = 1.0 + amax
-        self.c_lower = 0.5
-        q1 = _power_entropy(1.0, self.alpha)
-        sup_qp = 1.0 if self.alpha == 1 else 0.5
-        amag = float(np.linalg.norm(self.a))
-        self.c1 = max(amag, (1.0 + amax) * q1, amag * sup_qp)
-        # |chi| <= 1 on the simplex, so the quadratic wells have these slopes
-        self.C_lambda = 2.0 * self.lam_amp
-        self.C_sigma = 2.0 * self.sig_amp
-        self.k0 = 1.0
-        self.k1 = 2.0
-        self.L_mu = 0.0
-        self.ctilde_integral_diverges = (self.alpha <= 1)
-
-    def _mix(self, chi):
-        return np.einsum("...d,d->...", np.asarray(chi, dtype=float), self.a)
-
-    def cv(self, theta, chi):
-        return (1.0 + self._mix(chi)) * _power_ratio(
-            np.asarray(theta, dtype=float), self.alpha)
-
-    def cv_chi(self, theta, chi):
-        th = np.asarray(theta, dtype=float)
-        shape = np.broadcast_shapes(th.shape, np.asarray(chi).shape[:-1])
-        return np.broadcast_to(self.a, shape + (self.d,)) \
-            * _power_ratio(th, self.alpha)[..., None]
-
-    def e(self, theta, chi):
-        return (1.0 + self._mix(chi)) * _power_primitive(
-            np.asarray(theta, dtype=float), self.alpha)
-
-    def e_chi(self, theta, chi):
-        th = np.asarray(theta, dtype=float)
-        shape = np.broadcast_shapes(th.shape, np.asarray(chi).shape[:-1])
-        return np.broadcast_to(self.a, shape + (self.d,)) \
-            * _power_primitive(th, self.alpha)[..., None]
-
-    def s(self, theta, chi):
-        return (1.0 + self._mix(chi)) * _power_entropy(
-            np.asarray(theta, dtype=float), self.alpha)
-
-    def s_chi(self, theta, chi):
-        th = np.asarray(theta, dtype=float)
-        shape = np.broadcast_shapes(th.shape, np.asarray(chi).shape[:-1])
-        return np.broadcast_to(self.a, shape + (self.d,)) \
-            * _power_entropy(th, self.alpha)[..., None]
-
-    def u(self, theta, chi):
-        return (1.0 + self._mix(chi)) * _power_heat(
-            np.asarray(theta, dtype=float), self.alpha)
-
-    def lam(self, chi):
-        return self.lam_amp * np.sum(np.square(np.asarray(chi, float)), axis=-1)
-
-    def lam_p(self, chi):
-        return 2.0 * self.lam_amp * np.asarray(chi, dtype=float)
-
-    def sig(self, chi):
-        return self.sig_amp * np.sum(np.square(np.asarray(chi, float)), axis=-1)
-
-    def sig_p(self, chi):
-        return 2.0 * self.sig_amp * np.asarray(chi, dtype=float)
-
-    def mu(self, theta):
-        return self.mu0 * (1.0 + np.asarray(theta, dtype=float))
-
-    def k(self, theta, chi):
-        th = np.asarray(theta, dtype=float)
-        m = np.clip(np.sum(np.asarray(chi, dtype=float), axis=-1), 0.0, 1.0)
-        k1p = 2.0 - 1.0 / (1.0 + th)
-        k2p = 1.0 + 0.5 * th / (1.0 + th)
-        return np.clip(k1p * m + k2p * (1.0 - m), self.k0, self.k1)
-
-    def c_tilde(self, theta):
-        return _power_ratio(np.asarray(theta, dtype=float), self.alpha)
-
-    def chi_domain_sample(self, n):
-        from .convex import IndicatorSimplex
-        return IndicatorSimplex(self.d).domain_sample(n)
-
-
-class DecoupledPowerModel(ThermoModel):
-    """Phase-independent fixture: cv = th^a/(1+th^a), lam = sig = 0, k = k(th).
-
-    With a zero kernel the order parameter sees no forcing and the energy
-    balance reduces to pure (nonlinear) conduction; used by the manufactured
-    convergence study and the decoupled smoke tests.
-    """
-
-    d = 1
-    name = "decoupled_power"
-    k_independent_of_chi = True
-
-    def __init__(self, alpha=1, mu0=1.0, beta=1.0, uniqueness_mode=True):
-        if alpha not in (1, 2):
-            raise ConfigError("decoupled_power: alpha must be 1 or 2")
-        self.alpha = int(alpha)
-        self.mu0 = float(mu0)
-        self.beta = float(beta)
-        self.uniqueness_mode = bool(uniqueness_mode)
-        self.c_bar = 1.0
-        self.c_lower = 0.5
-        q1 = _power_entropy(1.0, self.alpha)
-        self.c1 = max(q1, 0.5)
-        self.C_lambda = 0.0
-        self.C_sigma = 0.0
-        self.k0 = 1.0
-        self.k1 = 2.0
-        self.L_mu = 0.0
-        self.ctilde_integral_diverges = (self.alpha <= 1)
-
-    def cv(self, theta, chi):
-        th = np.asarray(theta, dtype=float)
-        shape = np.broadcast_shapes(th.shape, np.asarray(chi).shape[:-1])
-        return np.broadcast_to(_power_ratio(th, self.alpha), shape).copy()
-
-    def cv_chi(self, theta, chi):
-        th = np.asarray(theta, dtype=float)
-        shape = np.broadcast_shapes(th.shape, np.asarray(chi).shape[:-1])
-        return np.zeros(shape + (1,))
-
-    def e(self, theta, chi):
-        th = np.asarray(theta, dtype=float)
-        shape = np.broadcast_shapes(th.shape, np.asarray(chi).shape[:-1])
-        return np.broadcast_to(_power_primitive(th, self.alpha), shape).copy()
-
-    def e_chi(self, theta, chi):
-        return self.cv_chi(theta, chi)
-
-    def s(self, theta, chi):
-        th = np.asarray(theta, dtype=float)
-        shape = np.broadcast_shapes(th.shape, np.asarray(chi).shape[:-1])
-        return np.broadcast_to(_power_entropy(th, self.alpha), shape).copy()
-
-    def s_chi(self, theta, chi):
-        return self.cv_chi(theta, chi)
-
-    def u(self, theta, chi):
-        th = np.asarray(theta, dtype=float)
-        shape = np.broadcast_shapes(th.shape, np.asarray(chi).shape[:-1])
-        return np.broadcast_to(_power_heat(th, self.alpha), shape).copy()
-
-    def lam(self, chi):
-        return np.zeros(np.asarray(chi).shape[:-1])
-
-    def lam_p(self, chi):
-        return np.zeros(np.asarray(chi, dtype=float).shape)
-
-    def sig(self, chi):
-        return np.zeros(np.asarray(chi).shape[:-1])
-
-    def sig_p(self, chi):
-        return np.zeros(np.asarray(chi, dtype=float).shape)
-
-    def mu(self, theta):
-        return self.mu0 * (1.0 + np.asarray(theta, dtype=float))
-
-    def k(self, theta, chi):
-        th = np.asarray(theta, dtype=float)
-        shape = np.broadcast_shapes(th.shape, np.asarray(chi).shape[:-1])
-        return np.broadcast_to(2.0 - 1.0 / (1.0 + th), shape).copy()
-
-    def k_bar_primitive(self, theta):
-        th = np.asarray(theta, dtype=float)
-        return 2.0 * th - np.log1p(th)
-
-    def c_tilde(self, theta):
-        return _power_ratio(np.asarray(theta, dtype=float), self.alpha)
-
-    def lower_bound_closed_form(self, w0, R, t, rho):
-        if self.alpha != 1 or w0 > rho:
-            return None
-        return w0 * np.exp(-(R * R) * np.asarray(t, dtype=float) / (4.0 * self.mu0))
-
-    def chi_domain_sample(self, n):
-        return np.linspace(0.0, 1.0, n)[:, None]
+def decoupled_power(alpha=1, mu0=1.0, beta=1.0):
+    """Phase-independent preset: a = 0, lam = sig = 0, k = k(th).  With a
+    zero kernel chi sees no forcing and the energy balance is pure nonlinear
+    conduction (the manufactured convergence study, decoupled_smoke.cfg)."""
+    return PowerModel(d=1, alpha=alpha, mu0=mu0, beta=beta, lam_amp=0.0,
+                      sig_amp=0.0, weights=[0.0], uniqueness_mode=True)
 
 
 MODEL_REGISTRY = {
     "two_phase_power": TwoPhasePowerModel,
-    "multi_phase_power": MultiPhasePowerModel,
-    "decoupled_power": DecoupledPowerModel,
+    "multi_phase_power": PowerModel,
+    "decoupled_power": decoupled_power,
 }
 
 
@@ -460,33 +244,31 @@ def build_model(name, **kwargs):
     return MODEL_REGISTRY[name](**kwargs)
 
 
-# ---------------------------------------------------------------------------
-# truncations
+def _capped(theta, rho):
+    """The truncated temperature min(|theta|, rho)."""
+    if rho < 1:
+        raise ConfigError("truncation parameter must be >= 1")
+    return np.minimum(np.abs(np.asarray(theta, dtype=float)), rho)
 
 
 def truncated_entropy_gradient(model, theta, chi, rho):
     """s_chi at the capped temperature min(|theta|, rho); even in theta."""
-    if rho < 1:
-        raise ConfigError("truncation parameter must be >= 1")
-    th = np.minimum(np.abs(np.asarray(theta, dtype=float)), rho)
-    return model.s_chi(th, chi)
+    return model.s_chi(_capped(theta, rho), chi)
 
 
 def truncated_mobility(model, theta, rho):
     """mu at the capped temperature: constant extension above the cap."""
-    if rho < 1:
-        raise ConfigError("truncation parameter must be >= 1")
-    th = np.minimum(np.abs(np.asarray(theta, dtype=float)), rho)
-    return model.mu(th)
+    return model.mu(_capped(theta, rho))
 
 
 def inverse_temperature(model, w, chi, tol=1e-10, max_iter=100):
     """Solve e(theta, chi) = w for theta >= 0 by bracketed Newton.
 
     Vectorized over w; Newton steps that leave the live bracket fall back to
-    bisection, so convergence is unconditional for the increasing e.
+    bisection, so convergence is unconditional for the increasing e.  tol is
+    on temperature (e is flat at small theta): an entry stops once |e - w|/cv,
+    or its bracket, is within tol max(theta, 1).
     """
-    from .errors import NumericalError
     w = np.asarray(w, dtype=float)
     if np.any(w < 0):
         raise ConfigError("inverse_temperature: target energy must be >= 0")
@@ -504,12 +286,13 @@ def inverse_temperature(model, w, chi, tol=1e-10, max_iter=100):
     th = 0.5 * (lo + hi)
     f = model.e(th, chi) - w
     for _ in range(max_iter):
-        done = np.abs(f) <= tol
-        if np.all(done):
-            break
         lo = np.where(f < 0, th, lo)
         hi = np.where(f > 0, th, hi)
         dcv = model.cv(th, chi)
+        scale = tol * np.maximum(th, 1.0)
+        done = (np.abs(f) <= scale * dcv) | (hi - lo <= scale)
+        if np.all(done):
+            break
         step = np.where(dcv > 0, f / np.where(dcv > 0, dcv, 1.0), 0.0)
         cand = th - step
         bad = (cand <= lo) | (cand >= hi) | (dcv <= 0)
@@ -567,8 +350,7 @@ def validate_model(model, uniqueness_mode=False, n_theta=120, n_chi=25,
 
     cv = model.cv(TH, CH)
     _check(model.beta > 0, "beta", "latent weight beta must be positive", report)
-    _check(np.all(np.abs(cv[0]) <= 1e-14)
-           and np.all(cv[1:] > 0)
+    _check(np.all(np.abs(cv[0]) <= 1e-14) and np.all(cv[1:] > 0)
            and np.all(cv <= model.c_bar * (1 + 1e-12)),
            "c1", "need cv(0,chi)=0 and 0 < cv <= c_bar on the lattice", report)
     hot = th >= 1.0
@@ -617,9 +399,8 @@ def validate_model(model, uniqueness_mode=False, n_theta=120, n_chi=25,
     _check(np.all(muv > 0) and np.all(ratio <= 1.0 / model.mu0 + 1e-12),
            "mu-structure", "need mu(theta) >= mu0 (1 + theta)", report)
     lip_mu = np.abs(ratio[1:] - ratio[:-1]) <= (model.L_mu + 1e-12) * dth
-    _check(np.all(lip_mu),
-           "mu-lipschitz", "need (1+theta)/mu Lipschitz with constant L_mu",
-           report)
+    _check(np.all(lip_mu), "mu-lipschitz",
+           "need (1+theta)/mu Lipschitz with constant L_mu", report)
 
     if uniqueness_mode:
         _check(model.k_independent_of_chi

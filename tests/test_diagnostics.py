@@ -1,6 +1,5 @@
 """Post-hoc verification: budgets, envelopes, calibration, invariants."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +15,7 @@ from nlpf.diagnostics import (DEFAULT_CHECKS, calibrate_rho,
 from nlpf.errors import ConfigError, ModeError
 from nlpf.geometry import BoundaryData, build_grid
 from nlpf.longrange import ConstantKernel, QuadraticG, build_coupling
-from nlpf.stepper import RunComponents, SolverConfig, Trajectory, run
+from nlpf.stepper import RunComponents, SolverConfig, run
 from nlpf.thermo import build_model
 
 from conftest import two_phase_components

@@ -28,6 +28,22 @@ def test_grid_2d_counts():
     assert g.n_bfaces == 16
 
 
+def test_grid_2d_face_layout():
+    # 3 x 2 cells of size 1 x 1/2; cell id = ix * 2 + iy:
+    #   iy=1:  1 3 5
+    #   iy=0:  0 2 4
+    # x-faces first, then y-faces; boundary sides x-low, x-high, y-low, y-high
+    g = build_grid(2, [3.0, 1.0], [3, 2])
+    assert g.iface_owner.tolist() == [0, 1, 2, 3, 0, 2, 4]
+    assert g.iface_neigh.tolist() == [2, 3, 4, 5, 1, 3, 5]
+    assert g.iface_area.tolist() == [0.5] * 4 + [1.0] * 3
+    assert g.iface_dist.tolist() == [1.0] * 4 + [0.5] * 3
+    assert g.bface_owner.tolist() == [0, 1, 4, 5, 0, 2, 4, 1, 3, 5]
+    assert g.bface_normal.tolist() == [[-1.0, 0.0]] * 2 + [[1.0, 0.0]] * 2 \
+        + [[0.0, -1.0]] * 3 + [[0.0, 1.0]] * 3
+    assert g.bface_area.tolist() == [0.5] * 4 + [1.0] * 6
+
+
 def test_grid_rejects_bad_input():
     with pytest.raises(ConfigError):
         build_grid(1, [1.0, 1.0], [4])

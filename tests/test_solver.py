@@ -10,10 +10,9 @@ import nlpf.stepper as stepper
 from nlpf.convex import IndicatorBox
 from nlpf.errors import ConfigError, ModeError, NumericalError
 from nlpf.geometry import BoundaryData, build_grid
-from nlpf.longrange import ConstantKernel, QuadraticG, build_coupling
-from nlpf.stepper import (LagTracker, RunComponents, SolverConfig, State,
-                          bound_C_ell, conduction_operator, kirchhoff, run,
-                          step_chi, step_theta)
+from nlpf.stepper import (LagTracker, SolverConfig, State, bound_C_ell,
+                          conduction_operator, kirchhoff, run, step_chi,
+                          step_theta)
 from nlpf.thermo import build_model
 
 from conftest import two_phase_components

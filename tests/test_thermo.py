@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import quadrature_oracle
@@ -51,6 +51,7 @@ def test_odd_extension():
 
 
 @given(st.floats(0.05, 30.0), st.floats(0.0, 1.0))
+@example(0.0546875, 0.0)   # e is flat here: an energy tolerance missed by 1.4e-9
 def test_inverse_temperature_roundtrip(theta, c):
     chi = np.array([[c]])
     w = TP.e(np.array([theta]), chi)
@@ -116,10 +117,45 @@ def test_generic_coefficients_positivity_check():
     ("multi_phase_power", dict(d=2)),
     ("multi_phase_power", dict(d=3)),
     ("decoupled_power", dict()),
+    ("multi_phase_power", dict(d=1)),
+    ("decoupled_power", dict(alpha=2)),
 ])
 def test_builtin_models_validate(name, kw):
     model = build_model(name, **kw)
     validate_model(model)
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+def test_preset_gradients_broadcast(name):
+    # validate_model evaluates theta (n, 1) against chi (1, m, d); an
+    # unbroadcast (n, 1, d) result would leave its chi-Lipschitz slices empty
+    model = build_model(name)
+    th = np.linspace(0.0, 3.0, 4)[:, None]
+    chi = model.chi_domain_sample(5)[None, :, :]
+    for method in ("cv_chi", "e_chi", "s_chi"):
+        out = getattr(model, method)(th, chi)
+        assert out.shape == (4, 5, model.d), method
+
+
+def test_decoupled_preset_ignores_phase():
+    model = build_model("decoupled_power")
+    th = np.linspace(0.0, 5.0, 11)[:, None]
+    chi = model.chi_domain_sample(7)[None, :, :]
+    assert np.all(model.cv_chi(th, chi) == 0.0)
+    k = model.k(th, chi)
+    assert k.shape == (11, 7)
+    assert np.all(k == k[:, :1])
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_two_phase_is_one_component_family(alpha):
+    two = build_model("two_phase_power", alpha=alpha)
+    one = build_model("multi_phase_power", d=1, alpha=alpha, weights=[0.5])
+    th = np.array([0.0, 0.3, 1.0, 7.5])[:, None]
+    chi = np.linspace(0.0, 1.0, 6)[None, :, None]
+    for name in ("cv", "cv_chi", "e", "e_chi", "s", "s_chi"):
+        a, b = getattr(two, name)(th, chi), getattr(one, name)(th, chi)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def test_uniqueness_validation():
