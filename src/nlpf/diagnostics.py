@@ -480,19 +480,19 @@ def generic_check(model, grid, boundary, coupling=None, n_samples=100,
                     abs(m11 * cv + m12 * dE) / gscale,
                     abs(m12 * cv + m22 * dE) / gscale)
 
-    # conduction block: constants are annihilated (face fluxes and row sums
-    # of the assembled matrix), and the volume-weighted total of A theta
+    # conduction block: constants are annihilated (face fluxes, and A 1
+    # relative to the diagonal), and the volume-weighted total of A theta
     # vanishes, relative to the same total of |A| |theta|
     th_field = rng.uniform(0.5, 2.0, grid.n_cells)
     ch_field = np.tile(dom[0], (grid.n_cells, 1))
     op = conduction_operator(grid, model, boundary, th_field, ch_field)
     ones = np.ones(grid.n_cells)
     null_flux = float(np.max(np.abs(op.face_fluxes(ones)), initial=0.0))
-    diag = float(np.max(np.abs(op.matrix.diagonal())))
-    rowsum = float(np.max(np.abs(op.matrix @ ones))) / max(diag, 1e-300)
+    diag = float(np.max(np.abs(op.diagonal())))
+    rowsum = float(np.max(np.abs(op.apply(ones)))) / max(diag, 1e-300)
     vol = grid.volumes
     colsum = abs(float(np.dot(vol, op.apply(th_field)))) \
-        / max(float(np.dot(vol, abs(op.matrix) @ np.abs(th_field))), 1e-300)
+        / max(float(np.dot(vol, op.apply_abs(th_field))), 1e-300)
     cond = max(null_flux, rowsum, colsum)
     return GenericReport(identity_max=ident, degeneracy_max=degen,
                          conduction_null=cond, n_samples=n_samples)

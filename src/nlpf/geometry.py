@@ -1,4 +1,4 @@
-"""Uniform box grids and two-point flux assembly of the heat operator.
+"""Uniform box grids and the two-point flux heat operator.
 
 Cells are axis-aligned boxes of identical size, ordered lexicographically by
 integer index (last axis fastest).  The diffusion operator discretizes
@@ -6,6 +6,13 @@ integer index (last axis fastest).  The diffusion operator discretizes
 exchange term ``gamma * (theta - theta_Gamma)`` on boundary faces; all rows
 are scaled by cell volume so the operator maps a temperature field to a
 rate density.
+
+The operator is held as face data only: one transmissibility per interior
+face and one Robin coefficient per cell, O(M) numbers.  It is applied as a
+flux divergence, and for implicit steps it hands out ``diag(shift) + dt A``
+in the upper band layout of ``scipy.linalg.solveh_banded``.  Equal cell
+volumes make that matrix symmetric; its bandwidth is the largest
+neighbour-minus-owner index of a face, 1 in 1D and ``ny`` in 2D.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, ModelContractError
 
@@ -33,7 +39,6 @@ class Grid:
     iface_area: np.ndarray       # (F,)
     iface_dist: np.ndarray       # (F,) center-to-center distance
     bface_owner: np.ndarray      # (Fb,)
-    bface_normal: np.ndarray     # (Fb, dim) outward unit normal
     bface_area: np.ndarray       # (Fb,)
 
     @property
@@ -79,7 +84,7 @@ def build_grid(dim: int, lengths: Sequence[float], cells: Sequence[int]) -> Grid
     volumes = np.full(m, vol)
 
     ids = np.arange(m).reshape(cells)
-    own, nbr, area, dist, bown, bnorm, barea = ([] for _ in range(7))
+    own, nbr, area, dist, bown, barea = ([] for _ in range(6))
     # interior faces axis by axis (x first), boundary sides x-low, x-high,
     # y-low, y-high; owners lexicographic within each group
     for a in range(dim):
@@ -89,12 +94,9 @@ def build_grid(dim: int, lengths: Sequence[float], cells: Sequence[int]) -> Grid
         nbr.append(ids[before + (slice(1, None),)].ravel())
         area.append(np.full(own[-1].size, face_area))
         dist.append(np.full(own[-1].size, h[a]))
-        for index, sign in ((0, -1.0), (-1, 1.0)):
+        for index in (0, -1):
             side = ids[before + (index,)].ravel()
-            normal = np.zeros((side.size, dim))
-            normal[:, a] = sign
             bown.append(side)
-            bnorm.append(normal)
             barea.append(np.full(side.size, face_area))
 
     grid = Grid(
@@ -109,7 +111,6 @@ def build_grid(dim: int, lengths: Sequence[float], cells: Sequence[int]) -> Grid
         iface_area=np.concatenate(area),
         iface_dist=np.concatenate(dist),
         bface_owner=np.concatenate(bown),
-        bface_normal=np.concatenate(bnorm),
         bface_area=np.concatenate(barea),
     )
     assert abs(float(np.sum(grid.volumes)) - grid.domain_volume) <= 1e-12 * grid.domain_volume
@@ -187,17 +188,53 @@ class DiffusionOperator:
     grid: Grid
     boundary: BoundaryData
     trans: np.ndarray            # (F,) k_f * A_f / dist_f
-    matrix: sp.csr_matrix        # (M, M) volume-scaled, Robin diagonal included
+    robin: np.ndarray            # (M,) sum of gamma_b * A_b per cell / volume
+
+    def _face_sum(self, per_face: np.ndarray) -> np.ndarray:
+        """Volume-scaled sum of a face quantity over both adjacent cells."""
+        g = self.grid
+        m = g.n_cells
+        return (np.bincount(g.iface_owner, per_face, m)
+                + np.bincount(g.iface_neigh, per_face, m)) / g.volumes
 
     def apply(self, theta: np.ndarray) -> np.ndarray:
-        return self.matrix @ theta
+        g = self.grid
+        m = g.n_cells
+        flux = self.face_fluxes(theta)
+        return (np.bincount(g.iface_owner, flux, m)
+                - np.bincount(g.iface_neigh, flux, m)) / g.volumes \
+            + self.robin * theta
+
+    def apply_abs(self, theta: np.ndarray) -> np.ndarray:
+        """``|A| |theta|``: the size of the terms that cancel in ``apply``."""
+        g = self.grid
+        a = np.abs(theta)
+        return self._face_sum(self.trans * (a[g.iface_owner]
+                                            + a[g.iface_neigh])) \
+            + self.robin * a
+
+    def diagonal(self) -> np.ndarray:
+        return self._face_sum(self.trans) + self.robin
+
+    def banded(self, shift: np.ndarray, dt: float) -> np.ndarray:
+        """``diag(shift) + dt A`` in the upper band layout of
+        ``scipy.linalg.solveh_banded``: entry (i, j), i <= j, sits at
+        ``[u + i - j, j]``, with u the largest neighbour-minus-owner index.
+        """
+        g = self.grid
+        offset = g.iface_neigh - g.iface_owner
+        u = int(np.max(offset, initial=0))
+        ab = np.zeros((u + 1, g.n_cells))
+        ab[u] = shift + dt * self.diagonal()
+        ab[u - offset, g.iface_neigh] = -dt * self.trans \
+            / g.volumes[g.iface_owner]
+        return ab
 
     def robin_load(self, t: float) -> np.ndarray:
         g = self.grid
-        out = np.zeros(g.n_cells)
-        coeff = self.boundary.gamma_arr * g.bface_area * self.boundary.theta_gamma_at(t)
-        np.add.at(out, g.bface_owner, coeff)
-        return out / g.volumes
+        coeff = self.boundary.gamma_arr * g.bface_area \
+            * self.boundary.theta_gamma_at(t)
+        return np.bincount(g.bface_owner, coeff, g.n_cells) / g.volumes
 
     def residual(self, theta: np.ndarray, t: float) -> np.ndarray:
         return self.apply(theta) - self.robin_load(t)
@@ -214,7 +251,7 @@ def assemble_diffusion(
     boundary: BoundaryData,
     k_bounds: tuple[float, float] | None = None,
 ) -> DiffusionOperator:
-    """Assemble the heat operator from per-face conductivities.
+    """Build the heat operator from per-face conductivities.
 
     ``face_conductivity`` is given on interior faces.  When ``k_bounds`` is
     supplied, any face value outside ``[k0, k1]`` is reported as a model
@@ -235,23 +272,7 @@ def assemble_diffusion(
         raise ModelContractError("k-bounds", "face conductivity must be positive")
 
     trans = k_f * grid.iface_area / grid.iface_dist
-    m = grid.n_cells
-    rows, cols, vals = [], [], []
-    inv_v = 1.0 / grid.volumes
-
-    o, n = grid.iface_owner, grid.iface_neigh
-    rows.append(o); cols.append(o); vals.append(trans * inv_v[o])
-    rows.append(o); cols.append(n); vals.append(-trans * inv_v[o])
-    rows.append(n); cols.append(n); vals.append(trans * inv_v[n])
-    rows.append(n); cols.append(o); vals.append(-trans * inv_v[n])
-
-    bo = grid.bface_owner
-    robin = boundary.gamma_arr * grid.bface_area
-    rows.append(bo); cols.append(bo); vals.append(robin * inv_v[bo])
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
-    mat.sum_duplicates()
-    return DiffusionOperator(grid=grid, boundary=boundary, trans=trans, matrix=mat)
+    robin = np.bincount(grid.bface_owner, boundary.gamma_arr * grid.bface_area,
+                        grid.n_cells) / grid.volumes
+    return DiffusionOperator(grid=grid, boundary=boundary, trans=trans,
+                             robin=robin)

@@ -98,8 +98,19 @@ def read_records_csv(path):
         header = fh.readline().strip()
         if header.split(",") != list(RECORD_COLUMNS):
             raise ConfigError(f"{path}: unexpected record columns")
-        rows = [tuple(float(tok) for tok in line.split(","))
-                for line in fh if line.strip()]
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            tokens = line.split(",")
+            if len(tokens) != len(RECORD_COLUMNS):
+                raise ConfigError(
+                    f"{path}:{lineno}: {len(tokens)} fields, expected "
+                    f"{len(RECORD_COLUMNS)}")
+            try:
+                rows.append(tuple(float(tok) for tok in tokens))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     out = np.zeros(len(rows), dtype=_RECORD_DTYPE)
     for i, row in enumerate(rows):
         out[i] = row
@@ -114,20 +125,30 @@ def write_trajectory(out_dir, traj, cells):
     write_records_csv(os.path.join(out_dir, RECORDS_NAME), traj.records)
 
 
-def read_trajectory(out_dir, components=None):
+def read_trajectory(out_dir, components):
     """Load a stored trajectory; selections are recomputed, not stored.
+
+    The trajectory must be complete for ``components``: one record row per
+    step of the configured horizon, and snapshots numbered from 0 without
+    gaps at the configured cadence, each stamped with the time of the record
+    row it follows.  Anything else is a ConfigError.
 
     The selection field of the inclusion is a derived quantity (it is the
     residual of the proximal step), so it is rebuilt from consecutive
-    snapshots when the producing components are supplied, and left zero
-    otherwise.
+    snapshots.
     """
     from .stepper import Trajectory, rhs_ell
 
+    config = components.config
     names = sorted(f for f in os.listdir(out_dir)
                    if f.startswith("snap_") and f.endswith(".nlpf"))
     if not names:
         raise ConfigError(f"{out_dir}: no snapshots found")
+    expected = [SNAP_PATTERN.format(i) for i in range(len(names))]
+    if names != expected:
+        gap = next(e for e, n in zip(expected, names) if e != n)
+        raise ConfigError(f"{out_dir}: snapshots are not numbered from 0 "
+                          f"without gaps; {gap} is missing")
     times, thetas, chis = [], [], []
     cells0 = None
     for f in names:
@@ -145,29 +166,39 @@ def read_trajectory(out_dir, components=None):
         raise ConfigError(f"{out_dir}: missing {RECORDS_NAME}")
     records = read_records_csv(rec_path)
 
+    n_steps, cadence = config.n_steps, config.cadence
+    if records.size != n_steps:
+        raise ConfigError(f"{rec_path}: {records.size} rows, the configured "
+                          f"horizon takes {n_steps} steps")
+    # snapshot i > 0 is written after step min(i * cadence, n_steps)
+    after = np.minimum(np.arange(cadence, n_steps + cadence, cadence),
+                       n_steps)
+    want = np.concatenate([[0.0], records["t"][after - 1]])
     times = np.asarray(times)
+    if times.size != want.size:
+        raise ConfigError(f"{out_dir}: {times.size} snapshots, expected "
+                          f"{want.size} at cadence {cadence}")
+    bad = np.flatnonzero(times != want)
+    if bad.size:
+        i = int(bad[0])
+        raise ConfigError(f"{out_dir}/{names[i]}: time {times[i]!r} does "
+                          f"not match the record time {want[i]!r}")
+
     thetas = np.asarray(thetas)
     chis = np.asarray(chis)
     xis = np.zeros_like(chis)
-    if components is not None:
-        base = components.config.dt
-        b_olds = components.coupling.b_field(chis[:-1])
-        for n in range(1, len(times)):
-            dt = times[n] - times[n - 1]
-            # accumulated times carry rounding in the last bits; the live
-            # solver always stepped by an exact multiple of the nominal dt
-            # (except on a ragged tail, which the guard leaves alone)
-            k = max(1, int(round(dt / base)))
-            if abs(dt - k * base) <= 1e-9 * base:
-                dt = k * base
-            alpha, g = rhs_ell(components.model, thetas[n - 1], chis[n - 1],
-                               b_olds[n - 1], components.config.rho)
-            xis[n] = g - alpha[:, None] * (chis[n] - chis[n - 1]) / dt
-
-    cadence = 1
-    if records.size >= 2 and len(times) >= 2:
-        dt_rec = records["t"][1] - records["t"][0] if records.size >= 2 else 0
-        if dt_rec > 0:
-            cadence = max(1, int(round((times[1] - times[0]) / dt_rec)))
+    base = config.dt
+    b_olds = components.coupling.b_field(chis[:-1])
+    for n in range(1, len(times)):
+        dt = times[n] - times[n - 1]
+        # accumulated times carry rounding in the last bits; the live
+        # solver always stepped by an exact multiple of the nominal dt
+        # (except on a ragged tail, which the guard leaves alone)
+        k = max(1, int(round(dt / base)))
+        if abs(dt - k * base) <= 1e-9 * base:
+            dt = k * base
+        alpha, g = rhs_ell(components.model, thetas[n - 1], chis[n - 1],
+                           b_olds[n - 1], config.rho)
+        xis[n] = g - alpha[:, None] * (chis[n] - chis[n - 1]) / dt
     return Trajectory(times=times, thetas=thetas, chis=chis, xis=xis,
                       records=records, cadence=cadence)

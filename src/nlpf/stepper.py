@@ -12,10 +12,13 @@ and then solves the nonlinear energy balance
     [eps th' + e(th',chi') - eps th - e(th,chi)]/dt - div(k grad th') + Robin
         = -(lam'(chi') + b[chi]) . (chi'-chi)/dt - beta (phi(chi')-phi(chi))/dt
 
-by damped Newton on the monotone map th' -> eps th' + e(th', chi').  With
-gamma = 0 the volume-weighted row sums of the diffusion map vanish, so the
-scheme conserves the discrete total energy up to the Taylor remainders of the
-lam and pair-interaction difference quotients, which are O(dt) overall.
+by damped Newton on the monotone map th' -> eps th' + e(th', chi').  Each
+Newton matrix diag(eps + c_V) + dt A is symmetric positive definite and
+banded, and is factorised by banded Cholesky; Newton stops at its relative
+tolerance or at the round-off floor of the residual, whichever comes first.
+With gamma = 0 the volume-weighted row sums of the diffusion map vanish, so
+the scheme conserves the discrete total energy up to the Taylor remainders of
+the lam and pair-interaction difference quotients, which are O(dt) overall.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import LinAlgError, solveh_banded
 
 from .errors import ConfigError, ModeError, NumericalError
 from .geometry import assemble_diffusion, harmonic_face_conductivity
@@ -36,6 +38,10 @@ RECORD_COLUMNS = ("t", "total_energy", "total_entropy", "min_theta",
                   "selection_margin")
 
 _RECORD_DTYPE = np.dtype([(c, "f8") for c in RECORD_COLUMNS])
+
+# Newton's round-off floor, in units of the double-precision epsilon
+ROUNDOFF_ULPS = 4.0
+_ULP = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -80,6 +86,11 @@ class SolverConfig:
     @property
     def eps_reg(self) -> float:
         return 1.0 / self.n_reg if self.n_reg > 0 else 0.0
+
+    @property
+    def n_steps(self) -> int:
+        """Nominal steps to the horizon; the last one may be shorter."""
+        return int(math.ceil(self.horizon / self.dt - 1e-12))
 
 
 @dataclass
@@ -209,11 +220,17 @@ def phase_source(model, chi_old, chi_new, b_old, phi_old, phi_new, dt):
 def step_theta(model, state, chi_new, b_old, phi_old, phi_new, op, dt, config):
     """Backward-Euler energy step with diffusion operator ``op``; returns theta'.
 
-    Raises NumericalError when the damped Newton stalls; the caller decides
-    whether to halve the step.  A converged solve with nonpositive
-    temperature is also reported as an error: the scheme is supposed to
-    preserve positivity on its own, so a violation at finite dt is a
-    diagnostic, not a repair site.
+    Newton stops when the residual falls below ``newton_tol`` relative to
+    its start, or when every cell's residual is within ``ROUNDOFF_ULPS``
+    ulps of the terms that cancel in it: below that floor the residual is
+    rounding noise that no step can lower (Kelley, Iterative Methods for
+    Linear and Nonlinear Equations, SIAM 1995, section 5).
+
+    Raises NumericalError when the damped Newton stalls above the floor;
+    the caller decides whether to halve the step.  A converged solve with
+    nonpositive temperature is also reported as an error: the scheme is
+    supposed to preserve positivity on its own, so a violation at finite dt
+    is a diagnostic, not a repair site.
     """
     t_new = state.t + dt
     load = op.robin_load(t_new)
@@ -227,22 +244,32 @@ def step_theta(model, state, chi_new, b_old, phi_old, phi_new, op, dt, config):
     theta = state.theta.copy()
 
     def residual(th):
-        return eps * th + model.e_ext(th, chi_new) + dt * op.apply(th) - base
+        e = model.e_ext(th, chi_new)
+        return eps * th + e + dt * op.apply(th) - base, e
 
-    f = residual(theta)
-    scale = max(1.0, float(np.max(np.abs(f))))
-    tol = config.newton_tol * scale
+    def at_roundoff(f, th, e):
+        size = eps * np.abs(th) + np.abs(e) + dt * op.apply_abs(th) \
+            + np.abs(base)
+        return bool(np.all(np.abs(f) <= ROUNDOFF_ULPS * _ULP * size))
+
+    f, e = residual(theta)
+    tol = config.newton_tol * max(1.0, float(np.max(np.abs(f))))
     for _ in range(config.newton_cap):
         norm = float(np.max(np.abs(f)))
-        if norm <= tol:
+        if norm <= tol or at_roundoff(f, theta, e):
             break
-        jac = diags(eps + model.cv_ext(theta, chi_new)) + dt * op.matrix
-        delta = spsolve(jac.tocsr(), -f)
+        try:
+            delta = solveh_banded(
+                op.banded(eps + model.cv_ext(theta, chi_new), dt), -f,
+                overwrite_ab=True)
+        except LinAlgError as exc:
+            raise NumericalError(
+                f"temperature step at t={state.t:.6g}: Newton matrix not "
+                f"positive definite ({exc})") from exc
         step_size = 1.0
-        f2 = None
         while step_size >= 2.0 ** -30:
             cand = theta + step_size * delta
-            f2 = residual(cand)
+            f2, e2 = residual(cand)
             if float(np.max(np.abs(f2))) <= (1.0 - 1e-4 * step_size) * norm:
                 break
             step_size *= 0.5
@@ -250,8 +277,8 @@ def step_theta(model, state, chi_new, b_old, phi_old, phi_new, op, dt, config):
             raise NumericalError(
                 f"temperature step stalled at t={state.t:.6g}: residual "
                 f"{norm:.3e} not reducible along the Newton direction")
-        theta = theta + step_size * delta
-        f = f2
+        theta = cand
+        f, e = f2, e2
     else:
         raise NumericalError(
             f"temperature step exceeded {config.newton_cap} Newton "
@@ -316,7 +343,7 @@ def run(components: RunComponents):
     # obeys the forcing bound alone: |xi| <= C_ell
     c_bound = bound_C_ell(model, coupling.c_b, config.rho)
 
-    n_steps = int(math.ceil(config.horizon / config.dt - 1e-12))
+    n_steps = config.n_steps
     lag = LagTracker(config.lag_mode, config.lag_window, theta0, chi0)
     state = State(theta0, chi0, np.zeros_like(chi0), 0.0)
 

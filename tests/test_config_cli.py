@@ -92,15 +92,20 @@ def test_records_csv_round_trip(tmp_path):
 def test_trajectory_round_trip(tmp_path):
     from conftest import two_phase_components
 
-    comp = two_phase_components(cells=8, horizon=0.05, dt=0.01)
-    traj = run(comp)
-    write_trajectory(tmp_path, traj, comp.grid.cells)
-    back = read_trajectory(tmp_path, comp)
-    assert np.array_equal(back.thetas[-1], traj.thetas[-1])
-    assert np.array_equal(back.chis[-1], traj.chis[-1])
-    assert np.array_equal(back.xis[-1], traj.xis[-1])
-    assert np.array_equal(back.records["total_entropy"],
-                          traj.records["total_entropy"])
+    for cadence in (1, 2):
+        comp = two_phase_components(cells=8, horizon=0.05, dt=0.01,
+                                    cadence=cadence)
+        traj = run(comp)
+        out = tmp_path / f"cadence{cadence}"
+        write_trajectory(out, traj, comp.grid.cells)
+        back = read_trajectory(out, comp)
+        assert np.array_equal(back.times, traj.times)
+        assert back.cadence == cadence
+        assert np.array_equal(back.thetas[-1], traj.thetas[-1])
+        assert np.array_equal(back.chis[-1], traj.chis[-1])
+        assert np.array_equal(back.xis[-1], traj.xis[-1])
+        assert np.array_equal(back.records["total_entropy"],
+                              traj.records["total_entropy"])
 
 
 def write_cfg(tmp_path, extra=""):
@@ -138,6 +143,50 @@ def test_cli_verify_catches_tampering(tmp_path, capsys):
     (out / "records.csv").write_text("\n".join(rec) + "\n")
     assert main(["verify", str(out)]) == 3
     assert "check selection: FAIL" in capsys.readouterr().out
+
+
+def delete_middle_snapshot(out):
+    (out / "snap_000002.nlpf").unlink()
+
+
+def delete_last_snapshot(out):
+    (out / "snap_000005.nlpf").unlink()
+
+
+def _edit_records(out, edit):
+    path = out / "records.csv"
+    path.write_text("".join(edit(path.read_text().splitlines(True))))
+
+
+def drop_last_record(out):
+    _edit_records(out, lambda lines: lines[:-1])
+
+
+def truncate_record_line(out):
+    _edit_records(out, lambda lines: lines[:3] + [lines[3][:20] + "\n"]
+                  + lines[4:])
+
+
+def non_numeric_record(out):
+    _edit_records(out, lambda lines: lines[:2]
+                  + [lines[2].replace(",", ",x", 1)] + lines[3:])
+
+
+def header_only_records(out):
+    _edit_records(out, lambda lines: lines[:1])
+
+
+@pytest.mark.parametrize("tamper", [
+    delete_middle_snapshot, delete_last_snapshot, drop_last_record,
+    truncate_record_line, non_numeric_record, header_only_records])
+def test_cli_verify_rejects_broken_trajectory(tmp_path, capsys, tamper):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
+    tamper(out)
+    assert main(["verify", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def run_robin_average(tmp_path):

@@ -211,7 +211,7 @@ def test_generic_identities():
 
 
 def test_generic_check_catches_unbalanced_row(monkeypatch):
-    """Scaling one row of the conduction matrix keeps every row sum zero,
+    """Scaling one row of the conduction operator keeps every row sum zero,
     so constants are still annihilated, but the volume-weighted total of
     A theta no longer vanishes: the check must fail."""
     from nlpf import diagnostics
@@ -223,9 +223,14 @@ def test_generic_check_catches_unbalanced_row(monkeypatch):
 
     def unbalanced(*args):
         op = real(*args)
-        op.matrix = op.matrix.tolil()
-        op.matrix[3] = 2.0 * op.matrix[3]
-        op.matrix = op.matrix.tocsr()
+        balanced = op.apply
+
+        def apply(theta):
+            out = balanced(theta)
+            out[3] *= 2.0
+            return out
+
+        op.apply = apply
         return op
 
     monkeypatch.setattr(diagnostics, "conduction_operator", unbalanced)

@@ -1,12 +1,14 @@
 """Time stepping: the two half-steps, lag tracking, and full runs."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 import nlpf.stepper as stepper
+from nlpf.config import build_components, parse_config_text, resolve_config
 from nlpf.convex import IndicatorBox
 from nlpf.errors import ConfigError, ModeError, NumericalError
 from nlpf.geometry import BoundaryData, build_grid
@@ -114,8 +116,11 @@ def test_step_theta_single_cell_robin():
         else:
             lo = mid
     assert theta_new[0] == pytest.approx(lo, abs=1e-12)
-    # the operator used inside the Newton solve
-    assert op.matrix.shape == (1, 1)
+    # the operator used inside the Newton solve: no interior face, and
+    # both end faces exchange through the one cell
+    assert op.trans.shape == (0,)
+    assert op.robin.tolist() == [2.0]
+    assert op.banded(np.ones(1), 0.05).tolist() == [[1.1]]
 
 
 def test_step_theta_positivity_guard():
@@ -228,3 +233,29 @@ def test_cadence_thins_snapshots():
     assert traj.records.shape[0] == 10
     assert len(traj.times) == 3       # t = 0, 0.05 and the final state
     assert traj.cadence == 5
+
+
+def default_physics(**overrides):
+    """configs/default.cfg with some keys replaced, as run components."""
+    default = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    values = parse_config_text(default.read_text())
+    values.update(overrides)
+    return build_components(resolve_config(values))[0]
+
+
+@pytest.mark.parametrize("cells", [256, 1024])
+def test_default_physics_fine_bar_never_halves(cells):
+    """Newton stops at the round-off floor instead of stalling on it; a
+    relative tolerance of 1e-14 alone is out of reach at these sizes."""
+    traj = run(default_physics(**{"grid.cells": str(cells),
+                                  "solver.horizon": "0.01"}))
+    assert traj.rejections == 0
+
+
+def test_default_physics_128_squared_step_never_halves():
+    traj = run(default_physics(**{"grid.dim": "2",
+                                  "grid.lengths": "1.0,1.0",
+                                  "grid.cells": "128,128",
+                                  "solver.horizon": "0.001"}))
+    assert traj.records.size == 1
+    assert traj.rejections == 0
