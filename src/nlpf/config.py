@@ -23,7 +23,6 @@ from .thermo import MODEL_REGISTRY, build_model, validate_model
 # kind tags: b bool, i int, f float, s string, F float list, I int list,
 # rho is float-or-"auto"
 _SCHEMA = {
-    "seed": ("i", 20260819),
     "grid.dim": ("i", 1),
     "grid.lengths": ("F", [1.0]),
     "grid.cells": ("I", [32]),

@@ -207,20 +207,15 @@ def inclusion_solve(problem: InclusionProblem, potential,
 @dataclass
 class InclusionGapReport:
     sup_distance: float
-    deriv_l1_distance: float
-    data_distance: float
     lip_constant: float
-    cdg_constant: float
 
 
 def dependence_gap(tr1: InclusionTrajectory, tr2: InclusionTrajectory) -> InclusionGapReport:
-    """Measure both trajectory gaps against the data gap and report the
-    smallest multiplicative constants closing the stability bounds.
+    """Measure the trajectory gap against the data gap and report the
+    smallest multiplicative constant closing the stability bound.
 
     ``lip_constant`` closes |z1 - z2|(t) <= |z01 - z02| + L * integral of
-    (|1/a1 - 1/a2| + |g1 - g2|); ``cdg_constant`` closes the strengthened
-    form with the L1 norm of the rate gap added on the left and the initial
-    gap folded into the right side.
+    (|1/a1 - 1/a2| + |g1 - g2|).
     """
     if tr1.t.shape != tr2.t.shape or not np.allclose(tr1.t, tr2.t):
         raise ConfigError("dependence_gap requires matching time grids")
@@ -228,31 +223,16 @@ def dependence_gap(tr1: InclusionTrajectory, tr2: InclusionTrajectory) -> Inclus
     diff = np.linalg.norm(tr1.zeta - tr2.zeta, axis=-1)
     init_gap = float(diff[0])
     sup_distance = float(np.max(diff))
-    rate_gap = np.linalg.norm(tr1.rates() - tr2.rates(), axis=-1)
-    deriv_l1 = float(np.sum(rate_gap) * dt)
 
     data_rate = np.abs(1.0 / tr1.alpha - 1.0 / tr2.alpha) + np.linalg.norm(
         tr1.g - tr2.g, axis=-1)
     data_cum = np.concatenate([[0.0], np.cumsum(data_rate) * dt])
-    data_distance = float(init_gap + data_cum[-1])
 
     lip = 0.0
     for k in range(1, diff.shape[0]):
         if data_cum[k] > 1e-300:
             lip = max(lip, (diff[k] - init_gap) / data_cum[k])
-    cdg = 0.0
-    rate_cum = np.concatenate([[0.0], np.cumsum(rate_gap) * dt])
-    for k in range(1, diff.shape[0]):
-        rhs = init_gap + data_cum[k]
-        if rhs > 1e-300:
-            cdg = max(cdg, (rate_cum[k] + diff[k]) / rhs)
-    return InclusionGapReport(
-        sup_distance=sup_distance,
-        deriv_l1_distance=deriv_l1,
-        data_distance=data_distance,
-        lip_constant=lip,
-        cdg_constant=cdg,
-    )
+    return InclusionGapReport(sup_distance=sup_distance, lip_constant=lip)
 
 
 def derivative_convergence(problems: Sequence[InclusionProblem],

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import ConfigError, ModeError
 from .stepper import (LagTracker, RunComponents, cell_budget,
-                      conduction_operator, entropy_residual, phase_source, run)
+                      conduction_operator, entropy_residual, phase_source,
+                      rhs_ell, run, selection)
 from .thermo import generic_coefficients, truncated_entropy_gradient
 
 
@@ -153,11 +154,27 @@ class LowerBoundReport:
         return self.min_margin >= 0.0
 
 
-def measured_forcing_bound(traj, model, rho) -> float:
-    """Largest |sigma' - s_chi^rho + xi| seen along the trajectory."""
+def measured_forcing_bound(components, traj) -> float:
+    """Largest |sigma' - s_chi^rho + xi| seen along the trajectory.
+
+    The selection xi is the residual of each proximal step, rebuilt from
+    consecutive snapshots with the run's step size, so every step must be
+    stored; it is zero at the initial state.
+    """
+    _dense(traj, "measured forcing bound")
+    model, config = components.model, components.config
+    rho = config.rho
+    b_olds = components.coupling.b_field(traj.chis[:-1])
     worst = 0.0
     for n in range(len(traj.times)):
-        th, ch, xi = traj.thetas[n], traj.chis[n], traj.xis[n]
+        th, ch = traj.thetas[n], traj.chis[n]
+        if n == 0:
+            xi = 0.0
+        else:
+            alpha, g = rhs_ell(model, traj.thetas[n - 1], traj.chis[n - 1],
+                               b_olds[n - 1], rho)
+            xi = selection(traj.chis[n - 1], ch, alpha, g,
+                           config.step_size(traj.times[n - 1]))
         vec = model.sig_p(ch) - truncated_entropy_gradient(model, th, ch, rho) \
             + xi
         worst = max(worst, float(np.max(np.linalg.norm(vec, axis=-1))))
@@ -175,7 +192,7 @@ def _ode_rhs(model, rho, R):
     return f
 
 
-def lower_bound_ode(traj, model, config, forcing_bound=None, substep=None):
+def lower_bound_ode(components, traj, forcing_bound=None, substep=None):
     """Integrate the comparison ODE c~(w) w' = -R^2 w^2 / (4 mu_rho(w)).
 
     The solution started at the initial minimum temperature must stay below
@@ -185,7 +202,8 @@ def lower_bound_ode(traj, model, config, forcing_bound=None, substep=None):
     slack; when the model knows a closed-form solution the report carries the
     comparison.
     """
-    R = measured_forcing_bound(traj, model, config.rho) \
+    model, config = components.model, components.config
+    R = measured_forcing_bound(components, traj) \
         if forcing_bound is None else float(forcing_bound)
     w0 = float(np.min(traj.thetas[0]))
     h_cap = (config.dt / 4.0) if substep is None else float(substep)
@@ -583,7 +601,7 @@ def run_checks(components: RunComponents, traj, names=DEFAULT_CHECKS):
             ok = worst <= 1e-11
             detail = f"max residual {worst:.3e}"
         elif name == "lower":
-            rep = lower_bound_ode(traj, model, config)
+            rep = lower_bound_ode(components, traj)
             ok = rep.holds
             detail = (f"min margin {rep.min_margin:.3e} at measured "
                       f"R {rep.measured_R:.4f}")

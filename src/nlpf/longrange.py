@@ -33,22 +33,6 @@ from .geometry import Grid
 # pair interaction G
 
 
-class QuadraticG:
-    """G(z) = |z|^2 / 2, the classical Ginzburg-Landau pair term."""
-
-    def __init__(self):
-        self.coeffs = np.array([0.5])  # c[k-1] multiplies |z|^(2k)
-
-    def value(self, z: np.ndarray) -> np.ndarray:
-        return 0.5 * np.sum(np.square(z), axis=-1)
-
-    def grad(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z, dtype=float)
-
-    def sup_grad_norm(self, radius: float) -> float:
-        return float(radius)
-
-
 class EvenPolynomialG:
     """G(z) = sum_k c_k |z|^(2k), k >= 1; even and smooth by construction."""
 
@@ -76,6 +60,11 @@ class EvenPolynomialG:
         s = radius * radius
         return float(sum(2.0 * k * abs(c) * s ** (k - 1) for k, c in
                          enumerate(self.coeffs, start=1)) * radius)
+
+
+def QuadraticG():
+    """G(z) = |z|^2 / 2, the classical Ginzburg-Landau pair term."""
+    return EvenPolynomialG([0.5])
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,6 @@ class SolverConfig:
     lag_window: int = 1
     newton_tol: float = 1e-14
     newton_cap: int = 60
-    prox_tol: float = 1e-9
     cadence: int = 1
     max_halvings: int = 5
 
@@ -92,13 +91,16 @@ class SolverConfig:
         """Nominal steps to the horizon; the last one may be shorter."""
         return int(math.ceil(self.horizon / self.dt - 1e-12))
 
+    def step_size(self, t: float) -> float:
+        """Nominal step from time t: dt, cut short at the horizon."""
+        return min(self.dt, self.horizon - t)
+
 
 @dataclass
 class Trajectory:
     times: np.ndarray          # (S,)
     thetas: np.ndarray         # (S, M)
     chis: np.ndarray           # (S, M, d)
-    xis: np.ndarray            # (S, M, d) recomputable, kept for convenience
     records: np.ndarray        # structured, one row per completed step
     cadence: int
     rejections: int = 0
@@ -169,8 +171,13 @@ def step_chi(potential, chi, alpha, g, dt):
     """One implicit proximal step; returns (chi', xi') with xi' the selection."""
     z = chi + (dt / alpha)[:, None] * g
     chi_new = potential.prox(z, alpha / dt)
-    xi_new = g - alpha[:, None] * (chi_new - chi) / dt
-    return chi_new, xi_new
+    return chi_new, selection(chi, chi_new, alpha, g, dt)
+
+
+def selection(chi_old, chi_new, alpha, g, dt):
+    """Selection xi' = g - alpha (chi' - chi)/dt of the subdifferential at
+    chi'; prox optimality puts it there."""
+    return g - alpha[:, None] * (chi_new - chi_old) / dt
 
 
 def _phi_cellwise(potential, chi):
@@ -347,8 +354,7 @@ def run(components: RunComponents):
     lag = LagTracker(config.lag_mode, config.lag_window, theta0, chi0)
     state = State(theta0, chi0, np.zeros_like(chi0), 0.0)
 
-    snap_t, snap_th, snap_chi, snap_xi = [0.0], [theta0.copy()], [chi0.copy()], \
-        [np.zeros_like(chi0)]
+    snap_t, snap_th, snap_chi = [0.0], [theta0.copy()], [chi0.copy()]
     records = np.zeros(n_steps, dtype=_RECORD_DTYPE)
     rejections = 0
 
@@ -384,7 +390,7 @@ def run(components: RunComponents):
     fields = coupling.b_field(chi0, full=True)
     _, S_prev = cell_budget(model, potential, theta0, chi0, fields.B)
     for step in range(n_steps):
-        dt = min(config.dt, config.horizon - state.t)
+        dt = config.step_size(state.t)
         op = conduction_operator(grid, model, boundary, *lag.bar())
         prev_fields = fields
         state, fields = advance(state, fields, dt, op, 0)
@@ -409,12 +415,10 @@ def run(components: RunComponents):
             snap_t.append(state.t)
             snap_th.append(state.theta.copy())
             snap_chi.append(state.chi.copy())
-            snap_xi.append(state.xi.copy())
 
     return Trajectory(times=np.asarray(snap_t),
                       thetas=np.asarray(snap_th),
                       chis=np.asarray(snap_chi),
-                      xis=np.asarray(snap_xi),
                       records=records,
                       cadence=config.cadence,
                       rejections=rejections)

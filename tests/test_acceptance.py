@@ -113,7 +113,7 @@ def test_acceptance_4_lower_bound(term):
                                 uniqueness=True)
     start = time.monotonic()
     traj = run(comp)
-    rep = lower_bound_ode(traj, comp.model, comp.config)
+    rep = lower_bound_ode(comp, traj)
     elapsed = time.monotonic() - start
     ok = (rep.holds and rep.min_margin >= 0.0
           and rep.closed_form_max_diff <= 1e-8 and elapsed < 10.0)

@@ -1,6 +1,10 @@
-"""Config files, binary snapshots, record tables, and the command line."""
+"""Config files, the binary trajectory, record tables, and the command
+line."""
 
+import re
+import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,12 +12,12 @@ import pytest
 from nlpf.cli import main
 from nlpf.config import (build_components, load_config, parse_config_text,
                          render_manifest, resolve_config)
-from nlpf.diagnostics import entropy_production
+from nlpf.diagnostics import entropy_production, measured_forcing_bound
 from nlpf.errors import ConfigError
-from nlpf.snapshots import (read_records_csv, read_snapshot, read_trajectory,
-                            write_records_csv, write_snapshot,
-                            write_trajectory)
-from nlpf.stepper import run
+from nlpf.geometry import build_grid
+from nlpf.snapshots import (read_records_csv, read_trajectory,
+                            write_records_csv, write_trajectory)
+from nlpf.stepper import _RECORD_DTYPE, SolverConfig, Trajectory, run
 
 
 def test_parse_rejects_garbage():
@@ -46,34 +50,62 @@ def test_manifest_round_trip_is_stable():
     assert keys == sorted(keys)
 
 
-def test_snapshot_round_trip(tmp_path):
+def header_bytes(dim):
+    return 8 + 8 * dim
+
+
+def frame_bytes(n_cells, d):
+    return 8 * (1 + n_cells * (1 + d))
+
+
+def stored_trajectory(out, cells=12, d=2):
+    """Three random frames, two steps of 0.125 apart, stored in ``out``;
+    returns them with stand-in components that match the stored grid."""
     rng = np.random.default_rng(5)
-    theta = 1.0 + rng.random(12)
-    chi = rng.random((12, 2))
-    path = tmp_path / "snap_000000.nlpf"
-    write_snapshot(path, (12,), 0.125, theta, chi)
-    cells, t, th2, ch2 = read_snapshot(path)
-    assert cells == (12,)
-    assert t == 0.125
-    assert np.array_equal(th2, theta)
-    assert np.array_equal(ch2, chi)
+    records = np.zeros(2, dtype=_RECORD_DTYPE)
+    records["t"] = [0.125, 0.25]
+    traj = Trajectory(times=np.array([0.0, 0.125, 0.25]),
+                      thetas=1.0 + rng.random((3, cells)),
+                      chis=rng.random((3, cells, d)), records=records,
+                      cadence=1)
+    comp = SimpleNamespace(grid=build_grid(1, [1.0], [cells]),
+                           model=SimpleNamespace(d=d),
+                           config=SolverConfig(dt=0.125, horizon=0.25))
+    write_trajectory(out, traj, (cells,))
+    return traj, comp
+
+
+def test_snapshot_round_trip(tmp_path):
+    traj, comp = stored_trajectory(tmp_path)
+    raw = (tmp_path / "trajectory.nlpf").read_bytes()
+    assert raw[:8] == b"NLPF1" + bytes([2, 1, 2])
+    assert struct.unpack_from("<Q", raw, 8) == (12,)
+    assert len(raw) == header_bytes(1) + 3 * frame_bytes(12, 2)
+    back = read_trajectory(tmp_path, comp)
+    assert back.times[1] == 0.125
+    assert np.array_equal(back.times, traj.times)
+    assert np.array_equal(back.thetas, traj.thetas)
+    assert np.array_equal(back.chis, traj.chis)
 
 
 def test_snapshot_rejects_corruption(tmp_path):
-    theta = np.ones(4)
-    chi = np.full((4, 1), 0.5)
-    path = tmp_path / "snap_000000.nlpf"
-    write_snapshot(path, (4,), 0.0, theta, chi)
-    raw = bytearray(path.read_bytes())
-    raw[0] = ord("X")
-    bad = tmp_path / "bad.nlpf"
-    bad.write_bytes(bytes(raw))
-    with pytest.raises(ConfigError):
-        read_snapshot(bad)
-    trunc = tmp_path / "trunc.nlpf"
-    trunc.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ConfigError):
-        read_snapshot(trunc)
+    _, comp = stored_trajectory(tmp_path)
+    path = tmp_path / "trajectory.nlpf"
+    good = path.read_bytes()
+    tamperings = {
+        "bad magic": b"X" + good[1:],
+        "version 1": good[:5] + bytes([1]) + good[6:],
+        "d=1": good[:7] + bytes([1]) + good[8:],
+        "cells=(13,)": good[:8] + struct.pack("<Q", 13) + good[16:],
+        "whole number": good[:-1],
+        "2 frames, expected 3": good[:-frame_bytes(12, 2)],
+    }
+    for message, raw in tamperings.items():
+        path.write_bytes(raw)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            read_trajectory(tmp_path, comp)
+    path.write_bytes(good)
+    read_trajectory(tmp_path, comp)
 
 
 def test_records_csv_round_trip(tmp_path):
@@ -103,7 +135,12 @@ def test_trajectory_round_trip(tmp_path):
         assert back.cadence == cadence
         assert np.array_equal(back.thetas[-1], traj.thetas[-1])
         assert np.array_equal(back.chis[-1], traj.chis[-1])
-        assert np.array_equal(back.xis[-1], traj.xis[-1])
+        if cadence == 1:
+            assert measured_forcing_bound(comp, back) \
+                == measured_forcing_bound(comp, traj)
+        else:
+            with pytest.raises(ConfigError):
+                measured_forcing_bound(comp, back)
         assert np.array_equal(back.records["total_entropy"],
                               traj.records["total_entropy"])
 
@@ -122,8 +159,8 @@ def test_cli_run_verify_cycle(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    assert (out / "manifest.cfg").exists()
-    assert (out / "records.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.cfg", "records.csv", "trajectory.nlpf"]
     assert main(["verify", str(out)]) == 0
     text = capsys.readouterr().out
     assert "check energy: PASS" in text
@@ -145,12 +182,21 @@ def test_cli_verify_catches_tampering(tmp_path, capsys):
     assert "check selection: FAIL" in capsys.readouterr().out
 
 
+def _drop_frame(out, index):
+    """Cut frame ``index`` out of the 16-cell, d = 1 trajectory of
+    write_cfg."""
+    path = out / "trajectory.nlpf"
+    raw = path.read_bytes()
+    start = header_bytes(1) + index * frame_bytes(16, 1)
+    path.write_bytes(raw[:start] + raw[start + frame_bytes(16, 1):])
+
+
 def delete_middle_snapshot(out):
-    (out / "snap_000002.nlpf").unlink()
+    _drop_frame(out, 2)
 
 
 def delete_last_snapshot(out):
-    (out / "snap_000005.nlpf").unlink()
+    _drop_frame(out, 5)
 
 
 def _edit_records(out, edit):
@@ -189,6 +235,16 @@ def test_cli_verify_rejects_broken_trajectory(tmp_path, capsys, tamper):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_verify_lower_needs_every_step(tmp_path, capsys):
+    """The lower check rebuilds each step's selection, which a run stored
+    at cadence 2 does not allow."""
+    cfg = write_cfg(tmp_path, "output.cadence = 2\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["verify", str(out), "--checks", "lower"]) == 2
+    assert "cadence 2" in capsys.readouterr().err
+
+
 def run_robin_average(tmp_path):
     """configs/default.cfg on a Robin bar with the interval-average lag."""
     default = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
@@ -224,10 +280,13 @@ def flip_lag_mode(out):
 
 
 def perturb_snapshot_cell(out):
-    path = out / "snap_000010.nlpf"
-    cells, t, theta, chi = read_snapshot(path)
-    theta[7] += 1e-3
-    write_snapshot(path, cells, t, theta, chi)
+    """Raise theta in cell 7 of frame 10 of the 32-cell run_robin_average."""
+    path = out / "trajectory.nlpf"
+    raw = bytearray(path.read_bytes())
+    at = header_bytes(1) + 10 * frame_bytes(32, 1) + 8 + 7 * 8
+    (theta,) = struct.unpack_from("<d", raw, at)
+    struct.pack_into("<d", raw, at, theta + 1e-3)
+    path.write_bytes(bytes(raw))
 
 
 @pytest.mark.parametrize("mutate, check", [(flip_lag_mode, "entropy"),

@@ -76,7 +76,7 @@ def test_entropy_equilibrium_is_exact():
 
 def test_lower_bound_holds(short_run):
     comp, traj = short_run
-    rep = lower_bound_ode(traj, comp.model, comp.config)
+    rep = lower_bound_ode(comp, traj)
     assert rep.holds
     assert rep.min_margin >= 0.0
     assert rep.measured_R > 0.0
@@ -88,7 +88,7 @@ def test_lower_bound_synthetic_decay():
     exp(-1) whatever path the integrator takes."""
     comp = two_phase_components(cells=4, horizon=1.0, dt=0.05)
     traj = run(comp)
-    rep = lower_bound_ode(traj, comp.model, comp.config, forcing_bound=2.0)
+    rep = lower_bound_ode(comp, traj, forcing_bound=2.0)
     assert rep.w0 == pytest.approx(float(np.min(traj.thetas[0])))
     idx = np.argmin(np.abs(traj.records["t"] - 1.0))
     assert traj.records["t"][idx] == pytest.approx(1.0, abs=1e-12)
@@ -98,7 +98,7 @@ def test_lower_bound_synthetic_decay():
 
 def test_measured_forcing_bound_positive(short_run):
     comp, traj = short_run
-    R = measured_forcing_bound(traj, comp.model, comp.config.rho)
+    R = measured_forcing_bound(comp, traj)
     assert 0.0 < R < 10.0
 
 
