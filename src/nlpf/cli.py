@@ -84,6 +84,8 @@ def _cmd_verify(args) -> int:
 
     names = DEFAULT_CHECKS if args.checks == "default" \
         else tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
+    if not names:
+        raise ConfigError(f"--checks '{args.checks}' names no check")
     outcomes = run_checks(components, traj, names)
 
     report = os.path.join(args.trajectory_dir, "verify_report.csv")

@@ -6,7 +6,9 @@ different process) and must reproduce the stepper's own bookkeeping exactly.
 Covered: the energy budget, entropy monotonicity and its local residual, the
 two-sided temperature envelopes, truncation inactivity, continuous
 dependence on the data, the algebraic identities of the dissipative
-operator, and a Kirchhoff-transform regularity functional.
+operator, and a Kirchhoff-transform regularity functional.  Every check of
+a trajectory takes the run's components and the trajectory,
+``(components, traj)``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class EnergyBudgetReport:
         return self.drift / self.scale
 
 
-def energy_budget(traj, grid, model, potential, coupling, boundary, config):
+def energy_budget(components, traj):
     """Per-step closure of the total energy balance.
 
     With insulated boundaries every residual is a pure Taylor remainder of
@@ -57,9 +59,11 @@ def energy_budget(traj, grid, model, potential, coupling, boundary, config):
     than the step (cadence > 1) still close the budget between stored states
     but smear the per-step attribution; the report flags that.
     """
-    eps = config.eps_reg
+    grid, model = components.grid, components.model
+    potential, boundary = components.potential, components.boundary
+    eps = components.config.eps_reg
     times = traj.times
-    Bs = coupling.B_field(traj.chis)
+    Bs = components.coupling.B_field(traj.chis)
     totals = np.empty(len(times))
     for n, (theta, chi) in enumerate(zip(traj.thetas, traj.chis)):
         E_cell, _ = cell_budget(model, potential, theta, chi, Bs[n])
@@ -92,8 +96,7 @@ class EntropyReport:
         return self.cell_residual_min >= -self.tolerance
 
 
-def entropy_production(traj, grid, model, potential, coupling, boundary,
-                       config):
+def entropy_production(components, traj):
     """Local and global entropy checks along the trajectory.
 
     The flux pairing <q, grad theta> is nonpositive face by face because the
@@ -107,6 +110,9 @@ def entropy_production(traj, grid, model, potential, coupling, boundary,
     accepted states.
     """
     _dense(traj, "entropy production")
+    grid, model = components.grid, components.model
+    potential, boundary = components.potential, components.boundary
+    config = components.config
     times = traj.times
     # the entropy does not involve B, so the energy part is left at B = 0
     S_cells = [cell_budget(model, potential, theta, chi, 0.0)[1]
@@ -249,19 +255,21 @@ class UpperEnvelopeReport:
         return self.min_margin >= 0.0
 
 
-def upper_envelope(traj, grid, model, potential, coupling, boundary, config):
+def upper_envelope(components, traj):
     """Affine barrier v(t) = v0 + n M t for the regularized scheme.
 
     The (1/n) theta_t term alone caps the growth rate by n times the largest
     phase source magnitude M, so the computed maximum must stay below the
     barrier.  Meaningless without regularization (n_reg = 0 raises).
     """
+    model, potential = components.model, components.potential
+    boundary, config = components.boundary, components.config
     if config.n_reg == 0:
         raise ModeError("upper envelope requires the regularized scheme "
                         "(n_reg >= 1)")
     _dense(traj, "upper envelope")
     times = traj.times
-    b_olds = coupling.b_field(traj.chis[:-1])
+    b_olds = components.coupling.b_field(traj.chis[:-1])
     phis = [potential.phi(chi) for chi in traj.chis]
     M = 0.0
     for n in range(len(times) - 1):
@@ -285,20 +293,11 @@ def upper_envelope(traj, grid, model, potential, coupling, boundary, config):
 @dataclass
 class CalibrationResult:
     rho_star: float
-    c_star: float
-    dim: int
     evaluations: int
 
 
 def moser_exponent(dim: int) -> int:
     return 4 + 2 * dim
-
-
-def fit_moser_constant(traj, config, dim: int) -> float:
-    """Smallest C* making sup theta <= C* (1 + log rho)^(4+2N) along the run."""
-    sup = float(np.max(traj.records["max_theta"]))
-    sup = max(sup, float(np.max(traj.thetas[0])))
-    return sup / (1.0 + math.log(config.rho)) ** moser_exponent(dim)
 
 
 CALIBRATION_REL_WIDTH = 1e-3
@@ -315,6 +314,8 @@ def calibrate_rho(c_star: float, dim: int):
     """
     if c_star <= 0:
         raise ConfigError("Moser constant must be positive")
+    if dim not in (1, 2):
+        raise ConfigError(f"spatial dimension must be 1 or 2, got {dim}")
     p = moser_exponent(dim)
     evals = 0
 
@@ -324,7 +325,7 @@ def calibrate_rho(c_star: float, dim: int):
         return c_star * (1.0 + math.log(rho)) ** p <= rho / 2.0
 
     if ok(1.0):
-        return CalibrationResult(1.0, c_star, dim, evals)
+        return CalibrationResult(1.0, evals)
     lo, hi = 1.0, 2.0
     while not ok(hi):
         lo = hi
@@ -338,7 +339,7 @@ def calibrate_rho(c_star: float, dim: int):
             hi = mid
         else:
             lo = mid
-    return CalibrationResult(hi, c_star, dim, evals)
+    return CalibrationResult(hi, evals)
 
 
 @dataclass
@@ -525,7 +526,7 @@ class RegularityReport:
     kirchhoff_h1_max: float    # largest gradient energy of K(theta)
 
 
-def regularity_indicator(traj, grid, model, config):
+def regularity_indicator(components, traj):
     """Quantities whose boundedness the refined estimates assert.
 
     Sum over steps of dt ||(theta' - theta)/dt||^2 plus the largest discrete
@@ -535,6 +536,7 @@ def regularity_indicator(traj, grid, model, config):
     from .stepper import kirchhoff
 
     _dense(traj, "regularity indicator")
+    grid, model = components.grid, components.model
     w = grid.volumes
     times = traj.times
     rate = 0.0
@@ -567,14 +569,11 @@ KNOWN_CHECKS = DEFAULT_CHECKS + OPTIONAL_CHECKS
 
 def run_checks(components: RunComponents, traj, names=DEFAULT_CHECKS):
     """Evaluate named invariants against a finished run."""
-    grid, model = components.grid, components.model
-    potential, coupling = components.potential, components.coupling
-    boundary, config = components.boundary, components.config
+    boundary = components.boundary
     out = []
     for name in names:
         if name == "energy":
-            rep = energy_budget(traj, grid, model, potential, coupling,
-                                boundary, config)
+            rep = energy_budget(components, traj)
             if boundary.is_insulated:
                 ok = rep.relative_drift <= 1e-6
                 detail = f"relative drift {rep.relative_drift:.3e}"
@@ -585,8 +584,7 @@ def run_checks(components: RunComponents, traj, names=DEFAULT_CHECKS):
             if rep.coarse:
                 detail += " (coarse snapshots)"
         elif name == "entropy":
-            rep = entropy_production(traj, grid, model, potential, coupling,
-                                     boundary, config)
+            rep = entropy_production(components, traj)
             ok = rep.monotone and rep.local_ok \
                 and rep.face_pairing_max <= 0.0
             detail = (f"global defect min {rep.global_defect_min:.3e}, "
@@ -611,18 +609,18 @@ def run_checks(components: RunComponents, traj, names=DEFAULT_CHECKS):
             detail = (f"max diffs {rep.max_theta_diff:.3e}/"
                       f"{rep.max_chi_diff:.3e}")
         elif name == "generic":
-            rep = generic_check(model, grid, boundary, coupling)
+            rep = generic_check(components.model, components.grid, boundary,
+                                components.coupling)
             ok = rep.ok()
             detail = (f"identity {rep.identity_max:.3e}, degeneracy "
                       f"{rep.degeneracy_max:.3e}, conduction "
                       f"{rep.conduction_null:.3e}")
         elif name == "envelope":
-            rep = upper_envelope(traj, grid, model, potential, coupling,
-                                 boundary, config)
+            rep = upper_envelope(components, traj)
             ok = rep.holds
             detail = f"min margin {rep.min_margin:.3e}"
         elif name == "regularity":
-            rep = regularity_indicator(traj, grid, model, config)
+            rep = regularity_indicator(components, traj)
             ok = math.isfinite(rep.rate_l2_sq) \
                 and math.isfinite(rep.kirchhoff_h1_max)
             detail = (f"rate L2^2 {rep.rate_l2_sq:.3e}, K gradient max "

@@ -406,7 +406,6 @@ def local_limit_nu(kappa_tilde: Callable[[float], float], dim: int) -> float:
 @dataclass
 class LocalLimitReport:
     sup_error: float
-    n_interior: int
     nu: float
     resolution_warning: bool
 
@@ -439,5 +438,5 @@ def local_limit_error(grid: Grid, n: int, chi_fn,
     target = nu * np.array([np.sum(np.square(np.asarray(grad_fn(x[i]), float)))
                             for i in idx])
     sup_err = float(np.max(np.abs(pair[idx] - target), initial=0.0))
-    return LocalLimitReport(sup_error=sup_err, n_interior=idx.size, nu=nu,
+    return LocalLimitReport(sup_error=sup_err, nu=nu,
                             resolution_warning=res_warn)

@@ -168,7 +168,14 @@ def rhs_ell(model, theta, chi, b_val, rho):
 
 
 def step_chi(potential, chi, alpha, g, dt):
-    """One implicit proximal step; returns (chi', xi') with xi' the selection."""
+    """One implicit proximal step; returns (chi', xi') with xi' the selection.
+
+    The implicit Euler step of ``alpha chi' + dphi(chi) ni g`` is the
+    proximal map of phi at chi + dt g/alpha; the selection
+    xi' = g - alpha (chi' - chi)/dt lies in the normal cone at chi' and,
+    because chi lies in the set, satisfies the cone bound of the continuous
+    theory: |xi'| <= |g|.  Cells are independent: each row is one inclusion.
+    """
     z = chi + (dt / alpha)[:, None] * g
     chi_new = potential.prox(z, alpha / dt)
     return chi_new, selection(chi, chi_new, alpha, g, dt)

@@ -14,15 +14,21 @@ import math
 import numpy as np
 
 from .config import build_components
-from .convex import (InclusionProblem, IndicatorBox, dependence_gap,
-                     derivative_convergence, inclusion_solve)
+from .convex import IndicatorBox
 from .diagnostics import continuous_dependence
 from .errors import ConfigError, ModeError
 from .longrange import local_limit_error
-from .stepper import RunComponents, SolverConfig, run
+from .stepper import RunComponents, SolverConfig, run, step_chi
 
 STUDY_KINDS = ("dt-refinement", "dependence", "local-limit",
                "inclusion-dependence")
+
+
+def _positive_deltas(resolved):
+    deltas = resolved["study.deltas"]
+    if any(delta <= 0 for delta in deltas):
+        raise ConfigError("study.deltas entries must be positive")
+    return deltas
 
 
 def _weighted_l2(grid, field):
@@ -84,9 +90,10 @@ def dependence(resolved):
     comp, _ = build_components(resolved)
     if not comp.model.k_independent_of_chi:
         raise ModeError("dependence study needs thermo.uniqueness_mode = true")
+    deltas = _positive_deltas(resolved)
     base = run(comp)
     rows = []
-    for delta in resolved["study.deltas"]:
+    for delta in deltas:
         rep = continuous_dependence(comp, delta, base_traj=base)
         rows.append({"delta": delta, "lhs": rep.lhs, "rhs": rep.rhs,
                      "ratio": rep.ratio})
@@ -145,42 +152,53 @@ def local_limit(resolved):
 def inclusion_dependence(resolved):
     """Stability of the scalar inclusion under forcing perturbations.
 
-    A stiff coefficient (alpha around 200) keeps the state in the interior
-    of its box, where the map from forcing to rate is exactly 1/alpha; the
-    study measures (a) the Lipschitz constant of the solution map at two
-    perturbation sizes and two step sizes, which should agree, and (b) the
-    rate-gap decay along forcings g + 1/n approaching g.
+    Each forcing g = 0.5 + shift is one cell of a single state, marched from
+    z = 0.5 over the time interval [0, 1] in the box [0, 1] by
+    ``stepper.step_chi`` with the constant coefficient alpha; cells are independent, so one march per step
+    size covers every forcing.  A stiff alpha (around 200) keeps every cell
+    in the interior of its box, where the map from forcing to rate is
+    exactly 1/alpha.  The study measures (a) the Lipschitz constant
+    max|z_0 - z_delta| / delta of the solution map at each perturbation size
+    and two step sizes, which should agree, and (b) the L2-in-time distance
+    of the rates along forcings g + 1/n to the rate under g, which should
+    decrease like 1/(n alpha).
     """
     alpha = resolved["study.inclusion_alpha"]
     if alpha <= 0:
         raise ConfigError("study.inclusion_alpha must be positive")
     ns = resolved["study.inclusion_ns"]
-    deltas = resolved["study.deltas"]
+    if any(n < 1 for n in ns):
+        raise ConfigError("study.inclusion_ns entries must be >= 1")
+    deltas = _positive_deltas(resolved)
     dt = resolved["solver.dt"]
-    T = 1.0
-    potential = IndicatorBox(np.zeros(1), np.ones(1))
-    z0 = np.array([0.5])
-    bound = 10.0
+    box = IndicatorBox(np.zeros(1), np.ones(1))
+    shifts = np.array([0.0, *deltas, *(1.0 / n for n in ns)])
+    a = np.full(shifts.size, alpha)
+    g = (0.5 + shifts)[:, None]
 
-    def problem(shift):
-        return InclusionProblem(alpha=lambda t: alpha,
-                                g=lambda t, s=shift: np.array([0.5 + s]),
-                                zeta0=z0, C=bound, T=T)
+    def march(step):
+        """Row i is the path of the cell forced by 0.5 + shifts[i]."""
+        n_steps = int(math.ceil(1.0 / step - 1e-12))
+        z = np.empty((shifts.size, n_steps + 1))
+        z[:, 0] = 0.5
+        for k in range(n_steps):
+            z[:, k + 1] = step_chi(box, z[:, k:k + 1], a, g, step)[0][:, 0]
+        return z
 
+    zs = {step: march(step) for step in (dt, dt / 2.0)}
     rows = []
-    for delta in deltas:
-        for step in (dt, dt / 2.0):
-            tr1 = inclusion_solve(problem(0.0), potential, step)
-            tr2 = inclusion_solve(problem(delta), potential, step)
-            rep = dependence_gap(tr1, tr2)
-            lip = rep.sup_distance / delta
+    for i, delta in enumerate(deltas, start=1):
+        for step, z in zs.items():
+            lip = float(np.max(np.abs(z[0] - z[i]))) / delta
             rows.append({"quantity": "lipschitz", "param": delta,
                          "dt": step, "value": lip})
-    distances, monotone = derivative_convergence(
-        [problem(1.0 / n) for n in ns], problem(0.0), potential, dt)
-    for n, d in zip(ns, distances):
+    rates = np.diff(zs[dt], axis=-1) / dt
+    gaps = np.sqrt(np.sum(np.square(rates[1 + len(deltas):] - rates[:1]),
+                          axis=-1) * dt)
+    for n, gap in zip(ns, gaps):
         rows.append({"quantity": "rate_gap", "param": float(n), "dt": dt,
-                     "value": d})
+                     "value": float(gap)})
+    monotone = bool(np.all(np.diff(gaps) <= 1e-12 + 1e-9 * gaps[:-1]))
     rows.append({"quantity": "rate_gap_monotone", "param": float("nan"),
                  "dt": dt, "value": float(monotone)})
     return rows

@@ -58,16 +58,11 @@ def half_dt_run():
     return comp, traj, time.monotonic() - start
 
 
-def unpack(comp):
-    return (comp.grid, comp.model, comp.potential, comp.coupling,
-            comp.boundary, comp.config)
-
-
 def test_acceptance_1_energy(term, main_run, half_dt_run):
     comp, traj, el1 = main_run
     comp2, traj2, el2 = half_dt_run
-    rep1 = energy_budget(traj, *unpack(comp))
-    rep2 = energy_budget(traj2, *unpack(comp2))
+    rep1 = energy_budget(comp, traj)
+    rep2 = energy_budget(comp2, traj2)
     ratio = rep2.relative_drift / rep1.relative_drift
     ok = (rep1.relative_drift <= 1e-6
           and 0.375 <= ratio <= 0.625
@@ -82,8 +77,8 @@ def test_acceptance_1_energy(term, main_run, half_dt_run):
 def test_acceptance_2_entropy(term, main_run, half_dt_run):
     comp, traj, _ = main_run
     comp2, traj2, _ = half_dt_run
-    rep1 = entropy_production(traj, *unpack(comp))
-    rep2 = entropy_production(traj2, *unpack(comp2))
+    rep1 = entropy_production(comp, traj)
+    rep2 = entropy_production(comp2, traj2)
     scale1 = max(1.0, float(np.max(np.abs(traj.records["total_entropy"]))))
     # global production must be nonnegative up to 1e-8 |S|, under both
     # steps, and any negative defect must shrink with the step

@@ -265,8 +265,7 @@ def test_verify_replays_interval_average_lag(tmp_path, capsys):
     assert "check entropy: PASS" in capsys.readouterr().out
     comp, _ = build_components(load_config(out / "manifest.cfg"))
     traj = read_trajectory(out, comp)
-    rep = entropy_production(traj, comp.grid, comp.model, comp.potential,
-                             comp.coupling, comp.boundary, comp.config)
+    rep = entropy_production(comp, traj)
     assert rep.cell_residual_min == pytest.approx(
         float(np.min(traj.records["entropy_residual_min"])), rel=1e-9)
 
@@ -324,6 +323,24 @@ def test_cli_calibrate(capsys):
     assert "rho_star" in text
 
 
+@pytest.mark.parametrize("dim", ["7", "-3", "0"])
+def test_cli_calibrate_rejects_unsupported_dim(capsys, dim):
+    assert main(["calibrate", "1.0", dim]) == 2
+    err = capsys.readouterr()
+    assert "rho_star" not in err.out
+    assert "dimension" in err.err
+
+
+@pytest.mark.parametrize("checks", [",", " , ,", ""])
+def test_cli_verify_rejects_empty_check_list(tmp_path, capsys, checks):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["verify", str(out), "--checks", checks]) == 2
+    assert "names no check" in capsys.readouterr().err
+    assert not (out / "verify_report.csv").exists()
+
+
 def test_cli_study_writes_csv(tmp_path):
     cfg = write_cfg(tmp_path, "study.dt_levels = 2\n")
     out = tmp_path / "study.csv"
@@ -337,6 +354,30 @@ def test_cli_study_writes_csv(tmp_path):
 def test_cli_study_unknown_kind(tmp_path):
     cfg = write_cfg(tmp_path)
     assert main(["study", "nope", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("kind, extra, key", [
+    ("inclusion-dependence", "study.inclusion_ns = 0,10\n",
+     "study.inclusion_ns"),
+    ("inclusion-dependence", "study.inclusion_ns = -2\n",
+     "study.inclusion_ns"),
+    ("inclusion-dependence", "study.deltas = 0.0\n", "study.deltas"),
+    ("inclusion-dependence", "study.deltas = -1e-3\n", "study.deltas"),
+    ("inclusion-dependence", "study.deltas = 1e-3,0.0\n", "study.deltas"),
+    ("dependence", "thermo.uniqueness_mode = true\nstudy.deltas = 0.0\n",
+     "study.deltas"),
+    ("dependence", "thermo.uniqueness_mode = true\nstudy.deltas = -1e-3\n",
+     "study.deltas"),
+], ids=["inclusion-ns-zero", "inclusion-ns-negative", "inclusion-delta-zero",
+        "inclusion-delta-negative", "inclusion-delta-one-zero",
+        "dependence-delta-zero", "dependence-delta-negative"])
+def test_cli_study_rejects_nonpositive_inputs(tmp_path, capsys, kind, extra,
+                                              key):
+    cfg = write_cfg(tmp_path, extra)
+    assert main(["study", kind, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert key in captured.err
+    assert captured.out == ""
 
 
 def test_build_components_auto_rho():

@@ -1,15 +1,15 @@
-"""Constraint potentials, proximal maps, and the scalar inclusion solver."""
+"""Constraint potentials, proximal maps, and the inclusion study that
+marches the proximal step."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nlpf.convex import (IndicatorBall, IndicatorBox, IndicatorSimplex,
-                         InclusionProblem, dependence_gap,
-                         derivative_convergence,
-                         dissipation_identity_residuals, inclusion_solve)
-from nlpf.errors import ConfigError
+from nlpf.config import resolve_config
+from nlpf.convex import IndicatorBall, IndicatorBox, IndicatorSimplex
+from nlpf.stepper import step_chi
+from nlpf.studies import inclusion_dependence
 
 
 def test_box_prox_is_clip():
@@ -56,68 +56,83 @@ def test_inclusion_ramp_then_stick():
 
     Backward Euler reproduces the ramp exactly because the prox is a clip,
     and once the constraint is active the selection must carry the full
-    forcing, xi = 1.
+    forcing, xi = 1.  Each step closes the discrete dissipation identity
+    phi(z_k) - phi(z_{k-1}) = dt (|g|^2 - |xi|^2 - |alpha z'|^2) / 2 alpha.
     """
     box = IndicatorBox(np.zeros(1), np.ones(1))
-    prob = InclusionProblem(alpha=lambda t: 1.0,
-                            g=lambda t: np.ones(1),
-                            zeta0=np.zeros(1), C=1.0, T=2.0)
-    tr = inclusion_solve(prob, box, dt=0.1)
-    assert np.allclose(tr.zeta[:, 0], np.minimum(tr.t, 1.0), atol=1e-14)
-    # xi has one row per step; steps ending after t = 1 sit on the face
-    late = tr.xi[tr.t[1:] > 1.0 + 1e-12, 0]
+    dt, n_steps = 0.1, 20
+    alpha, g = np.ones(1), np.ones((1, 1))
+    t = dt * np.arange(n_steps + 1)
+    zeta = np.zeros(n_steps + 1)
+    xi = np.zeros(n_steps)
+    residuals = np.zeros(n_steps)
+    for k in range(n_steps):
+        z_new, xi_new = step_chi(box, zeta[k:k + 1, None], alpha, g, dt)
+        zeta[k + 1], xi[k] = z_new[0, 0], xi_new[0, 0]
+        rate = (zeta[k + 1] - zeta[k]) / dt
+        dphi = float(box.phi(z_new)[0] - box.phi(zeta[k:k + 1, None])[0])
+        residuals[k] = dphi - dt * (1.0 - xi[k] ** 2 - rate ** 2) / 2.0
+    assert np.allclose(zeta, np.minimum(t, 1.0), atol=1e-14)
+    # xi has one entry per step; steps ending after t = 1 sit on the face
+    late = xi[t[1:] > 1.0 + 1e-12]
+    assert late.size == 10
     assert np.allclose(late, 1.0, atol=1e-12)
-    assert np.max(np.abs(dissipation_identity_residuals(tr))) <= 1e-12
+    assert np.max(np.abs(residuals)) <= 1e-12
 
 
-def test_inclusion_forcing_bound_checked():
-    box = IndicatorBox(np.zeros(1), np.ones(1))
-    prob = InclusionProblem(alpha=lambda t: 1.0,
-                            g=lambda t: np.ones(1),
-                            zeta0=np.zeros(1), C=0.5, T=1.0)
-    with pytest.raises(ConfigError):
-        inclusion_solve(prob, box, dt=0.1)
+def study_rows(quantity, **overrides):
+    values = {"solver.dt": "1e-3", **overrides}
+    return [r for r in inclusion_dependence(resolve_config(values))
+            if r["quantity"] == quantity]
 
 
 def test_dependence_gap_lipschitz_constant():
-    # constant forcing shift delta inside the interior: the gap grows as
-    # delta * t / alpha, so the fitted constant is exactly 1 / alpha
-    alpha = 200.0
-    box = IndicatorBox(np.zeros(1), np.full(1, 10.0))
-    base = InclusionProblem(lambda t: alpha, lambda t: np.full(1, 0.5),
-                            np.full(1, 5.0), 10.0, 1.0)
-    shifted = InclusionProblem(lambda t: alpha,
-                               lambda t: np.full(1, 0.5 + 1e-3),
-                               np.full(1, 5.0), 10.0, 1.0)
-    tr1 = inclusion_solve(base, box, dt=0.01)
-    tr2 = inclusion_solve(shifted, box, dt=0.01)
-    rep = dependence_gap(tr1, tr2)
-    assert rep.lip_constant == pytest.approx(1.0 / alpha, rel=1e-6)
-    assert rep.sup_distance == pytest.approx(1e-3 / alpha, rel=1e-6)
+    # a constant forcing shift delta inside the interior: the gap grows as
+    # delta * t / alpha, so every Lipschitz row is 1 / alpha
+    for alpha in (200.0, 50.0):
+        rows = study_rows("lipschitz",
+                          **{"study.inclusion_alpha": str(alpha)})
+        assert len(rows) == 4
+        for row in rows:
+            assert row["value"] == pytest.approx(1.0 / alpha, rel=1e-6)
 
 
 def test_derivative_convergence_gaps():
     alpha = 200.0
-    box = IndicatorBox(np.zeros(1), np.full(1, 10.0))
-
-    def make(shift):
-        return InclusionProblem(lambda t: alpha,
-                                lambda t, s=shift: np.full(1, 0.5 + s),
-                                np.full(1, 5.0), 10.0, 1.0)
-
     ns = [10, 20, 40]
-    problems = [make(1.0 / n) for n in ns]
-    gaps, verdict = derivative_convergence(problems, make(0.0), box, dt=0.01)
-    assert verdict
+    rows = study_rows("rate_gap", **{"study.inclusion_ns": "10,20,40"})
+    assert [r["param"] for r in rows] == ns
     expected = [1.0 / (n * alpha) for n in ns]
-    assert np.allclose(gaps, expected, rtol=1e-9)
+    assert np.allclose([r["value"] for r in rows], expected, rtol=1e-9)
+    (mono,) = study_rows("rate_gap_monotone",
+                         **{"study.inclusion_ns": "10,20,40"})
+    assert mono["value"] == 1.0
 
 
-def test_mismatched_grids_rejected():
-    box = IndicatorBox(np.zeros(1), np.ones(1))
-    prob = InclusionProblem(lambda t: 1.0, lambda t: np.zeros(1),
-                            np.full(1, 0.5), 1.0, 1.0)
-    tr1 = inclusion_solve(prob, box, dt=0.1)
-    tr2 = inclusion_solve(prob, box, dt=0.05)
-    with pytest.raises(ConfigError):
-        dependence_gap(tr1, tr2)
+# `nlpf study inclusion-dependence --config configs/default.cfg` as printed
+# by the separate inclusion solver this study replaced
+_DEFAULT_TABLE = """\
+lipschitz,0.001,0.001,0.0049999999696126451
+lipschitz,0.001,0.00050000000000000001,0.0050000001916572501
+lipschitz,0.00050000000000000001,0.001,0.0049999999696126451
+lipschitz,0.00050000000000000001,0.00050000000000000001,0.0049999999696126451
+rate_gap,10,0.001,0.00049999999995886668
+rate_gap,20,0.001,0.00025000000003494449
+rate_gap,40,0.001,0.00012500000001747225
+rate_gap,80,0.001,6.2499999953224972e-05
+rate_gap_monotone,nan,0.001,1
+"""
+
+
+def test_inclusion_study_reproduces_default_table():
+    rows = inclusion_dependence(resolve_config({"solver.dt": "1e-3"}))
+    expected = [line.split(",") for line in _DEFAULT_TABLE.splitlines()]
+    assert len(rows) == len(expected)
+    for row, (quantity, param, dt, value) in zip(rows, expected):
+        got = [row["quantity"]] + ["%.17g" % row[c]
+                                   for c in ("param", "dt", "value")]
+        if quantity == "rate_gap":
+            assert got[:3] == [quantity, param, dt]
+            assert row["value"] == pytest.approx(float(value), rel=1e-12)
+        else:
+            assert got == [quantity, param, dt, value]

@@ -7,11 +7,11 @@ import pytest
 
 from nlpf.diagnostics import (DEFAULT_CHECKS, calibrate_rho,
                               continuous_dependence, energy_budget,
-                              entropy_production, fit_moser_constant,
-                              generic_check, lower_bound_ode,
-                              measured_forcing_bound, moser_exponent,
-                              regularity_indicator, run_checks,
-                              truncation_inactivity, upper_envelope)
+                              entropy_production, generic_check,
+                              lower_bound_ode, measured_forcing_bound,
+                              moser_exponent, regularity_indicator,
+                              run_checks, truncation_inactivity,
+                              upper_envelope)
 from nlpf.errors import ConfigError, ModeError
 from nlpf.geometry import BoundaryData, build_grid
 from nlpf.longrange import ConstantKernel, QuadraticG, build_coupling
@@ -19,11 +19,6 @@ from nlpf.stepper import RunComponents, SolverConfig, run
 from nlpf.thermo import build_model
 
 from conftest import two_phase_components
-
-
-def unpack(comp):
-    return (comp.grid, comp.model, comp.potential, comp.coupling,
-            comp.boundary, comp.config)
 
 
 def equilibrium_components():
@@ -44,8 +39,7 @@ def equilibrium_components():
 
 def test_energy_budget_insulated(short_run):
     comp, traj = short_run
-    g, m, p, c, b, cfg = unpack(comp)
-    rep = energy_budget(traj, g, m, p, c, b, cfg)
+    rep = energy_budget(comp, traj)
     assert rep.relative_drift <= 1e-6
     assert not rep.coarse
 
@@ -53,14 +47,14 @@ def test_energy_budget_insulated(short_run):
 def test_energy_budget_robin_equilibrium():
     comp = equilibrium_components()
     traj = run(comp)
-    rep = energy_budget(traj, *unpack(comp))
+    rep = energy_budget(comp, traj)
     # nothing moves, so each step budget closes to machine precision
     assert np.max(np.abs(rep.step_residuals)) <= 1e-12
 
 
 def test_entropy_production(short_run):
     comp, traj = short_run
-    rep = entropy_production(traj, *unpack(comp))
+    rep = entropy_production(comp, traj)
     assert rep.monotone
     assert rep.local_ok
     assert rep.face_pairing_max <= 0.0
@@ -69,7 +63,7 @@ def test_entropy_production(short_run):
 def test_entropy_equilibrium_is_exact():
     comp = equilibrium_components()
     traj = run(comp)
-    rep = entropy_production(traj, *unpack(comp))
+    rep = entropy_production(comp, traj)
     assert rep.global_defect_min >= -1e-14
     assert rep.cell_residual_min >= -1e-14
 
@@ -105,13 +99,13 @@ def test_measured_forcing_bound_positive(short_run):
 def test_upper_envelope_needs_regularisation(short_run):
     comp, traj = short_run
     with pytest.raises(ModeError):
-        upper_envelope(traj, *unpack(comp))
+        upper_envelope(comp, traj)
 
 
 def test_upper_envelope_regularised():
     comp = two_phase_components(cells=8, horizon=0.2, dt=0.01, n_reg=4)
     traj = run(comp)
-    rep = upper_envelope(traj, *unpack(comp))
+    rep = upper_envelope(comp, traj)
     assert rep.holds
     assert rep.v0 >= float(np.max(traj.thetas[0]))
     assert rep.measured_M >= 0.0
@@ -156,15 +150,9 @@ def test_calibration_monotone_in_constant():
     assert r2 > r1
     with pytest.raises(ConfigError):
         calibrate_rho(-1.0, 1)
-
-
-def test_fit_moser_constant(short_run):
-    comp, traj = short_run
-    c = fit_moser_constant(traj, comp.config, comp.grid.dim)
-    sup = max(float(np.max(traj.records["max_theta"])),
-              float(np.max(traj.thetas[0])))
-    assert c == pytest.approx(
-        sup / (1.0 + math.log(comp.config.rho)) ** 6)
+    for dim in (0, 3, 7, -3):
+        with pytest.raises(ConfigError, match="dimension"):
+            calibrate_rho(1.0, dim)
 
 
 def test_truncation_inactive(short_run):
@@ -252,12 +240,11 @@ def test_generic_check_demands_insulation():
 def test_regularity_indicator_modes(short_run):
     comp, traj = short_run
     with pytest.raises(ModeError):
-        regularity_indicator(traj, comp.grid, comp.model, comp.config)
+        regularity_indicator(comp, traj)
     comp_u = two_phase_components(cells=8, horizon=0.1, dt=0.01,
                                   uniqueness=True)
     traj_u = run(comp_u)
-    rep = regularity_indicator(traj_u, comp_u.grid, comp_u.model,
-                               comp_u.config)
+    rep = regularity_indicator(comp_u, traj_u)
     assert math.isfinite(rep.rate_l2_sq)
     assert math.isfinite(rep.kirchhoff_h1_max)
     assert rep.rate_l2_sq >= 0.0
