@@ -242,9 +242,10 @@ def build_components(resolved: dict):
     for kw in _MODEL_KWARGS[name]:
         kwargs[kw] = p["thermo.components"] if kw == "d" else p[f"thermo.{kw}"]
     model = build_model(name, **kwargs)
-    validate_model(model, uniqueness_mode=p["thermo.uniqueness_mode"])
-
     potential, diam = _build_potential(p, model.d)
+    validate_model(model, potential,
+                   uniqueness_mode=p["thermo.uniqueness_mode"])
+
     kernel = _build_kernel(p, grid.dim)
     coupling = build_coupling(grid, kernel, _build_interaction(p), diam)
 

@@ -43,6 +43,9 @@ class IndicatorBox:
         z = np.atleast_2d(z)
         return np.clip(z, self.lo, self.hi)
 
+    def domain_sample(self, n: int) -> np.ndarray:
+        return _domain_sample(self, self.lo, self.hi, n)
+
 
 class IndicatorBall:
     """Indicator of the centered euclidean ball of given radius."""
@@ -69,11 +72,25 @@ class IndicatorBall:
                        1.0)
         return z * fac[..., None]
 
+    def domain_sample(self, n: int) -> np.ndarray:
+        return _domain_sample(self, -self.radius, self.radius, n)
+
 
 def _halton(d: int, n: int) -> np.ndarray:
     sampler = qmc.Halton(d=d, scramble=False)
     pts = sampler.random(n + 1)[1:]  # drop the degenerate all-zero first point
     return pts
+
+
+def _domain_sample(potential, lo, hi, n: int) -> np.ndarray:
+    """Up to n points of the potential's domain inside the box [lo, hi]:
+    the uniform lattice of n points in 1D, else the Halton points of the box
+    that the domain contains, in Halton order.  Models are validated and
+    checked on these points."""
+    if potential.d == 1:
+        return np.reshape(np.linspace(lo, hi, n), (n, 1))
+    pts = lo + (hi - lo) * _halton(potential.d, 4 * n + 16)
+    return pts[potential.contains(pts)][:n]
 
 
 class IndicatorSimplex:
@@ -101,10 +118,7 @@ class IndicatorSimplex:
         return out
 
     def domain_sample(self, n: int) -> np.ndarray:
-        """Up to n Halton points of the simplex."""
-        pts = _halton(self.d, 4 * n + 16)
-        pts = pts[np.sum(pts, axis=-1) <= 1.0][:n]
-        return pts
+        return _domain_sample(self, 0.0, 1.0, n)
 
 
 def _project_unit_simplex(z: np.ndarray) -> np.ndarray:

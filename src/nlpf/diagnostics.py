@@ -8,7 +8,9 @@ two-sided temperature envelopes, truncation inactivity, continuous
 dependence on the data, the algebraic identities of the dissipative
 operator, and a Kirchhoff-transform regularity functional.  Every check of
 a trajectory takes the run's components and the trajectory,
-``(components, traj)``.
+``(components, traj)``, and evaluates the stepper's per-cell functions once
+on the ``(T, M[, d])`` snapshot stack; only the entropy check's lagged
+conductivity and the lower envelope's RK4 walk the steps in order.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ModeError
-from .stepper import (LagTracker, RunComponents, cell_budget,
-                      conduction_operator, entropy_residual, phase_source,
-                      rhs_ell, run, selection)
-from .thermo import generic_coefficients, truncated_entropy_gradient
+from .stepper import (LagTracker, RunComponents, budget_totals, cell_budget,
+                      conduction_operator, entropy_residual, kirchhoff,
+                      phase_source, rhs_ell, run, selection)
+from .thermo import (generic_coefficients, truncated_entropy_gradient,
+                     truncated_mobility)
 
 
 # ---------------------------------------------------------------------------
@@ -59,21 +62,12 @@ def energy_budget(components, traj):
     than the step (cadence > 1) still close the budget between stored states
     but smear the per-step attribution; the report flags that.
     """
-    grid, model = components.grid, components.model
-    potential, boundary = components.potential, components.boundary
-    eps = components.config.eps_reg
-    times = traj.times
-    Bs = components.coupling.B_field(traj.chis)
-    totals = np.empty(len(times))
-    for n, (theta, chi) in enumerate(zip(traj.thetas, traj.chis)):
-        E_cell, _ = cell_budget(model, potential, theta, chi, Bs[n])
-        totals[n] = float(np.dot(grid.volumes, E_cell)) \
-            + eps * float(np.dot(grid.volumes, theta))
-    res = np.empty(len(times) - 1)
-    for n in range(len(times) - 1):
-        dt = times[n + 1] - times[n]
-        res[n] = totals[n + 1] - totals[n] \
-            + dt * boundary.outflow(traj.thetas[n + 1], times[n + 1])
+    times, thetas, chis = traj.times, traj.thetas, traj.chis
+    totals, _ = budget_totals(components.grid.volumes, *cell_budget(
+        components.model, components.potential, thetas, chis,
+        components.coupling.B_field(chis), components.config.eps_reg))
+    res = np.diff(totals) \
+        + np.diff(times) * components.boundary.outflow(thetas[1:], times[1:])
     drift = float(np.max(np.abs(totals - totals[0])))
     return EnergyBudgetReport(step_residuals=res, drift=drift,
                               scale=max(1.0, abs(totals[0])),
@@ -111,13 +105,12 @@ def entropy_production(components, traj):
     """
     _dense(traj, "entropy production")
     grid, model = components.grid, components.model
-    potential, boundary = components.potential, components.boundary
-    config = components.config
+    boundary, config = components.boundary, components.config
     times = traj.times
     # the entropy does not involve B, so the energy part is left at B = 0
-    S_cells = [cell_budget(model, potential, theta, chi, 0.0)[1]
-               for theta, chi in zip(traj.thetas, traj.chis)]
-    totals = np.array([float(np.dot(grid.volumes, S)) for S in S_cells])
+    E_cells, S_cells = cell_budget(model, components.potential, traj.thetas,
+                                   traj.chis, 0.0, config.eps_reg)
+    _, totals = budget_totals(grid.volumes, E_cells, S_cells)
     tol = 1e-8 * max(1.0, float(np.max(np.abs(totals))))
 
     lag = LagTracker(config.lag_mode, config.lag_window, traj.thetas[0],
@@ -170,32 +163,14 @@ def measured_forcing_bound(components, traj) -> float:
     _dense(traj, "measured forcing bound")
     model, config = components.model, components.config
     rho = config.rho
-    b_olds = components.coupling.b_field(traj.chis[:-1])
-    worst = 0.0
-    for n in range(len(traj.times)):
-        th, ch = traj.thetas[n], traj.chis[n]
-        if n == 0:
-            xi = 0.0
-        else:
-            alpha, g = rhs_ell(model, traj.thetas[n - 1], traj.chis[n - 1],
-                               b_olds[n - 1], rho)
-            xi = selection(traj.chis[n - 1], ch, alpha, g,
-                           config.step_size(traj.times[n - 1]))
-        vec = model.sig_p(ch) - truncated_entropy_gradient(model, th, ch, rho) \
-            + xi
-        worst = max(worst, float(np.max(np.linalg.norm(vec, axis=-1))))
-    return worst
-
-
-def _ode_rhs(model, rho, R):
-    from .thermo import truncated_mobility
-
-    def f(w):
-        ct = model.c_tilde(np.asarray(w))
-        mu = truncated_mobility(model, np.asarray(w), rho)
-        return -(R * R) * w * w / (4.0 * mu * ct)
-
-    return f
+    th, ch = traj.thetas, traj.chis
+    alpha, g = rhs_ell(model, th[:-1], ch[:-1],
+                       components.coupling.b_field(ch[:-1]), rho)
+    dts = config.step_size(traj.times[:-1])[:, None, None]
+    xi = np.concatenate([np.zeros_like(ch[:1]),
+                         selection(ch[:-1], ch[1:], alpha, g, dts)])
+    vec = model.sig_p(ch) - truncated_entropy_gradient(model, th, ch, rho) + xi
+    return float(np.max(np.linalg.norm(vec, axis=-1)))
 
 
 def lower_bound_ode(components, traj, forcing_bound=None, substep=None):
@@ -213,7 +188,10 @@ def lower_bound_ode(components, traj, forcing_bound=None, substep=None):
         if forcing_bound is None else float(forcing_bound)
     w0 = float(np.min(traj.thetas[0]))
     h_cap = (config.dt / 4.0) if substep is None else float(substep)
-    f = _ode_rhs(model, config.rho, R)
+
+    def f(w):
+        return -(R * R) * w * w / (4.0 * truncated_mobility(
+            model, w, config.rho) * model.c_tilde(w))
 
     rec_t = traj.records["t"]
     env = np.empty(rec_t.size)
@@ -268,18 +246,15 @@ def upper_envelope(components, traj):
         raise ModeError("upper envelope requires the regularized scheme "
                         "(n_reg >= 1)")
     _dense(traj, "upper envelope")
-    times = traj.times
-    b_olds = components.coupling.b_field(traj.chis[:-1])
-    phis = [potential.phi(chi) for chi in traj.chis]
-    M = 0.0
-    for n in range(len(times) - 1):
-        src = phase_source(model, traj.chis[n], traj.chis[n + 1], b_olds[n],
-                           phis[n], phis[n + 1], times[n + 1] - times[n])
-        M = max(M, float(np.max(np.abs(src))))
+    times, chis = traj.times, traj.chis
+    phi = potential.phi(chis)
+    src = phase_source(model, chis[:-1], chis[1:],
+                       components.coupling.b_field(chis[:-1]), phi[:-1],
+                       phi[1:], np.diff(times)[:, None])
+    M = float(np.max(np.abs(src)))
     v0 = float(np.max(traj.thetas[0]))
     if not boundary.is_insulated:
-        v0 = max(v0, float(max(np.max(boundary.theta_gamma_at(t))
-                               for t in times)))
+        v0 = max(v0, float(np.max(boundary.theta_gamma_at(times))))
     env = v0 + config.n_reg * M * traj.records["t"]
     margins = (1.0 + 1e-6) * env - traj.records["max_theta"]
     return UpperEnvelopeReport(envelope=env,
@@ -461,9 +436,12 @@ class GenericReport:
                 and self.conduction_null <= tol)
 
 
-def generic_check(model, grid, boundary, coupling=None, n_samples=100,
-                  seed=20260819):
+def generic_check(model, grid, boundary, chi_sample, coupling=None,
+                  n_samples=100, seed=20260819):
     """Algebraic structure of the dissipative operator on random states.
+
+    Phase values are drawn from ``chi_sample``, points of the potential's
+    domain (``domain_sample``).
 
     The 2x2 phase-conduction block must be rank one and positive
     semidefinite (m12^2 = m11 m22 exactly) and must annihilate the energy
@@ -479,7 +457,7 @@ def generic_check(model, grid, boundary, coupling=None, n_samples=100,
         raise ModeError("operator identities need an insulated boundary")
 
     rng = np.random.default_rng(seed)
-    dom = model.chi_domain_sample(64)
+    dom = np.asarray(chi_sample, dtype=float)
     ident = 0.0
     degen = 0.0
     b_cap = coupling.c_b if coupling is not None else 1.0
@@ -533,22 +511,15 @@ def regularity_indicator(components, traj):
     gradient energy of the Kirchhoff transform K(theta).  Uniqueness setting
     only, since K needs a chi-free conductivity.
     """
-    from .stepper import kirchhoff
-
     _dense(traj, "regularity indicator")
-    grid, model = components.grid, components.model
-    w = grid.volumes
-    times = traj.times
-    rate = 0.0
-    h1 = 0.0
-    geom = grid.iface_area / grid.iface_dist
-    for n in range(len(times) - 1):
-        dt = times[n + 1] - times[n]
-        dth = (traj.thetas[n + 1] - traj.thetas[n]) / dt
-        rate += dt * float(np.dot(w, dth ** 2))
-        kv = kirchhoff(model, traj.thetas[n + 1])
-        dk = kv[grid.iface_owner] - kv[grid.iface_neigh]
-        h1 = max(h1, float(np.sum(geom * dk ** 2)))
+    grid = components.grid
+    dts = np.diff(traj.times)
+    dth = np.diff(traj.thetas, axis=0) / dts[:, None]
+    rate = float(np.dot(dts, dth ** 2 @ grid.volumes))
+    kv = kirchhoff(components.model, traj.thetas[1:])
+    dk = kv[:, grid.iface_owner] - kv[:, grid.iface_neigh]
+    h1 = float(np.max(np.sum(grid.iface_area / grid.iface_dist * dk ** 2,
+                             axis=-1)))
     return RegularityReport(rate_l2_sq=rate, kirchhoff_h1_max=h1)
 
 
@@ -610,6 +581,7 @@ def run_checks(components: RunComponents, traj, names=DEFAULT_CHECKS):
                       f"{rep.max_chi_diff:.3e}")
         elif name == "generic":
             rep = generic_check(components.model, components.grid, boundary,
+                                components.potential.domain_sample(64),
                                 components.coupling)
             ok = rep.ok()
             detail = (f"identity {rep.identity_max:.3e}, degeneracy "

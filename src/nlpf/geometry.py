@@ -148,9 +148,15 @@ class BoundaryData:
     def gamma_arr(self) -> np.ndarray:
         return self._gamma_arr
 
-    def theta_gamma_at(self, t: float) -> np.ndarray:
-        tg = self.theta_gamma(t) if callable(self.theta_gamma) else self.theta_gamma
-        arr = np.broadcast_to(np.asarray(tg, dtype=float), (self.grid.n_bfaces,)).copy()
+    def theta_gamma_at(self, t) -> np.ndarray:
+        """Exterior temperature per boundary face at time t, or at each of an
+        array of times (shape t.shape + (n_bfaces,))."""
+        shape = np.shape(t) + (self.grid.n_bfaces,)
+        tg = self.theta_gamma
+        if callable(tg):
+            tg = np.reshape([np.broadcast_to(tg(s), shape[-1:])
+                             for s in np.ravel(t)], shape)
+        arr = np.broadcast_to(np.asarray(tg, dtype=float), shape).copy()
         if np.any(arr <= 0):
             raise ConfigError("exterior temperature must be positive")
         return arr
@@ -159,12 +165,13 @@ class BoundaryData:
     def is_insulated(self) -> bool:
         return bool(np.all(self._gamma_arr == 0.0))
 
-    def outflow(self, theta: np.ndarray, t: float) -> float:
-        """Total heat leaving the domain through Robin faces."""
+    def outflow(self, theta: np.ndarray, t):
+        """Total heat leaving the domain through Robin faces: of theta (M,)
+        at time t, or of each row of a stack (..., M) at its time in t."""
         g = self.grid
         q = self._gamma_arr * g.bface_area * (
-            theta[g.bface_owner] - self.theta_gamma_at(t))
-        return float(np.sum(q))
+            theta[..., g.bface_owner] - self.theta_gamma_at(t))
+        return np.sum(q, axis=-1)
 
 
 def harmonic_face_conductivity(grid: Grid, k_cell: np.ndarray) -> np.ndarray:

@@ -65,10 +65,7 @@ def read_records_csv(path):
                 rows.append(tuple(float(tok) for tok in tokens))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    out = np.zeros(len(rows), dtype=_RECORD_DTYPE)
-    for i, row in enumerate(rows):
-        out[i] = row
-    return out
+    return np.array(rows, dtype=_RECORD_DTYPE)
 
 
 def write_trajectory(out_dir, traj, cells):
@@ -134,18 +131,14 @@ def read_trajectory(out_dir, components):
         raise ConfigError(f"{out_dir}: missing {RECORDS_NAME}")
     records = read_records_csv(rec_path)
 
-    n_steps, cadence = config.n_steps, config.cadence
-    if records.size != n_steps:
+    if records.size != config.n_steps:
         raise ConfigError(f"{rec_path}: {records.size} rows, the configured "
-                          f"horizon takes {n_steps} steps")
-    # frame i > 0 is written after step min(i * cadence, n_steps)
-    after = np.minimum(np.arange(cadence, n_steps + cadence, cadence),
-                       n_steps)
-    want = np.concatenate([[0.0], records["t"][after - 1]])
+                          f"horizon takes {config.n_steps} steps")
+    want = np.concatenate([[0.0], records["t"][config.snapshot_steps() - 1]])
     times = frames["t"].copy()
     if times.size != want.size:
         raise ConfigError(f"{path}: {times.size} frames, expected "
-                          f"{want.size} at cadence {cadence}")
+                          f"{want.size} at cadence {config.cadence}")
     bad = np.flatnonzero(times != want)
     if bad.size:
         i = int(bad[0])
@@ -155,4 +148,4 @@ def read_trajectory(out_dir, components):
                       thetas=np.ascontiguousarray(frames["theta"]),
                       chis=np.ascontiguousarray(
                           np.swapaxes(frames["chi"], 1, 2)),
-                      records=records, cadence=cadence)
+                      records=records, cadence=config.cadence)

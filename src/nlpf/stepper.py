@@ -91,9 +91,15 @@ class SolverConfig:
         """Nominal steps to the horizon; the last one may be shorter."""
         return int(math.ceil(self.horizon / self.dt - 1e-12))
 
-    def step_size(self, t: float) -> float:
-        """Nominal step from time t: dt, cut short at the horizon."""
-        return min(self.dt, self.horizon - t)
+    def step_size(self, t):
+        """Nominal step from time t (or from each of an array of times): dt,
+        cut short at the horizon."""
+        return np.minimum(self.dt, self.horizon - t)
+
+    def snapshot_steps(self) -> np.ndarray:
+        """Steps that end with a snapshot: each cadence-th and the last."""
+        return np.minimum(np.arange(self.cadence, self.n_steps + self.cadence,
+                                    self.cadence), self.n_steps)
 
 
 @dataclass
@@ -106,9 +112,8 @@ class Trajectory:
     rejections: int = 0
 
     def __post_init__(self):
-        if self.times.size and self.times.size > 1:
-            if np.any(np.diff(self.times) <= 0):
-                raise ConfigError("snapshot times must increase strictly")
+        if np.any(np.diff(self.times) <= 0):
+            raise ConfigError("snapshot times must increase strictly")
 
 
 class LagTracker:
@@ -144,8 +149,6 @@ class LagTracker:
 
 def bound_C_ell(model, c_b: float, rho: float) -> float:
     """Forcing bound for the inclusion right-hand side at truncation rho."""
-    if rho < 1:
-        raise ConfigError("truncation parameter must be >= 1")
     return (model.C_sigma + (model.C_lambda + c_b) / model.beta
             + model.c1 * model.c_bar + model.c1 ** 2
             + model.c1 * model.c_bar * math.log(rho))
@@ -155,15 +158,16 @@ def rhs_ell(model, theta, chi, b_val, rho):
     """Coefficient alpha and forcing g of the cellwise inclusion.
 
     alpha = mu_trunc(theta)/(beta+theta); g collects the phase couplings
-    -(theta sig' + lam' + b + e_chi - theta s_chi^rho)/(beta+theta).
+    -(theta sig' + lam' + b + e_chi - theta s_chi^rho)/(beta+theta).  theta
+    is (..., M) and chi, b_val are (..., M, d): one state or a stack.
     """
     theta = np.asarray(theta, dtype=float)
     denom = model.beta + theta
     alpha = truncated_mobility(model, theta, rho) / denom
     s_chi_r = truncated_entropy_gradient(model, theta, chi, rho)
-    ell = (theta[:, None] * model.sig_p(chi) + model.lam_p(chi) + b_val
-           + model.e_chi(theta, chi) - theta[:, None] * s_chi_r)
-    g = -ell / denom[:, None]
+    ell = (theta[..., None] * model.sig_p(chi) + model.lam_p(chi) + b_val
+           + model.e_chi(theta, chi) - theta[..., None] * s_chi_r)
+    g = -ell / denom[..., None]
     return alpha, g
 
 
@@ -183,8 +187,9 @@ def step_chi(potential, chi, alpha, g, dt):
 
 def selection(chi_old, chi_new, alpha, g, dt):
     """Selection xi' = g - alpha (chi' - chi)/dt of the subdifferential at
-    chi'; prox optimality puts it there."""
-    return g - alpha[:, None] * (chi_new - chi_old) / dt
+    chi'; prox optimality puts it there.  Broadcasts over leading axes, with
+    dt a scalar or one step per leading index."""
+    return g - alpha[..., None] * (chi_new - chi_old) / dt
 
 
 def _phi_cellwise(potential, chi):
@@ -205,16 +210,26 @@ def conduction_operator(grid, model, boundary, bar_theta, bar_chi):
                               k_bounds=(model.k0, model.k1))
 
 
-def cell_budget(model, potential, theta, chi, B):
-    """Per-cell energy E = e + lam + beta phi + B and entropy S = s - sig - phi.
+def cell_budget(model, potential, theta, chi, B, eps):
+    """Per-cell energy E = eps theta + e + lam + beta phi + B and entropy
+    S = eps ln theta + s - sig - phi, of one state or of a stack of states.
 
-    The regularizing eps theta term is not included in E.  A chi outside the
-    potential domain raises NumericalError.
+    eps ln theta is the entropy of the regularizing energy eps theta.  A chi
+    outside the potential domain raises NumericalError.
     """
     phi = _phi_cellwise(potential, chi)
     E_cell = model.e(theta, chi) + model.lam(chi) + model.beta * phi + B
     S_cell = model.s(theta, chi) - model.sig(chi) - phi
+    if eps:
+        E_cell = E_cell + eps * theta
+        S_cell = S_cell + eps * np.log(theta)
     return E_cell, S_cell
+
+
+def budget_totals(volumes, E_cell, S_cell):
+    """Total energy sum w E and total entropy sum w S of the cell budgets of
+    one state, or of each state of a stack."""
+    return E_cell @ volumes, S_cell @ volumes
 
 
 def entropy_residual(theta_new, S_old, S_new, op, t_new, dt):
@@ -225,9 +240,9 @@ def entropy_residual(theta_new, S_old, S_new, op, t_new, dt):
 
 def phase_source(model, chi_old, chi_new, b_old, phi_old, phi_new, dt):
     """Phase source -(lam'(chi') + b) . dchi/dt - beta dphi/dt of the energy
-    balance."""
-    dchi = chi_new - chi_old
-    return (-np.einsum("md,md->m", model.lam_p(chi_new) + b_old, dchi) / dt
+    balance; broadcasts over leading axes like ``selection``."""
+    force = model.lam_p(chi_new) + b_old
+    return (-np.einsum("...d,...d->...", force, chi_new - chi_old) / dt
             - model.beta * (phi_new - phi_old) / dt)
 
 
@@ -394,8 +409,10 @@ def run(components: RunComponents):
         new = State(theta_new, chi_new, xi_new, st.t + dt)
         return new, coupling.b_field(chi_new, full=True)
 
+    eps = config.eps_reg
+    stored = set(config.snapshot_steps().tolist())
     fields = coupling.b_field(chi0, full=True)
-    _, S_prev = cell_budget(model, potential, theta0, chi0, fields.B)
+    _, S_prev = cell_budget(model, potential, theta0, chi0, fields.B, eps)
     for step in range(n_steps):
         dt = config.step_size(state.t)
         op = conduction_operator(grid, model, boundary, *lag.bar())
@@ -405,10 +422,8 @@ def run(components: RunComponents):
 
         # per-step scalar record
         E_cell, S_cell = cell_budget(model, potential, state.theta, state.chi,
-                                     fields.B)
-        total_E = float(np.dot(grid.volumes, E_cell)) \
-            + config.eps_reg * float(np.dot(grid.volumes, state.theta))
-        total_S = float(np.dot(grid.volumes, S_cell))
+                                     fields.B, eps)
+        total_E, total_S = budget_totals(grid.volumes, E_cell, S_cell)
         ent_res = entropy_residual(state.theta, S_prev, S_cell, op, state.t, dt)
         S_prev = S_cell
         _, _, pair_res = coupling.pairing_residual(prev_fields, fields, dt)
@@ -418,7 +433,7 @@ def run(components: RunComponents):
                          float(np.min(state.theta)), float(np.max(state.theta)),
                          float(np.min(ent_res)), pair_res, sel_margin)
 
-        if (step + 1) % config.cadence == 0 or step == n_steps - 1:
+        if step + 1 in stored:
             snap_t.append(state.t)
             snap_th.append(state.theta.copy())
             snap_chi.append(state.chi.copy())

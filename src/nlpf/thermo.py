@@ -12,8 +12,9 @@ and, in closed form, the integrated quantities
 multi_phase_power is the family on the d-simplex; two_phase_power fixes
 d = 1, a = 1/2 and a double-well lam; decoupled_power sets a = 0, drops the
 wells and makes k depend on temperature only.  Declared bounds (c_bar, c1,
-...) are cross-examined on a sample lattice by validate_model, which names
-the violated inequality instead of repairing the model.
+...) are cross-examined by validate_model on a temperature lattice times the
+configured potential's domain sample; it names the violated inequality
+instead of repairing the model.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 
 import numpy as np
 
-from .convex import IndicatorSimplex
 from .errors import ConfigError, ModelContractError, NumericalError
 
 
@@ -174,11 +174,6 @@ class PowerModel:
         th = np.asarray(theta, dtype=float)
         return 2.0 * th - np.log1p(th)
 
-    def chi_domain_sample(self, n):
-        if self.d == 1:
-            return np.linspace(0.0, 1.0, n)[:, None]
-        return IndicatorSimplex(self.d).domain_sample(n)
-
     def e_ext(self, theta, chi):
         """Odd extension sign(th) e(|th|, x), matching the even cv extension."""
         th = np.asarray(theta, dtype=float)
@@ -245,9 +240,7 @@ def build_model(name, **kwargs):
 
 
 def _capped(theta, rho):
-    """The truncated temperature min(|theta|, rho)."""
-    if rho < 1:
-        raise ConfigError("truncation parameter must be >= 1")
+    """The truncated temperature min(|theta|, rho), rho >= 1."""
     return np.minimum(np.abs(np.asarray(theta, dtype=float)), rho)
 
 
@@ -333,9 +326,12 @@ def _check(ok, name, message, report):
         raise ModelContractError(name, message)
 
 
-def validate_model(model, uniqueness_mode=False, n_theta=120, n_chi=25,
-                   theta_max=50.0):
+def validate_model(model, potential, uniqueness_mode=False, n_theta=120,
+                   n_chi=25, theta_max=50.0):
     """Check every declared bound on a sample lattice; raise on violation.
+
+    Phase values are the potential's ``domain_sample``: wherever the
+    proximal step can put the order parameter.
 
     Raises ModelContractError with the violated inequality's short name
     ("c1", "c2", "c4", "s1", "s2", "k-bounds", "mu-structure", "mu-lipschitz",
@@ -344,7 +340,7 @@ def validate_model(model, uniqueness_mode=False, n_theta=120, n_chi=25,
     """
     report = {}
     th = np.concatenate([[0.0], np.logspace(-3, np.log10(theta_max), n_theta)])
-    chis = model.chi_domain_sample(n_chi)            # (n_chi, d)
+    chis = potential.domain_sample(n_chi)            # (n_chi, d)
     TH = th[:, None]                                  # broadcast over chi rows
     CH = chis[None, :, :]
 

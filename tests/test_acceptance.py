@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from nlpf.convex import IndicatorBox
 from nlpf.diagnostics import (calibrate_rho, continuous_dependence,
                               energy_budget, entropy_production,
                               generic_check, lower_bound_ode,
@@ -146,7 +147,9 @@ def test_acceptance_6_generic_structure(term):
     model = build_model("two_phase_power", alpha=1)
     boundary = BoundaryData(grid, 0.0, 1.0)
     start = time.monotonic()
-    rep = generic_check(model, grid, boundary, n_samples=100)
+    rep = generic_check(model, grid, boundary,
+                        IndicatorBox([0.0], [1.0]).domain_sample(64),
+                        n_samples=100)
     elapsed = time.monotonic() - start
     ok = (rep.identity_max <= 1e-13 and rep.degeneracy_max <= 1e-13
           and rep.conduction_null <= 1e-13 and elapsed < 1.0)

@@ -297,6 +297,42 @@ def test_verify_catches_mutation(tmp_path, capsys, mutate, check):
     assert f"check {check}: FAIL" in capsys.readouterr().out
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_cli_regularised_config_passes_entropy(tmp_path, capsys):
+    """The cell entropy carries eps ln theta, the entropy of the eps theta
+    energy, so a regularised run clears the entropy check."""
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(CONFIGS / "regularised.cfg"),
+                 "--out", str(out)]) == 0
+    assert main(["verify", str(out), "--checks",
+                 "energy,entropy,envelope"]) == 0
+    text = capsys.readouterr().out
+    for check in ("energy", "entropy", "envelope"):
+        assert f"check {check}: PASS" in text
+    records = read_records_csv(out / "records.csv")
+    assert np.min(records["entropy_residual_min"]) > 0.0
+
+
+@pytest.mark.parametrize("overrides", [
+    {"potential.hi": "3.0", "init.chi.base": "2.5"},
+    {"thermo.model": "multi_phase_power", "thermo.components": "3"},
+], ids=["box-beyond-unit", "three-phase-unit-box"])
+def test_cli_run_validates_model_on_potential_domain(tmp_path, capsys,
+                                                     overrides):
+    """cv exceeds its declared bound c_bar where the configured box reaches
+    past the [0, 1] / simplex range the presets are declared on."""
+    values = parse_config_text((CONFIGS / "default.cfg").read_text())
+    values.update(overrides, **{"solver.horizon": "0.05"})
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: c1: ")
+    assert not out.exists()
+
+
 def test_cli_rejects_bad_input(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("solver.dt = 0\n")

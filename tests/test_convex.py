@@ -51,6 +51,21 @@ def test_indicator_prox_lands_in_domain(d, seed):
         assert np.all(pot.contains(out))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_domain_sample_lies_in_domain(d):
+    pots = [IndicatorBox(np.full(d, -0.5), np.full(d, 3.0)),
+            IndicatorBall(d, 0.7), IndicatorSimplex(d)]
+    for pot in pots:
+        pts = pot.domain_sample(25)
+        assert pts.shape[1] == d and 0 < len(pts) <= 25
+        assert np.all(pot.contains(pts))
+    # one component: the uniform lattice spanning the interval
+    if d == 1:
+        for pot, (lo, hi) in zip(pots, [(-0.5, 3.0), (-0.7, 0.7), (0, 1)]):
+            assert np.array_equal(pot.domain_sample(9)[:, 0],
+                                  np.linspace(lo, hi, 9))
+
+
 def test_inclusion_ramp_then_stick():
     """alpha = 1, g = 1 on the unit interval: zeta(t) = min(t, 1).
 

@@ -12,6 +12,7 @@ from nlpf.diagnostics import (DEFAULT_CHECKS, calibrate_rho,
                               moser_exponent, regularity_indicator,
                               run_checks, truncation_inactivity,
                               upper_envelope)
+from nlpf.convex import IndicatorBox
 from nlpf.errors import ConfigError, ModeError
 from nlpf.geometry import BoundaryData, build_grid
 from nlpf.longrange import ConstantKernel, QuadraticG, build_coupling
@@ -21,12 +22,13 @@ from nlpf.thermo import build_model
 from conftest import two_phase_components
 
 
+UNIT_SAMPLE = IndicatorBox([0.0], [1.0]).domain_sample(64)
+
+
 def equilibrium_components():
     """Uniform state matched to the reservoir: nothing should move."""
     grid = build_grid(1, [1.0], [8])
     model = build_model("decoupled_power")
-    from nlpf.convex import IndicatorBox
-
     potential = IndicatorBox(np.zeros(1), np.ones(1))
     coupling = build_coupling(grid, ConstantKernel(0.0), QuadraticG(), 1.0)
     boundary = BoundaryData(grid, 1.0, 1.0)
@@ -191,7 +193,7 @@ def test_generic_identities():
     grid = build_grid(1, [1.0], [8])
     model = build_model("two_phase_power", alpha=1)
     boundary = BoundaryData(grid, 0.0, 1.0)
-    rep = generic_check(model, grid, boundary)
+    rep = generic_check(model, grid, boundary, UNIT_SAMPLE)
     assert rep.ok()
     assert rep.identity_max <= 1e-13
     assert rep.degeneracy_max <= 1e-13
@@ -222,7 +224,7 @@ def test_generic_check_catches_unbalanced_row(monkeypatch):
         return op
 
     monkeypatch.setattr(diagnostics, "conduction_operator", unbalanced)
-    rep = generic_check(model, grid, boundary)
+    rep = generic_check(model, grid, boundary, UNIT_SAMPLE)
     assert not rep.ok()
     assert rep.conduction_null > 1e-3
 
@@ -231,10 +233,11 @@ def test_generic_check_demands_insulation():
     grid = build_grid(1, [1.0], [8])
     model = build_model("two_phase_power", alpha=1)
     with pytest.raises(ModeError):
-        generic_check(model, grid, BoundaryData(grid, 1.0, 1.0))
+        generic_check(model, grid, BoundaryData(grid, 1.0, 1.0), UNIT_SAMPLE)
     model2 = build_model("multi_phase_power", d=2)
     with pytest.raises(ModeError):
-        generic_check(model2, grid, BoundaryData(grid, 0.0, 1.0))
+        generic_check(model2, grid, BoundaryData(grid, 0.0, 1.0),
+                      UNIT_SAMPLE)
 
 
 def test_regularity_indicator_modes(short_run):

@@ -13,8 +13,9 @@ from nlpf.convex import IndicatorBox
 from nlpf.errors import ConfigError, ModeError, NumericalError
 from nlpf.geometry import BoundaryData, build_grid
 from nlpf.stepper import (LagTracker, SolverConfig, State, bound_C_ell,
-                          conduction_operator, kirchhoff, run, step_chi,
-                          step_theta)
+                          budget_totals, cell_budget, conduction_operator,
+                          kirchhoff, phase_source, rhs_ell, run, selection,
+                          step_chi, step_theta)
 from nlpf.thermo import build_model
 
 from conftest import two_phase_components
@@ -233,6 +234,65 @@ def test_cadence_thins_snapshots():
     assert traj.records.shape[0] == 10
     assert len(traj.times) == 3       # t = 0, 0.05 and the final state
     assert traj.cadence == 5
+
+
+def test_snapshot_schedule_ragged_cadence():
+    """5 steps at cadence 2 store frames after steps 2, 4 and 5."""
+    config = SolverConfig(dt=1.0, horizon=5.0, cadence=2)
+    assert config.snapshot_steps().tolist() == [2, 4, 5]
+    traj = run(two_phase_components(cells=8, horizon=0.05, dt=0.01,
+                                    cadence=2))
+    assert traj.records.size == 5
+    assert np.array_equal(traj.times[1:], traj.records["t"][[1, 3, 4]])
+
+
+def poly3_simplex_components():
+    """16-cell bar, three-phase simplex with the even-polynomial pair term."""
+    return build_components(resolve_config({
+        "grid.cells": "16", "thermo.model": "multi_phase_power",
+        "thermo.components": "3", "potential.kind": "simplex",
+        "interaction.kind": "even_polynomial", "interaction.coeffs": "1,0.5",
+        "init.chi.kind": "bump", "init.chi.base": "0.2",
+        "init.chi.amplitude": "0.1", "init.theta.kind": "bump",
+        "init.theta.amplitude": "0.2", "solver.dt": "0.01",
+        "solver.horizon": "0.05", "solver.rho": "100"}))[0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: two_phase_components(cells=16, horizon=0.05, dt=0.01, n_reg=4),
+    poly3_simplex_components], ids=["two-phase-regularised", "poly3-simplex"])
+def test_stack_matches_per_state(make):
+    """Row n of each per-cell function on the snapshot stack is what it
+    gives on snapshot n alone; the totals agree to a BLAS summation."""
+    comp = make()
+    traj = run(comp)
+    model, pot, eps = comp.model, comp.potential, comp.config.eps_reg
+    th, ch = traj.thetas, traj.chis
+    b, B = comp.coupling.b_field(ch), comp.coupling.B_field(ch)
+    dts = np.diff(traj.times)
+    E, S = cell_budget(model, pot, th, ch, B, eps)
+    alpha, g = rhs_ell(model, th, ch, b, comp.config.rho)
+    xi = selection(ch[:-1], ch[1:], alpha[:-1], g[:-1], dts[:, None, None])
+    phi = pot.phi(ch)
+    src = phase_source(model, ch[:-1], ch[1:], b[:-1], phi[:-1], phi[1:],
+                       dts[:, None])
+    unique = build_model("two_phase_power", uniqueness_mode=True)
+    kv = kirchhoff(unique, th)
+    tot_E, tot_S = budget_totals(comp.grid.volumes, E, S)
+    for n in range(len(traj.times)):
+        E_n, S_n = cell_budget(model, pot, th[n], ch[n], B[n], eps)
+        a_n, g_n = rhs_ell(model, th[n], ch[n], b[n], comp.config.rho)
+        assert np.array_equal(E[n], E_n) and np.array_equal(S[n], S_n)
+        assert np.array_equal(alpha[n], a_n) and np.array_equal(g[n], g_n)
+        assert np.array_equal(kv[n], kirchhoff(unique, th[n]))
+        e_n, s_n = budget_totals(comp.grid.volumes, E_n, S_n)
+        assert abs(tot_E[n] - e_n) <= 1e-15 * abs(e_n)
+        assert abs(tot_S[n] - s_n) <= 1e-15 * abs(s_n)
+        if n + 1 < len(traj.times):
+            assert np.array_equal(xi[n], selection(ch[n], ch[n + 1], a_n,
+                                                   g_n, dts[n]))
+            assert np.array_equal(src[n], phase_source(
+                model, ch[n], ch[n + 1], b[n], phi[n], phi[n + 1], dts[n]))
 
 
 def default_physics(**overrides):

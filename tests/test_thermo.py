@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import quadrature_oracle
+from nlpf.convex import IndicatorSimplex
 from nlpf.errors import ConfigError, ModelContractError
 from nlpf.thermo import (MODEL_REGISTRY, TwoPhasePowerModel, _power_ratio,
                          build_model, generic_coefficients,
@@ -15,6 +16,12 @@ from nlpf.thermo import (MODEL_REGISTRY, TwoPhasePowerModel, _power_ratio,
                          truncated_mobility, validate_model)
 
 TP = build_model("two_phase_power", alpha=1)
+
+
+def simplex_sample(model, n):
+    """n points of the d-simplex the presets are declared on ([0, 1] for
+    one component)."""
+    return IndicatorSimplex(model.d).domain_sample(n)
 
 
 def test_energy_spot_value():
@@ -90,7 +97,7 @@ def test_truncated_mobility_freezes():
 
 def test_declared_c1_bound_holds():
     th = np.linspace(0.05, 8.0, 50)
-    chi = TP.chi_domain_sample(10)
+    chi = simplex_sample(TP, 10)
     for c in chi:
         row = np.tile(c[None, :], (50, 1))
         lhs = np.linalg.norm(TP.cv_chi(th, row), axis=-1)
@@ -122,7 +129,7 @@ def test_generic_coefficients_positivity_check():
 ])
 def test_builtin_models_validate(name, kw):
     model = build_model(name, **kw)
-    validate_model(model)
+    validate_model(model, IndicatorSimplex(model.d))
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
@@ -131,7 +138,7 @@ def test_preset_gradients_broadcast(name):
     # unbroadcast (n, 1, d) result would leave its chi-Lipschitz slices empty
     model = build_model(name)
     th = np.linspace(0.0, 3.0, 4)[:, None]
-    chi = model.chi_domain_sample(5)[None, :, :]
+    chi = simplex_sample(model, 5)[None, :, :]
     for method in ("cv_chi", "e_chi", "s_chi"):
         out = getattr(model, method)(th, chi)
         assert out.shape == (4, 5, model.d), method
@@ -140,7 +147,7 @@ def test_preset_gradients_broadcast(name):
 def test_decoupled_preset_ignores_phase():
     model = build_model("decoupled_power")
     th = np.linspace(0.0, 5.0, 11)[:, None]
-    chi = model.chi_domain_sample(7)[None, :, :]
+    chi = simplex_sample(model, 7)[None, :, :]
     assert np.all(model.cv_chi(th, chi) == 0.0)
     k = model.k(th, chi)
     assert k.shape == (11, 7)
@@ -160,12 +167,12 @@ def test_two_phase_is_one_component_family(alpha):
 
 def test_uniqueness_validation():
     ok = build_model("two_phase_power", alpha=1, uniqueness_mode=True)
-    validate_model(ok, uniqueness_mode=True)
+    validate_model(ok, IndicatorSimplex(1), uniqueness_mode=True)
     # alpha = 2 has a convergent mobility integral, which the uniqueness
     # route must reject
     bad = build_model("two_phase_power", alpha=2, uniqueness_mode=True)
     with pytest.raises(ModelContractError) as info:
-        validate_model(bad, uniqueness_mode=True)
+        validate_model(bad, IndicatorSimplex(1), uniqueness_mode=True)
     assert info.value.violation == "h2-div"
 
 
@@ -199,7 +206,7 @@ class BadC4Fixture(TwoPhasePowerModel):
 def test_bad_fixture_caught():
     bad = BadC4Fixture()
     with pytest.raises(ModelContractError) as info:
-        validate_model(bad)
+        validate_model(bad, IndicatorSimplex(1))
     assert info.value.violation == "c4"
 
 
@@ -218,13 +225,14 @@ def test_densities_identity_and_domain():
     box = IndicatorBox(np.zeros(1), np.ones(1))
     th = np.array([0.5, 1.0, 3.0])
     chi = np.array([[0.2], [0.5], [0.9]])
-    E, S = cell_budget(TP, box, th, chi, 0.125)
+    E, S = cell_budget(TP, box, th, chi, 0.125, 0.0)
     # free energy F = (e - th s) + lam + B + th sig; phi = 0 inside the box
     F = (TP.e(th, chi) - th * TP.s(th, chi)) + TP.lam(chi) + 0.125 \
         + th * TP.sig(chi)
     assert np.allclose(F, E - th * S, rtol=1e-13)
     with pytest.raises(NumericalError):
-        cell_budget(TP, box, np.array([1.0]), np.array([[2.0]]), 0.0)
+        cell_budget(TP, box, np.array([1.0]), np.array([[2.0]]), 0.0,
+                    0.0)
 
 
 def test_closed_form_envelope():
