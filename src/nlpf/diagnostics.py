@@ -9,8 +9,8 @@ dependence on the data, the algebraic identities of the dissipative
 operator, and a Kirchhoff-transform regularity functional.  Every check of
 a trajectory takes the run's components and the trajectory,
 ``(components, traj)``, and evaluates the stepper's per-cell functions once
-on the ``(T, M[, d])`` snapshot stack; only the entropy check's lagged
-conductivity and the lower envelope's RK4 walk the steps in order.
+on the ``(T, M[, d])`` snapshot stack, the lag of ``stepper.lag_fields``
+included; only the lower envelope's RK4 walks the steps in order.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ModeError
-from .stepper import (LagTracker, RunComponents, budget_totals, cell_budget,
+from .stepper import (RunComponents, budget_totals, cell_budget,
                       conduction_operator, entropy_residual, kirchhoff,
-                      phase_source, rhs_ell, run, selection)
+                      lag_fields, phase_source, rhs_ell, run, selection)
 from .thermo import (generic_coefficients, truncated_entropy_gradient,
                      truncated_mobility)
 
@@ -57,11 +57,13 @@ def energy_budget(components, traj):
     """Per-step closure of the total energy balance.
 
     With insulated boundaries every residual is a pure Taylor remainder of
-    the phase couplings, O(dt^2) per step; with Robin exchange the boundary
-    outflow is added back so the same identity applies.  Snapshots coarser
-    than the step (cadence > 1) still close the budget between stored states
-    but smear the per-step attribution; the report flags that.
+    the phase couplings, O(dt^2) per step; snapshots coarser than the step
+    (cadence > 1) still bound the drift, and the report flags them.  With
+    Robin exchange each step's boundary outflow is added back so the same
+    identity applies, which needs every step stored.
     """
+    if not components.boundary.is_insulated:
+        _dense(traj, "energy budget with Robin exchange")
     times, thetas, chis = traj.times, traj.thetas, traj.chis
     totals, _ = budget_totals(components.grid.volumes, *cell_budget(
         components.model, components.potential, thetas, chis,
@@ -99,39 +101,37 @@ def entropy_production(components, traj):
     theta' (S' - S)/dt + (A theta' - load) equals the dissipation
     mu * |chi_t|^2 plus O(dt) remainders, so it is required to clear a small
     negative tolerance rather than zero.  The global total must not decrease
-    when the boundary is insulated.  The conductivity is replayed with the
-    run's lag mode and window, pushing the snapshots as the run pushed its
-    accepted states.
+    when the boundary is insulated.  ``lag_fields`` rebuilds every step's
+    lagged fields from the snapshot stack as the run did from its accepted
+    states, and one stacked conduction operator serves all steps.
     """
     _dense(traj, "entropy production")
     grid, model = components.grid, components.model
     boundary, config = components.boundary, components.config
-    times = traj.times
+    times, thetas = traj.times, traj.thetas
     # the entropy does not involve B, so the energy part is left at B = 0
-    E_cells, S_cells = cell_budget(model, components.potential, traj.thetas,
+    E_cells, S_cells = cell_budget(model, components.potential, thetas,
                                    traj.chis, 0.0, config.eps_reg)
     _, totals = budget_totals(grid.volumes, E_cells, S_cells)
     tol = 1e-8 * max(1.0, float(np.max(np.abs(totals))))
 
-    lag = LagTracker(config.lag_mode, config.lag_window, traj.thetas[0],
-                     traj.chis[0])
-    cell_min = math.inf
-    face_max = -math.inf
-    for n in range(1, len(times)):
-        op = conduction_operator(grid, model, boundary, *lag.bar())
-        th_new = traj.thetas[n]
-        lag.push(th_new, traj.chis[n])
-        resid = entropy_residual(th_new, S_cells[n - 1], S_cells[n], op,
-                                 times[n], times[n] - times[n - 1])
-        cell_min = min(cell_min, float(np.min(resid)))
-        flux = op.face_fluxes(th_new)
-        dth = th_new[grid.iface_owner] - th_new[grid.iface_neigh]
-        face_max = max(face_max, float(np.max(-flux * dth, initial=-math.inf)))
+    window = config.lag_steps
+    bar_theta, bar_chi = lag_fields(thetas[:-1], traj.chis[:-1], window)
+    of_step = np.arange(len(times) - 1) // window
+    op = conduction_operator(grid, model, boundary, bar_theta[of_step],
+                             bar_chi[of_step])
+    th_new = thetas[1:]
+    resid = entropy_residual(th_new, S_cells[:-1], S_cells[1:], op,
+                             times[1:], np.diff(times)[:, None])
+    dth = th_new.take(grid.iface_owner, axis=-1) \
+        - th_new.take(grid.iface_neigh, axis=-1)
+    face_max = float(np.max(-op.face_fluxes(th_new) * dth,
+                            initial=-math.inf))
 
     defects = np.diff(totals)
     global_min = float(np.min(defects)) if defects.size else 0.0
     monotone = bool(np.all(defects >= -tol)) if boundary.is_insulated else True
-    return EntropyReport(cell_residual_min=cell_min,
+    return EntropyReport(cell_residual_min=float(np.min(resid)),
                          global_defect_min=global_min,
                          face_pairing_max=face_max,
                          tolerance=tol, monotone=monotone)
@@ -410,14 +410,11 @@ def continuous_dependence(components: RunComponents, delta: float,
     rhs = float(np.dot(w, dth0 ** 2)) \
         + float(np.dot(w, np.sum(dch0 ** 2, axis=-1)))
 
-    times = traj1.times
-    th_sq = np.array([float(np.dot(w, (traj1.thetas[n] - traj2.thetas[n]) ** 2))
-                      for n in range(len(times))])
-    ch_sq = np.array([float(np.dot(w, np.sum((traj1.chis[n] - traj2.chis[n]) ** 2,
-                                             axis=-1)))
-                      for n in range(len(times))])
-    dts = np.diff(times)
-    lhs = float(np.dot(dts, th_sq[:-1])) + float(np.max(ch_sq))
+    th_sq = [np.dot(w, d ** 2) for d in traj1.thetas - traj2.thetas]
+    ch_sq = [np.dot(w, np.sum(d ** 2, axis=-1))
+             for d in traj1.chis - traj2.chis]
+    lhs = float(np.dot(np.diff(traj1.times), th_sq[:-1])) \
+        + float(np.max(ch_sq))
     return DependenceReport(lhs=lhs, rhs=rhs, delta=delta)
 
 

@@ -13,6 +13,11 @@ flux divergence, and for implicit steps it hands out ``diag(shift) + dt A``
 in the upper band layout of ``scipy.linalg.solveh_banded``.  Equal cell
 volumes make that matrix symmetric; its bandwidth is the largest
 neighbour-minus-owner index of a face, 1 in 1D and ``ny`` in 2D.
+
+Face data of shape ``(T, F)`` make a stack of T operators, one per step of
+a trajectory: fluxes, divergence, Robin load and residual then map a
+``(T, M)`` stack row by row through one row-offset ``bincount``.  The
+Newton parts (``diagonal``, ``apply_abs``, ``banded``) take one operator.
 """
 
 from __future__ import annotations
@@ -126,7 +131,8 @@ class BoundaryData:
 
     ``gamma`` is a scalar or an array over boundary faces, all entries >= 0.
     ``theta_gamma`` is a positive scalar, an array over boundary faces, or a
-    callable of time returning either.
+    callable of time returning either.  A constant exterior temperature is
+    checked once, here; a callable one each time it is evaluated.
     """
 
     grid: Grid
@@ -134,51 +140,46 @@ class BoundaryData:
     theta_gamma: ThetaGammaLike = 1.0
 
     def __post_init__(self):
-        g = np.broadcast_to(np.asarray(self.gamma, dtype=float), (self.grid.n_bfaces,)).copy()
-        if np.any(g < 0):
+        self.gamma_arr = np.broadcast_to(np.asarray(self.gamma, dtype=float),
+                                         (self.grid.n_bfaces,)).copy()
+        if np.any(self.gamma_arr < 0):
             raise ConfigError("boundary gamma must be nonnegative")
-        object.__setattr__(self, "_gamma_arr", g)
+        self.is_insulated = bool(np.all(self.gamma_arr == 0.0))
         if not callable(self.theta_gamma):
-            tg = np.broadcast_to(np.asarray(self.theta_gamma, dtype=float),
-                                 (self.grid.n_bfaces,)).copy()
-            if np.any(tg <= 0):
-                raise ConfigError("exterior temperature must be positive")
+            self._theta_gamma_arr = self._exterior(self.theta_gamma)
 
-    @property
-    def gamma_arr(self) -> np.ndarray:
-        return self._gamma_arr
-
-    def theta_gamma_at(self, t) -> np.ndarray:
-        """Exterior temperature per boundary face at time t, or at each of an
-        array of times (shape t.shape + (n_bfaces,))."""
-        shape = np.shape(t) + (self.grid.n_bfaces,)
-        tg = self.theta_gamma
-        if callable(tg):
-            tg = np.reshape([np.broadcast_to(tg(s), shape[-1:])
-                             for s in np.ravel(t)], shape)
-        arr = np.broadcast_to(np.asarray(tg, dtype=float), shape).copy()
+    def _exterior(self, tg) -> np.ndarray:
+        arr = np.broadcast_to(np.asarray(tg, dtype=float),
+                              (self.grid.n_bfaces,)).copy()
         if np.any(arr <= 0):
             raise ConfigError("exterior temperature must be positive")
         return arr
 
-    @property
-    def is_insulated(self) -> bool:
-        return bool(np.all(self._gamma_arr == 0.0))
+    def theta_gamma_at(self, t) -> np.ndarray:
+        """Exterior temperature per boundary face at time t, or at each of an
+        array of times (shape t.shape + (n_bfaces,)); read-only when the
+        exterior temperature is constant."""
+        shape = np.shape(t) + (self.grid.n_bfaces,)
+        if not callable(self.theta_gamma):
+            return np.broadcast_to(self._theta_gamma_arr, shape)
+        return np.reshape([self._exterior(self.theta_gamma(s))
+                           for s in np.ravel(t)], shape)
 
     def outflow(self, theta: np.ndarray, t):
         """Total heat leaving the domain through Robin faces: of theta (M,)
         at time t, or of each row of a stack (..., M) at its time in t."""
         g = self.grid
-        q = self._gamma_arr * g.bface_area * (
+        q = self.gamma_arr * g.bface_area * (
             theta[..., g.bface_owner] - self.theta_gamma_at(t))
         return np.sum(q, axis=-1)
 
 
 def harmonic_face_conductivity(grid: Grid, k_cell: np.ndarray) -> np.ndarray:
-    """Harmonic mean of the owner/neighbour cell conductivities per interior face."""
+    """Harmonic mean of the owner/neighbour cell conductivities per interior
+    face, of one field (M,) or of each row of a stack (T, M)."""
     k_cell = np.asarray(k_cell, dtype=float)
-    a = k_cell[grid.iface_owner]
-    b = k_cell[grid.iface_neigh]
+    a = k_cell.take(grid.iface_owner, axis=-1)
+    b = k_cell.take(grid.iface_neigh, axis=-1)
     return 2.0 * a * b / (a + b)
 
 
@@ -194,22 +195,30 @@ class DiffusionOperator:
 
     grid: Grid
     boundary: BoundaryData
-    trans: np.ndarray            # (F,) k_f * A_f / dist_f
+    trans: np.ndarray            # (F,) or (T, F): k_f * A_f / dist_f
     robin: np.ndarray            # (M,) sum of gamma_b * A_b per cell / volume
+
+    def _cell_sum(self, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Sum of ``values`` over the cells named by ``index``: one field
+        (K,), or each row of a stack (T, K) into its own row of cells."""
+        m = self.grid.n_cells
+        if values.ndim == 1:
+            return np.bincount(index, values, m)
+        rows = values.shape[0]
+        index = (index + m * np.arange(rows)[:, None]).ravel()
+        return np.bincount(index, values.ravel(), rows * m).reshape(rows, m)
 
     def _face_sum(self, per_face: np.ndarray) -> np.ndarray:
         """Volume-scaled sum of a face quantity over both adjacent cells."""
         g = self.grid
-        m = g.n_cells
-        return (np.bincount(g.iface_owner, per_face, m)
-                + np.bincount(g.iface_neigh, per_face, m)) / g.volumes
+        return (self._cell_sum(g.iface_owner, per_face)
+                + self._cell_sum(g.iface_neigh, per_face)) / g.volumes
 
     def apply(self, theta: np.ndarray) -> np.ndarray:
         g = self.grid
-        m = g.n_cells
         flux = self.face_fluxes(theta)
-        return (np.bincount(g.iface_owner, flux, m)
-                - np.bincount(g.iface_neigh, flux, m)) / g.volumes \
+        return (self._cell_sum(g.iface_owner, flux)
+                - self._cell_sum(g.iface_neigh, flux)) / g.volumes \
             + self.robin * theta
 
     def apply_abs(self, theta: np.ndarray) -> np.ndarray:
@@ -237,19 +246,23 @@ class DiffusionOperator:
             / g.volumes[g.iface_owner]
         return ab
 
-    def robin_load(self, t: float) -> np.ndarray:
+    def robin_load(self, t) -> np.ndarray:
+        """Affine Robin part at t, or per row at times t; 0 if insulated."""
         g = self.grid
+        if self.boundary.is_insulated:
+            return np.zeros(np.shape(t) + (g.n_cells,))
         coeff = self.boundary.gamma_arr * g.bface_area \
             * self.boundary.theta_gamma_at(t)
-        return np.bincount(g.bface_owner, coeff, g.n_cells) / g.volumes
+        return self._cell_sum(g.bface_owner, coeff) / g.volumes
 
-    def residual(self, theta: np.ndarray, t: float) -> np.ndarray:
+    def residual(self, theta: np.ndarray, t) -> np.ndarray:
         return self.apply(theta) - self.robin_load(t)
 
     def face_fluxes(self, theta: np.ndarray) -> np.ndarray:
         """Signed heat flux through each interior face, from owner to neighbour."""
         g = self.grid
-        return self.trans * (theta[g.iface_owner] - theta[g.iface_neigh])
+        return self.trans * (theta.take(g.iface_owner, axis=-1)
+                             - theta.take(g.iface_neigh, axis=-1))
 
 
 def assemble_diffusion(
@@ -260,19 +273,19 @@ def assemble_diffusion(
 ) -> DiffusionOperator:
     """Build the heat operator from per-face conductivities.
 
-    ``face_conductivity`` is given on interior faces.  When ``k_bounds`` is
-    supplied, any face value outside ``[k0, k1]`` is reported as a model
-    contract violation rather than clamped.
+    ``face_conductivity`` is given on interior faces, (F,) or a stack
+    (T, F).  When ``k_bounds`` is supplied, any face value outside
+    ``[k0, k1]`` is reported as a model contract violation, not clamped.
     """
     k_f = np.asarray(face_conductivity, dtype=float)
-    if k_f.shape != (grid.n_ifaces,):
-        raise ConfigError(
-            f"face conductivity must have shape ({grid.n_ifaces},), got {k_f.shape}")
+    if k_f.ndim not in (1, 2) or k_f.shape[-1] != grid.n_ifaces:
+        raise ConfigError(f"face conductivity must have shape ([T,] "
+                          f"{grid.n_ifaces}), got {k_f.shape}")
     if k_bounds is not None:
         k0, k1 = k_bounds
         tol = 1e-12 * max(1.0, abs(k1))
         if np.any(k_f < k0 - tol) or np.any(k_f > k1 + tol):
-            bad = float(k_f[np.argmax(np.abs(k_f - np.clip(k_f, k0, k1)))])
+            bad = float(k_f.flat[np.argmax(np.abs(k_f - np.clip(k_f, k0, k1)))])
             raise ModelContractError(
                 "k-bounds", f"face conductivity {bad} outside [{k0}, {k1}]")
     if np.any(k_f <= 0):

@@ -51,9 +51,6 @@ class State:
     xi: np.ndarray             # (M, d)
     t: float
 
-    def copy(self):
-        return State(self.theta.copy(), self.chi.copy(), self.xi.copy(), self.t)
-
 
 @dataclass
 class SolverConfig:
@@ -87,6 +84,11 @@ class SolverConfig:
         return 1.0 / self.n_reg if self.n_reg > 0 else 0.0
 
     @property
+    def lag_steps(self) -> int:
+        """Steps per lag window: lag_window, or 1 for previous_step."""
+        return self.lag_window if self.lag_mode == "interval_average" else 1
+
+    @property
     def n_steps(self) -> int:
         """Nominal steps to the horizon; the last one may be shorter."""
         return int(math.ceil(self.horizon / self.dt - 1e-12))
@@ -116,35 +118,20 @@ class Trajectory:
             raise ConfigError("snapshot times must increase strictly")
 
 
-class LagTracker:
-    """Lagged coefficient fields for the conductivity.
+def lag_fields(thetas, chis, window):
+    """Fields the conductivity is frozen at, one row per window of J steps.
 
-    previous_step: bar fields are the last accepted state.  interval_average:
-    time is split into windows of J steps; inside window m the temperature is
-    the mean over window m-1 and the phase field is its last node, with the
-    initial data serving for the first window.
+    ``thetas`` (T, M) and ``chis`` (T, M, d) are consecutive states of a
+    run, the first opening a window; previous_step is J = 1.  Window 0 is
+    frozen at the first state (the initial data), window m >= 1 at the mean
+    temperature and the last phase field of the J states of window m - 1.
+    Step n = 1, 2, ... uses row (n - 1) // J of the 1 + (T - 1) // J rows.
     """
-
-    def __init__(self, mode, window, theta0, chi0):
-        self.mode = mode
-        self.window = int(window)
-        self._bar_theta = np.asarray(theta0, dtype=float).copy()
-        self._bar_chi = np.asarray(chi0, dtype=float).copy()
-        self._buffer = []
-
-    def bar(self):
-        return self._bar_theta, self._bar_chi
-
-    def push(self, theta, chi):
-        if self.mode == "previous_step":
-            self._bar_theta = theta.copy()
-            self._bar_chi = chi.copy()
-            return
-        self._buffer.append(theta.copy())
-        if len(self._buffer) == self.window:
-            self._bar_theta = np.mean(self._buffer, axis=0)
-            self._bar_chi = chi.copy()
-            self._buffer = []
+    closed = (len(thetas) - 1) // window * window
+    means = thetas[1:closed + 1].reshape(-1, window, thetas.shape[-1]) \
+        .mean(axis=1)
+    return (np.concatenate([thetas[:1], means]),
+            np.concatenate([chis[:1], chis[window:closed + 1:window]]))
 
 
 def bound_C_ell(model, c_b: float, rho: float) -> float:
@@ -200,7 +187,8 @@ def _phi_cellwise(potential, chi):
 
 
 def conduction_operator(grid, model, boundary, bar_theta, bar_chi):
-    """Diffusion operator with the conductivity frozen at the lagged fields.
+    """Diffusion operator with the conductivity frozen at the lagged fields,
+    or a stack of them for lagged fields (T, M), (T, M, d).
 
     Face values are harmonic means of the cell conductivities; a face value
     outside the model's [k0, k1] is a contract violation.
@@ -373,10 +361,9 @@ def run(components: RunComponents):
     c_bound = bound_C_ell(model, coupling.c_b, config.rho)
 
     n_steps = config.n_steps
-    lag = LagTracker(config.lag_mode, config.lag_window, theta0, chi0)
+    window = config.lag_steps
     state = State(theta0, chi0, np.zeros_like(chi0), 0.0)
 
-    snap_t, snap_th, snap_chi = [0.0], [theta0.copy()], [chi0.copy()]
     records = np.zeros(n_steps, dtype=_RECORD_DTYPE)
     rejections = 0
 
@@ -413,12 +400,19 @@ def run(components: RunComponents):
     stored = set(config.snapshot_steps().tolist())
     fields = coupling.b_field(chi0, full=True)
     _, S_prev = cell_budget(model, potential, theta0, chi0, fields.B, eps)
+    # stored (t, theta, chi) frames; the states since the last window boundary
+    snaps, recent = [(0.0, theta0, chi0)], [state]
     for step in range(n_steps):
         dt = config.step_size(state.t)
-        op = conduction_operator(grid, model, boundary, *lag.bar())
+        if step % window == 0:
+            bar = lag_fields(np.array([st.theta for st in recent]),
+                             np.array([st.chi for st in recent]), window)
+            op = conduction_operator(grid, model, boundary, bar[0][-1],
+                                     bar[1][-1])
+            recent = recent[-1:]
         prev_fields = fields
         state, fields = advance(state, fields, dt, op, 0)
-        lag.push(state.theta, state.chi)
+        recent.append(state)
 
         # per-step scalar record
         E_cell, S_cell = cell_budget(model, potential, state.theta, state.chi,
@@ -434,13 +428,8 @@ def run(components: RunComponents):
                          float(np.min(ent_res)), pair_res, sel_margin)
 
         if step + 1 in stored:
-            snap_t.append(state.t)
-            snap_th.append(state.theta.copy())
-            snap_chi.append(state.chi.copy())
+            snaps.append((state.t, state.theta, state.chi))
 
-    return Trajectory(times=np.asarray(snap_t),
-                      thetas=np.asarray(snap_th),
-                      chis=np.asarray(snap_chi),
-                      records=records,
-                      cadence=config.cadence,
-                      rejections=rejections)
+    times, thetas, chis = map(np.array, zip(*snaps))
+    return Trajectory(times=times, thetas=thetas, chis=chis, records=records,
+                      cadence=config.cadence, rejections=rejections)

@@ -21,11 +21,12 @@ from nlpf.diagnostics import (calibrate_rho, continuous_dependence,
                               truncation_inactivity)
 from nlpf.geometry import BoundaryData, build_grid
 from nlpf.stepper import run
-from nlpf.thermo import build_model, inverse_temperature
+from nlpf.thermo import build_model
 from nlpf.studies import run_study
 from nlpf.config import resolve_config
 
 from conftest import two_phase_components
+from inverse_oracle import inverse_temperature
 
 
 @pytest.fixture(scope="session")

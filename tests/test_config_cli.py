@@ -245,17 +245,30 @@ def test_cli_verify_lower_needs_every_step(tmp_path, capsys):
     assert "cadence 2" in capsys.readouterr().err
 
 
+def test_cli_verify_robin_energy_needs_every_step(tmp_path, capsys):
+    """A Robin budget charges each step with its own outflow, which a run
+    stored at cadence 2 does not allow; an insulated run keeps its drift
+    check."""
+    for gamma, code in (("0.0", 0), ("1.0", 2)):
+        cfg = write_cfg(tmp_path, "output.cadence = 2\n"
+                        f"boundary.gamma = {gamma}\n")
+        out = tmp_path / f"out{gamma}"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["verify", str(out), "--checks", "energy"]) == code
+    captured = capsys.readouterr()
+    assert "check energy: PASS" in captured.out
+    assert "cadence 2" in captured.err
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
 def run_robin_average(tmp_path):
-    """configs/default.cfg on a Robin bar with the interval-average lag."""
-    default = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
-    overrides = {"boundary.gamma": "1", "solver.lag_mode": "interval_average",
-                 "solver.lag_window": "8", "solver.horizon": "0.05"}
-    values = parse_config_text(default.read_text())
-    values.update(overrides)
-    cfg = tmp_path / "robin_avg.cfg"
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    """configs/robin_average.cfg: a Robin bar with the interval-average lag,
+    50 steps in windows of 8."""
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["run", "--config", str(CONFIGS / "robin_average.cfg"),
+                 "--out", str(out)]) == 0
     return out
 
 
@@ -278,26 +291,33 @@ def flip_lag_mode(out):
                                      "solver.lag_mode = previous_step"))
 
 
-def perturb_snapshot_cell(out):
-    """Raise theta in cell 7 of frame 10 of the 32-cell run_robin_average."""
+def perturb_cell(out, frame, cell):
+    """Raise theta in one cell of one frame of the 32-cell run_robin_average."""
     path = out / "trajectory.nlpf"
     raw = bytearray(path.read_bytes())
-    at = header_bytes(1) + 10 * frame_bytes(32, 1) + 8 + 7 * 8
+    at = header_bytes(1) + frame * frame_bytes(32, 1) + 8 + cell * 8
     (theta,) = struct.unpack_from("<d", raw, at)
     struct.pack_into("<d", raw, at, theta + 1e-3)
     path.write_bytes(bytes(raw))
 
 
-@pytest.mark.parametrize("mutate, check", [(flip_lag_mode, "entropy"),
-                                           (perturb_snapshot_cell, "energy")])
+def perturb_snapshot_cell(out):
+    perturb_cell(out, 10, 7)
+
+
+def perturb_ragged_window_cell(out):
+    """Frame 49 lies in the last window, steps 49 and 50 of 50."""
+    perturb_cell(out, 49, 7)
+
+
+@pytest.mark.parametrize("mutate, check", [
+    (flip_lag_mode, "entropy"), (perturb_snapshot_cell, "energy"),
+    (perturb_ragged_window_cell, "entropy")])
 def test_verify_catches_mutation(tmp_path, capsys, mutate, check):
     out = run_robin_average(tmp_path)
     mutate(out)
     assert main(["verify", str(out)]) == 3
     assert f"check {check}: FAIL" in capsys.readouterr().out
-
-
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_cli_regularised_config_passes_entropy(tmp_path, capsys):

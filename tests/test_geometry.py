@@ -155,15 +155,19 @@ ORACLE_GRIDS = [(1, [1.0], [1]), (1, [1.0], [2]), (1, [1.0], [32]),
                 (2, [1.0, 1.5], [5, 9]), (2, [1.0, 1.0], [16, 16])]
 
 
-@pytest.mark.parametrize("gamma", [0.0, 1.5], ids=["insulated", "robin"])
+@pytest.mark.parametrize("gamma, theta_gamma",
+                         [(0.0, 1.0), (1.5, 1.0), (1.5, lambda t: 1.0 + t)],
+                         ids=["insulated", "robin", "robin-timed"])
 @pytest.mark.parametrize("dim, lengths, cells", ORACLE_GRIDS,
                          ids=["x".join(map(str, c)) for _, _, c in ORACLE_GRIDS])
-def test_operator_matches_csr_oracle(dim, lengths, cells, gamma):
+def test_operator_matches_csr_oracle(dim, lengths, cells, gamma,
+                                     theta_gamma):
     """The face-data operator and its banded Newton solve agree with the
-    assembled CSR matrix and ``spsolve`` on every grid shape."""
+    assembled CSR matrix and ``spsolve`` on every grid shape, and a stack
+    of operators is the row-by-row operators bit for bit."""
     g = build_grid(dim, lengths, cells)
     rng = np.random.default_rng(11)
-    bnd = BoundaryData(g, gamma * (0.5 + rng.random(g.n_bfaces)), 1.0)
+    bnd = BoundaryData(g, gamma * (0.5 + rng.random(g.n_bfaces)), theta_gamma)
     k = harmonic_face_conductivity(g, 0.6 + rng.random(g.n_cells))
     op = assemble_diffusion(g, k, bnd, (0.5, 2.0))
     mat = assemble_matrix(op)
@@ -179,6 +183,20 @@ def test_operator_matches_csr_oracle(dim, lengths, cells, gamma):
     want = spsolve(sp.csc_matrix(sp.diags(shift) + dt * mat), rhs)
     got = solveh_banded(op.banded(shift, dt), rhs)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    k_cells = 0.6 + rng.random((3, g.n_cells))
+    stack = assemble_diffusion(g, harmonic_face_conductivity(g, k_cells), bnd,
+                               (0.5, 2.0))
+    thetas = 0.5 + 2.0 * rng.random((3, g.n_cells))
+    times = np.array([0.0, 0.25, 1.0])
+    flux, applied = stack.face_fluxes(thetas), stack.apply(thetas)
+    resid = stack.residual(thetas, times)
+    for n in range(3):
+        row = assemble_diffusion(g, harmonic_face_conductivity(g, k_cells[n]),
+                                 bnd, (0.5, 2.0))
+        assert np.array_equal(flux[n], row.face_fluxes(thetas[n]))
+        assert np.array_equal(applied[n], row.apply(thetas[n]))
+        assert np.array_equal(resid[n], row.residual(thetas[n], times[n]))
 
 
 def test_operator_holds_face_data_only():

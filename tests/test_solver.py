@@ -3,8 +3,11 @@
 import math
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
 import nlpf.stepper as stepper
@@ -12,9 +15,9 @@ from nlpf.config import build_components, parse_config_text, resolve_config
 from nlpf.convex import IndicatorBox
 from nlpf.errors import ConfigError, ModeError, NumericalError
 from nlpf.geometry import BoundaryData, build_grid
-from nlpf.stepper import (LagTracker, SolverConfig, State, bound_C_ell,
-                          budget_totals, cell_budget, conduction_operator,
-                          kirchhoff, phase_source, rhs_ell, run, selection,
+from nlpf.stepper import (SolverConfig, State, bound_C_ell, budget_totals,
+                          cell_budget, conduction_operator, kirchhoff,
+                          lag_fields, phase_source, rhs_ell, run, selection,
                           step_chi, step_theta)
 from nlpf.thermo import build_model
 
@@ -36,24 +39,54 @@ def test_solver_config_validation():
 
 
 def test_lag_previous_step():
-    tr = LagTracker("previous_step", 1, np.array([1.0]), np.array([[0.5]]))
-    th0, ch0 = tr.bar()
-    assert th0[0] == 1.0
-    tr.push(np.array([2.0]), np.array([[0.6]]))
-    th1, ch1 = tr.bar()
-    assert th1[0] == 2.0 and ch1[0, 0] == 0.6
+    th, ch = lag_fields(np.array([[1.0], [2.0]]), np.array([[[0.5]], [[0.6]]]),
+                        1)
+    assert th.tolist() == [[1.0], [2.0]]     # step 1 at x0, step 2 at x1
+    assert ch.tolist() == [[[0.5]], [[0.6]]]
 
 
 def test_lag_interval_average():
-    tr = LagTracker("interval_average", 2, np.array([1.0]),
-                    np.array([[0.5]]))
-    tr.push(np.array([1.0]), np.array([[0.5]]))
-    th, _ = tr.bar()
-    assert th[0] == 1.0          # window not yet full
-    tr.push(np.array([3.0]), np.array([[0.7]]))
-    th, ch = tr.bar()
-    assert th[0] == pytest.approx(2.0)   # mean of 1 and 3
-    assert ch[0, 0] == 0.7               # order parameter: latest value
+    thetas = np.array([[1.0], [1.0], [3.0]])
+    chis = np.array([[[0.5]], [[0.5]], [[0.7]]])
+    th, ch = lag_fields(thetas[:2], chis[:2], 2)
+    assert th.tolist() == [[1.0]]            # window not yet full
+    th, ch = lag_fields(thetas, chis, 2)
+    assert th[1, 0] == pytest.approx(2.0)    # mean of 1 and 3
+    assert ch[1, 0, 0] == 0.7                # order parameter: latest value
+
+
+def replay_lag(mode, window, thetas, chis):
+    """Sequential oracle of the lag rule: the fields each step is frozen at,
+    with the states pushed one at a time as a run accepts them."""
+    bar, buffer, out = (thetas[0], chis[0]), [], []
+    for theta, chi in zip(thetas[1:], chis[1:]):
+        out.append(bar)
+        if mode == "previous_step":
+            bar = (theta, chi)
+            continue
+        buffer.append(theta)
+        if len(buffer) == window:
+            bar, buffer = (np.mean(buffer, axis=0), chi), []
+    return out
+
+
+@given(st.sampled_from(["previous_step", "interval_average"]),
+       st.integers(1, 5), st.integers(1, 23), st.integers(0, 2 ** 31 - 1))
+def test_lag_fields_matches_sequential_replay(mode, window, steps, seed):
+    """The stacked lag of every step, ragged last window included, is the
+    sequential replay bit for bit."""
+    hypothesis.assume(window == 1 or steps % window)
+    rng = np.random.default_rng(seed)
+    thetas = 0.5 + rng.random((steps + 1, 7))
+    chis = rng.random((steps + 1, 7, 2))
+    J = SolverConfig(dt=1.0, horizon=1.0, lag_mode=mode,
+                     lag_window=window).lag_steps
+    th, ch = lag_fields(thetas[:-1], chis[:-1], J)
+    assert len(th) == 1 + (steps - 1) // J
+    for n, (want_th, want_ch) in enumerate(replay_lag(mode, window, thetas,
+                                                      chis)):
+        assert np.array_equal(th[n // J], want_th)
+        assert np.array_equal(ch[n // J], want_ch)
 
 
 def test_bound_c_ell_oracle():

@@ -8,12 +8,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import quadrature_oracle
+from inverse_oracle import inverse_temperature
 from nlpf.convex import IndicatorSimplex
 from nlpf.errors import ConfigError, ModelContractError
 from nlpf.thermo import (MODEL_REGISTRY, TwoPhasePowerModel, _power_ratio,
                          build_model, generic_coefficients,
-                         inverse_temperature, truncated_entropy_gradient,
-                         truncated_mobility, validate_model)
+                         truncated_entropy_gradient, truncated_mobility,
+                         validate_model)
 
 TP = build_model("two_phase_power", alpha=1)
 
