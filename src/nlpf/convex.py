@@ -1,10 +1,12 @@
-"""Constraint potentials and their proximal maps.
+"""Constraint sets and their proximal maps.
 
-The order parameter is constrained by the indicator of a closed convex set:
-a coordinate box, a centered ball, or the corner simplex
-{x >= 0, sum x <= 1}.  For an indicator the proximal map is the euclidean
-projection onto the set, whatever the weight.  The proximal step of the
-inclusion that uses these maps is ``stepper.step_chi``.
+The order parameter is held in a closed convex set by the subdifferential
+of its indicator: a coordinate box, a centered ball, or the corner simplex
+{x >= 0, sum x <= 1}.  The indicator is zero on every admissible state, so
+it adds nothing to the energy or the entropy; what is left of it is the
+membership test ``contains`` and the proximal map, which for an indicator is
+the euclidean projection onto the set, whatever the weight.  The proximal
+step of the inclusion that uses these maps is ``stepper.step_chi``.
 """
 
 from __future__ import annotations
@@ -31,15 +33,12 @@ class IndicatorBox:
         self.d = lo.shape[0]
         self._tol = 1e-12 * max(1.0, float(np.max(np.abs(np.concatenate([lo, hi])))))
 
-    def phi(self, x) -> np.ndarray:
-        x = np.atleast_2d(x)
-        inside = np.all((x >= self.lo - self._tol) & (x <= self.hi + self._tol), axis=-1)
-        return np.where(inside, 0.0, np.inf)
-
     def contains(self, x) -> np.ndarray:
-        return np.isfinite(self.phi(x))
+        x = np.atleast_2d(x)
+        return np.all((x >= self.lo - self._tol) & (x <= self.hi + self._tol),
+                      axis=-1)
 
-    def prox(self, z, rho) -> np.ndarray:
+    def prox(self, z) -> np.ndarray:
         z = np.atleast_2d(z)
         return np.clip(z, self.lo, self.hi)
 
@@ -57,14 +56,11 @@ class IndicatorBall:
         self.radius = float(radius)
         self._tol = 1e-12 * max(1.0, radius)
 
-    def phi(self, x) -> np.ndarray:
-        x = np.atleast_2d(x)
-        return np.where(np.linalg.norm(x, axis=-1) <= self.radius + self._tol, 0.0, np.inf)
-
     def contains(self, x) -> np.ndarray:
-        return np.isfinite(self.phi(x))
+        x = np.atleast_2d(x)
+        return np.linalg.norm(x, axis=-1) <= self.radius + self._tol
 
-    def prox(self, z, rho) -> np.ndarray:
+    def prox(self, z) -> np.ndarray:
         z = np.atleast_2d(z)
         nz = np.linalg.norm(z, axis=-1)
         fac = np.where(nz > self.radius,
@@ -100,15 +96,12 @@ class IndicatorSimplex:
         self.d = int(d)
         self._tol = 1e-12
 
-    def phi(self, x) -> np.ndarray:
-        x = np.atleast_2d(x)
-        ok = np.all(x >= -self._tol, axis=-1) & (np.sum(x, axis=-1) <= 1.0 + self._tol)
-        return np.where(ok, 0.0, np.inf)
-
     def contains(self, x) -> np.ndarray:
-        return np.isfinite(self.phi(x))
+        x = np.atleast_2d(x)
+        return np.all(x >= -self._tol, axis=-1) \
+            & (np.sum(x, axis=-1) <= 1.0 + self._tol)
 
-    def prox(self, z, rho) -> np.ndarray:
+    def prox(self, z) -> np.ndarray:
         z = np.atleast_2d(z)
         p = np.maximum(z, 0.0)
         out = p.copy()

@@ -10,7 +10,8 @@ operator, and a Kirchhoff-transform regularity functional.  Every check of
 a trajectory takes the run's components and the trajectory,
 ``(components, traj)``, and evaluates the stepper's per-cell functions once
 on the ``(T, M[, d])`` snapshot stack, the lag of ``stepper.lag_fields``
-included; only the lower envelope's RK4 walks the steps in order.
+included; only the lower envelope's ODE integrator walks forward in time,
+with steps it chooses itself.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, ModeError
+from .errors import ConfigError, ModeError, NumericalError
 from .stepper import (RunComponents, budget_totals, cell_budget,
                       conduction_operator, entropy_residual, kirchhoff,
                       lag_fields, phase_source, rhs_ell, run, selection)
@@ -66,8 +67,8 @@ def energy_budget(components, traj):
         _dense(traj, "energy budget with Robin exchange")
     times, thetas, chis = traj.times, traj.thetas, traj.chis
     totals, _ = budget_totals(components.grid.volumes, *cell_budget(
-        components.model, components.potential, thetas, chis,
-        components.coupling.B_field(chis), components.config.eps_reg))
+        components.model, thetas, chis, components.coupling.B_field(chis),
+        components.config.eps_reg))
     res = np.diff(totals) \
         + np.diff(times) * components.boundary.outflow(thetas[1:], times[1:])
     drift = float(np.max(np.abs(totals - totals[0])))
@@ -110,8 +111,8 @@ def entropy_production(components, traj):
     boundary, config = components.boundary, components.config
     times, thetas = traj.times, traj.thetas
     # the entropy does not involve B, so the energy part is left at B = 0
-    E_cells, S_cells = cell_budget(model, components.potential, thetas,
-                                   traj.chis, 0.0, config.eps_reg)
+    E_cells, S_cells = cell_budget(model, thetas, traj.chis, 0.0,
+                                   config.eps_reg)
     _, totals = budget_totals(grid.volumes, E_cells, S_cells)
     tol = 1e-8 * max(1.0, float(np.max(np.abs(totals))))
 
@@ -146,7 +147,7 @@ class LowerBoundReport:
     min_margin: float           # min of min_theta - (1 - 1e-6) w
     measured_R: float
     w0: float
-    closed_form_max_diff: float | None   # RK4 vs exact solution if available
+    closed_form_max_diff: float | None   # integrator vs exact solution if any
 
     @property
     def holds(self) -> bool:
@@ -173,41 +174,37 @@ def measured_forcing_bound(components, traj) -> float:
     return float(np.max(np.linalg.norm(vec, axis=-1)))
 
 
-def lower_bound_ode(components, traj, forcing_bound=None, substep=None):
+def lower_bound_ode(components, traj, forcing_bound=None):
     """Integrate the comparison ODE c~(w) w' = -R^2 w^2 / (4 mu_rho(w)).
 
     The solution started at the initial minimum temperature must stay below
     the computed minimum at every record time, up to relative slack 1e-6.
-    R defaults to the bound measured along the trajectory.  RK4 with substep
-    at most a quarter of the step keeps the integrator error far below the
-    slack; when the model knows a closed-form solution the report carries the
-    comparison.
+    R defaults to the bound measured along the trajectory.  An adaptive
+    eighth-order Runge-Kutta (DOP853) at relative tolerance 1e-12 chooses its
+    steps from the ODE, not from the run's step size, and keeps the
+    integrator error far below the slack; when the model knows a closed-form
+    solution the report carries the comparison.
     """
+    # scipy.integrate loads scipy.optimize and scipy.special (about 0.25 s);
+    # importing it here keeps that off `nlpf run`, which imports this module
+    # for the truncation calibration
+    from scipy.integrate import solve_ivp
+
     model, config = components.model, components.config
     R = measured_forcing_bound(components, traj) \
         if forcing_bound is None else float(forcing_bound)
     w0 = float(np.min(traj.thetas[0]))
-    h_cap = (config.dt / 4.0) if substep is None else float(substep)
 
-    def f(w):
+    def f(t, w):
         return -(R * R) * w * w / (4.0 * truncated_mobility(
             model, w, config.rho) * model.c_tilde(w))
 
     rec_t = traj.records["t"]
-    env = np.empty(rec_t.size)
-    w, t = w0, 0.0
-    for i, tn in enumerate(rec_t):
-        span = tn - t
-        m = max(1, int(math.ceil(span / h_cap - 1e-12)))
-        h = span / m
-        for _ in range(m):
-            k1 = f(w)
-            k2 = f(w + 0.5 * h * k1)
-            k3 = f(w + 0.5 * h * k2)
-            k4 = f(w + h * k3)
-            w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = tn
-        env[i] = w
+    sol = solve_ivp(f, (0.0, float(rec_t[-1])), [w0], method="DOP853",
+                    t_eval=rec_t, rtol=1e-12, atol=1e-300)
+    if not sol.success:
+        raise NumericalError(f"lower envelope ODE failed: {sol.message}")
+    env = sol.y[0]
 
     margins = traj.records["min_theta"] - (1.0 - 1e-6) * env
     ref = model.lower_bound_closed_form(w0, R, rec_t, config.rho)
@@ -240,17 +237,16 @@ def upper_envelope(components, traj):
     phase source magnitude M, so the computed maximum must stay below the
     barrier.  Meaningless without regularization (n_reg = 0 raises).
     """
-    model, potential = components.model, components.potential
+    model = components.model
     boundary, config = components.boundary, components.config
     if config.n_reg == 0:
         raise ModeError("upper envelope requires the regularized scheme "
                         "(n_reg >= 1)")
     _dense(traj, "upper envelope")
     times, chis = traj.times, traj.chis
-    phi = potential.phi(chis)
     src = phase_source(model, chis[:-1], chis[1:],
-                       components.coupling.b_field(chis[:-1]), phi[:-1],
-                       phi[1:], np.diff(times)[:, None])
+                       components.coupling.b_field(chis[:-1]),
+                       np.diff(times)[:, None])
     M = float(np.max(np.abs(src)))
     v0 = float(np.max(traj.thetas[0]))
     if not boundary.is_insulated:
@@ -399,8 +395,7 @@ def continuous_dependence(components: RunComponents, delta: float,
     if np.any(th0 <= 0):
         raise ConfigError("perturbation too large: initial temperature "
                           "would lose positivity")
-    ch0 = components.potential.prox(components.chi0 + delta * eta_ch,
-                                    np.ones(components.grid.n_cells))
+    ch0 = components.potential.prox(components.chi0 + delta * eta_ch)
     comp2 = replace(components, theta0=th0, chi0=ch0)
     traj2 = run(comp2)
 

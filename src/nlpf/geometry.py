@@ -147,6 +147,7 @@ class BoundaryData:
         self.is_insulated = bool(np.all(self.gamma_arr == 0.0))
         if not callable(self.theta_gamma):
             self._theta_gamma_arr = self._exterior(self.theta_gamma)
+            self._theta_gamma_arr.flags.writeable = False
 
     def _exterior(self, tg) -> np.ndarray:
         arr = np.broadcast_to(np.asarray(tg, dtype=float),
@@ -158,10 +159,12 @@ class BoundaryData:
     def theta_gamma_at(self, t) -> np.ndarray:
         """Exterior temperature per boundary face at time t, or at each of an
         array of times (shape t.shape + (n_bfaces,)); read-only when the
-        exterior temperature is constant."""
+        exterior temperature is constant, and at a scalar t then the stored
+        array itself."""
         shape = np.shape(t) + (self.grid.n_bfaces,)
         if not callable(self.theta_gamma):
-            return np.broadcast_to(self._theta_gamma_arr, shape)
+            return self._theta_gamma_arr if len(shape) == 1 \
+                else np.broadcast_to(self._theta_gamma_arr, shape)
         return np.reshape([self._exterior(self.theta_gamma(s))
                            for s in np.ravel(t)], shape)
 

@@ -93,7 +93,8 @@ def read_trajectory(out_dir, components):
     The trajectory must be complete for ``components``: a header matching
     the grid and model, a whole number of frames, one record row per step
     of the configured horizon, and one frame per snapshot at the configured
-    cadence, each stamped with the time of the record row it follows.
+    cadence, each stamped with the time of the record row it follows, and a
+    phase field inside the potential's set in every cell of every frame.
     Anything else is a ConfigError.
     """
     config = components.config
@@ -144,8 +145,13 @@ def read_trajectory(out_dir, components):
         i = int(bad[0])
         raise ConfigError(f"{path}: frame {i} time {times[i]!r} does not "
                           f"match the record time {want[i]!r}")
+    chis = np.ascontiguousarray(np.swapaxes(frames["chi"], 1, 2))
+    outside = np.argwhere(~components.potential.contains(chis))
+    if outside.size:
+        i, cell = (int(v) for v in outside[0])
+        raise ConfigError(f"{path}: frame {i} at time {float(times[i])!r} "
+                          f"has its phase field outside the potential domain "
+                          f"in cell {cell}")
     return Trajectory(times=times,
                       thetas=np.ascontiguousarray(frames["theta"]),
-                      chis=np.ascontiguousarray(
-                          np.swapaxes(frames["chi"], 1, 2)),
-                      records=records, cadence=config.cadence)
+                      chis=chis, records=records, cadence=config.cadence)

