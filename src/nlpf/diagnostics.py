@@ -8,10 +8,10 @@ two-sided temperature envelopes, truncation inactivity, continuous
 dependence on the data, the algebraic identities of the dissipative
 operator, and a Kirchhoff-transform regularity functional.  Every check of
 a trajectory takes the run's components and the trajectory,
-``(components, traj)``, and evaluates the stepper's per-cell functions once
-on the ``(T, M[, d])`` snapshot stack, the lag of ``stepper.lag_fields``
-included; only the lower envelope's ODE integrator walks forward in time,
-with steps it chooses itself.
+``(components, traj)``, and judges the record rows that
+``snapshots.read_trajectory`` replays with ``stepper.step_records`` and the
+frames' pair fields ``traj.fields``; only the lower envelope's ODE
+integrator walks forward in time, with steps it chooses itself.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ import numpy as np
 
 from .errors import ConfigError, ModeError, NumericalError
 from .stepper import (RunComponents, budget_totals, cell_budget,
-                      conduction_operator, entropy_residual, kirchhoff,
-                      lag_fields, phase_source, rhs_ell, run, selection)
-from .thermo import (generic_coefficients, truncated_entropy_gradient,
-                     truncated_mobility)
+                      conduction_operator, forcing_norm, kirchhoff,
+                      phase_source, run)
+from .thermo import generic_coefficients, truncated_mobility
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +36,19 @@ def _dense(traj, what):
         raise ConfigError(
             f"{what} needs every step stored (cadence 1), got cadence "
             f"{traj.cadence}")
+
+
+def _frame_totals(components, traj):
+    """Total energy and entropy at every frame; with every step stored,
+    those after the initial state are the record rows'."""
+    n = 1 if traj.cadence == 1 else len(traj.times)
+    E, S = budget_totals(components.grid.volumes, *cell_budget(
+        components.model, traj.thetas[:n], traj.chis[:n], traj.fields.B[:n],
+        components.config.eps_reg))
+    if n == 1:
+        return (np.append(E, traj.records["total_energy"]),
+                np.append(S, traj.records["total_entropy"]))
+    return E, S
 
 
 # ---------------------------------------------------------------------------
@@ -65,12 +77,10 @@ def energy_budget(components, traj):
     """
     if not components.boundary.is_insulated:
         _dense(traj, "energy budget with Robin exchange")
-    times, thetas, chis = traj.times, traj.thetas, traj.chis
-    totals, _ = budget_totals(components.grid.volumes, *cell_budget(
-        components.model, thetas, chis, components.coupling.B_field(chis),
-        components.config.eps_reg))
-    res = np.diff(totals) \
-        + np.diff(times) * components.boundary.outflow(thetas[1:], times[1:])
+    times = traj.times
+    totals, _ = _frame_totals(components, traj)
+    res = np.diff(totals) + np.diff(times) \
+        * components.boundary.outflow(traj.thetas[1:], times[1:])
     drift = float(np.max(np.abs(totals - totals[0])))
     return EnergyBudgetReport(step_residuals=res, drift=drift,
                               scale=max(1.0, abs(totals[0])),
@@ -102,40 +112,23 @@ def entropy_production(components, traj):
     theta' (S' - S)/dt + (A theta' - load) equals the dissipation
     mu * |chi_t|^2 plus O(dt) remainders, so it is required to clear a small
     negative tolerance rather than zero.  The global total must not decrease
-    when the boundary is insulated.  ``lag_fields`` rebuilds every step's
-    lagged fields from the snapshot stack as the run did from its accepted
-    states, and one stacked conduction operator serves all steps.
+    when the boundary is insulated.  The cellwise and face values are the
+    step records' ``entropy_residual_min`` and ``face_pairing_max``, which
+    ``stepper.step_records`` replays from the frames with each step's lag.
     """
     _dense(traj, "entropy production")
-    grid, model = components.grid, components.model
-    boundary, config = components.boundary, components.config
-    times, thetas = traj.times, traj.thetas
-    # the entropy does not involve B, so the energy part is left at B = 0
-    E_cells, S_cells = cell_budget(model, thetas, traj.chis, 0.0,
-                                   config.eps_reg)
-    _, totals = budget_totals(grid.volumes, E_cells, S_cells)
+    _, totals = _frame_totals(components, traj)
     tol = 1e-8 * max(1.0, float(np.max(np.abs(totals))))
-
-    window = config.lag_steps
-    bar_theta, bar_chi = lag_fields(thetas[:-1], traj.chis[:-1], window)
-    of_step = np.arange(len(times) - 1) // window
-    op = conduction_operator(grid, model, boundary, bar_theta[of_step],
-                             bar_chi[of_step])
-    th_new = thetas[1:]
-    resid = entropy_residual(th_new, S_cells[:-1], S_cells[1:], op,
-                             times[1:], np.diff(times)[:, None])
-    dth = th_new.take(grid.iface_owner, axis=-1) \
-        - th_new.take(grid.iface_neigh, axis=-1)
-    face_max = float(np.max(-op.face_fluxes(th_new) * dth,
-                            initial=-math.inf))
-
     defects = np.diff(totals)
     global_min = float(np.min(defects)) if defects.size else 0.0
-    monotone = bool(np.all(defects >= -tol)) if boundary.is_insulated else True
-    return EntropyReport(cell_residual_min=float(np.min(resid)),
-                         global_defect_min=global_min,
-                         face_pairing_max=face_max,
-                         tolerance=tol, monotone=monotone)
+    monotone = bool(np.all(defects >= -tol)) \
+        if components.boundary.is_insulated else True
+    rec = traj.records
+    return EntropyReport(
+        cell_residual_min=float(np.min(rec["entropy_residual_min"])),
+        global_defect_min=global_min, tolerance=tol, monotone=monotone,
+        face_pairing_max=float(np.max(rec["face_pairing_max"],
+                                      initial=-math.inf)))
 
 
 # ---------------------------------------------------------------------------
@@ -157,21 +150,14 @@ class LowerBoundReport:
 def measured_forcing_bound(components, traj) -> float:
     """Largest |sigma' - s_chi^rho + xi| seen along the trajectory.
 
-    The selection xi is the residual of each proximal step, rebuilt from
-    consecutive snapshots with the run's step size, so every step must be
-    stored; it is zero at the initial state.
+    The selection xi is the residual of each proximal step, so every step
+    must be stored; the step records carry each step's largest value, and xi
+    is zero at the initial state.
     """
     _dense(traj, "measured forcing bound")
-    model, config = components.model, components.config
-    rho = config.rho
-    th, ch = traj.thetas, traj.chis
-    alpha, g = rhs_ell(model, th[:-1], ch[:-1],
-                       components.coupling.b_field(ch[:-1]), rho)
-    dts = config.step_size(traj.times[:-1])[:, None, None]
-    xi = np.concatenate([np.zeros_like(ch[:1]),
-                         selection(ch[:-1], ch[1:], alpha, g, dts)])
-    vec = model.sig_p(ch) - truncated_entropy_gradient(model, th, ch, rho) + xi
-    return float(np.max(np.linalg.norm(vec, axis=-1)))
+    initial = forcing_norm(components.model, traj.thetas[0], traj.chis[0],
+                           0.0, components.config.rho)
+    return float(max(np.max(initial), np.max(traj.records["forcing_max"])))
 
 
 def lower_bound_ode(components, traj, forcing_bound=None):
@@ -244,8 +230,7 @@ def upper_envelope(components, traj):
                         "(n_reg >= 1)")
     _dense(traj, "upper envelope")
     times, chis = traj.times, traj.chis
-    src = phase_source(model, chis[:-1], chis[1:],
-                       components.coupling.b_field(chis[:-1]),
+    src = phase_source(model, chis[:-1], chis[1:], traj.fields.b[:-1],
                        np.diff(times)[:, None])
     M = float(np.max(np.abs(src)))
     v0 = float(np.max(traj.thetas[0]))
@@ -554,10 +539,12 @@ def run_checks(components: RunComponents, traj, names=DEFAULT_CHECKS):
                       f"cell residual min {rep.cell_residual_min:.3e}, "
                       f"face pairing max {rep.face_pairing_max:.3e}")
         elif name == "selection":
+            _dense(traj, "selection")
             worst = float(np.min(traj.records["selection_margin"]))
             ok = worst >= 0.0
             detail = f"min margin {worst:.3e}"
         elif name == "pairing":
+            _dense(traj, "pairing")
             worst = float(np.max(np.abs(traj.records["pairing_residual"])))
             ok = worst <= 1e-11
             detail = f"max residual {worst:.3e}"

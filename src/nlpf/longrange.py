@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -41,20 +41,6 @@ class EvenPolynomialG:
         if c.ndim != 1 or c.size == 0:
             raise ConfigError("polynomial coefficients must be a nonempty vector")
         self.coeffs = c  # c[k-1] multiplies |z|^(2k)
-
-    def value(self, z: np.ndarray) -> np.ndarray:
-        s = np.sum(np.square(z), axis=-1)
-        out = np.zeros_like(s)
-        for k, c in enumerate(self.coeffs, start=1):
-            out = out + c * s ** k
-        return out
-
-    def grad(self, z: np.ndarray) -> np.ndarray:
-        s = np.sum(np.square(z), axis=-1)
-        fac = np.zeros_like(s)
-        for k, c in enumerate(self.coeffs, start=1):
-            fac = fac + 2.0 * k * c * s ** (k - 1)
-        return fac[..., None] * z
 
     def sup_grad_norm(self, radius: float) -> float:
         s = radius * radius
@@ -127,8 +113,8 @@ class ScaledTopHat:
 # ---------------------------------------------------------------------------
 # assembled coupling
 
-# padded FFT points per chunk when a stack of fields is evaluated: a long
-# trajectory goes through in chunks whose work arrays stay near 100 kB each
+# padded FFT points of all convolved columns per chunk when a stack of fields
+# is evaluated: a long trajectory goes through in chunks that stay in cache
 _STACK_POINTS = 1 << 14
 
 
@@ -195,6 +181,13 @@ class PairFields:
     B: np.ndarray       # (..., M)
     kchi: np.ndarray    # (..., M, d) Kw (chi - shift)
 
+    @staticmethod
+    def join(parts, how=np.stack):
+        """One stack of the fields of ``parts``: ``np.stack`` joins single
+        states, ``np.concatenate`` stacks."""
+        return PairFields(*(how([getattr(p, f.name) for p in parts])
+                            for f in fields(PairFields)))
+
 
 @dataclass
 class NonlocalCoupling:
@@ -245,7 +238,20 @@ class NonlocalCoupling:
         return out[self._keep].reshape(np.shape(f))
 
     def _fields(self, chi: np.ndarray, adjoint: bool = False) -> PairFields:
+        """PairFields of one state, or of a stack in chunks; ``adjoint``
+        uses the transposed operator."""
         chi = np.asarray(chi, dtype=float)
+        if chi.ndim < 3:
+            return self._convolve(chi, adjoint)
+        c, d = self.G.coeffs, chi.shape[-1]
+        cols = d + 1 if c.size == 1 and not adjoint \
+            else len(_pair_expansion(c.size, d)[0])
+        n = max(1, _STACK_POINTS // (cols * math.prod(self._fft_shape)))
+        parts = [self._convolve(chi[s:s + n], adjoint)
+                 for s in range(0, max(1, len(chi)), n)]
+        return PairFields.join(parts, np.concatenate)
+
+    def _convolve(self, chi: np.ndarray, adjoint: bool) -> PairFields:
         shift = np.add.reduce(chi, axis=-2, keepdims=True) / chi.shape[-2]
         x = chi - shift
         c = self.G.coeffs
@@ -301,15 +307,6 @@ class NonlocalCoupling:
         return PairFields(chi=chi, shift=shift, b=np.swapaxes(b, -1, -2), B=B,
                           kchi=np.swapaxes(kchi, -1, -2))
 
-    def _chunked(self, chi, name):
-        """One member of the PairFields of chi; a stack goes in chunks."""
-        chi = np.asarray(chi, dtype=float)
-        if chi.ndim < 3:
-            return getattr(self._fields(chi), name)
-        n = max(1, _STACK_POINTS // math.prod(self._fft_shape))
-        return np.concatenate([getattr(self._fields(chi[s:s + n]), name)
-                               for s in range(0, max(1, len(chi)), n)])
-
     def b_field(self, chi: np.ndarray, full: bool = False):
         """b_i = 2 sum_j w_j K_ij G'(chi_i - chi_j); shape (..., M, d).
 
@@ -317,38 +314,44 @@ class NonlocalCoupling:
         whole PairFields is returned: B and Kw chi come from the same
         convolution.
         """
-        return self._fields(chi) if full else self._chunked(chi, "b")
+        out = self._fields(chi)
+        return out if full else out.b
 
     def B_field(self, chi: np.ndarray) -> np.ndarray:
         """B_i = sum_j w_j K_ij G(chi_i - chi_j); shape (..., M)."""
-        return self._chunked(chi, "B")
+        return self._fields(chi).B
 
-    def pairing_residual(self, old: PairFields, new: PairFields, dt: float):
-        """(lhs, rhs, residual) of the pairing identity over one step.
+    def pairing_residual(self, stack: PairFields, dt):
+        """(lhs, rhs, residual) of the pairing identity over each step of a
+        stack of T + 1 states; arrays of T values, ``dt`` one per step.
 
-        lhs = sum_i w_i b_i . chid_i with b at ``old`` and
-        chid = (new.chi - old.chi)/dt; rhs is the chain-rule derivative of
-        the total pair energy, sum_ij w_i W_ij G'(chi_i - chi_j).(chid_i -
+        lhs = sum_i w_i b_i . chid_i with b at the step's first state and
+        chid = (chi' - chi)/dt; rhs is the chain-rule derivative of the
+        total pair energy, sum_ij w_i W_ij G'(chi_i - chi_j).(chid_i -
         chid_j), associated the other way round: for quadratic G it pairs
         chi with Kw chid (the two states' own convolutions) where lhs pairs
         chid with Kw chi; otherwise the j-sum goes through the transposed
         operator.  They agree when the stencil is even and G is even, so the
         residual is a machine-precision check of the assembled operator.
         """
-        chid = (new.chi - old.chi) / dt
-        wchid = self.w[:, None] * chid
-        lhs = float(np.vdot(wchid, old.b))
+        chi, r = stack.chi, self.r[:, None]
+        dt = np.asarray(dt, dtype=float)[:, None, None]
+        wchid = self.w[:, None] * (np.diff(chi, axis=0) / dt)
+
+        def pair(u, v):
+            return np.einsum("...md,...md->...", u, v)
+
+        lhs = pair(wchid, stack.b[:-1])
         c = self.G.coeffs
         if c.size == 1:
-            x = old.chi - old.shift
-            kchid = (new.kchi - old.kchi
-                     + self.r[:, None] * (new.shift - old.shift)) / dt
-            rhs = 2.0 * float(c[0]) * (
-                float(np.vdot(wchid, 2.0 * self.r[:, None] * x - old.kchi))
-                - float(np.vdot(self.w[:, None] * x, kchid)))
+            x, kchi = chi[:-1] - stack.shift[:-1], stack.kchi
+            kchid = (np.diff(kchi, axis=0)
+                     + r * np.diff(stack.shift, axis=0)) / dt
+            rhs = 2.0 * float(c[0]) * (pair(wchid, 2.0 * r * x - kchi[:-1])
+                                       - pair(self.w[:, None] * x, kchid))
         else:
-            bt = self._fields(old.chi, adjoint=True).b
-            rhs = 0.5 * (lhs + float(np.vdot(wchid, bt)))
+            rhs = 0.5 * (lhs + pair(wchid,
+                                    self._fields(chi[:-1], adjoint=True).b))
         return lhs, rhs, lhs - rhs
 
 

@@ -9,18 +9,20 @@ Readers refuse a wrong magic or version, a header that does not match the
 manifest, and a payload that is not a whole number of frames.
 
 Scalar records go to CSV with a fixed column order and 17 significant
-digits, which round-trips IEEE doubles exactly.
+digits, which round-trips IEEE doubles exactly; the reader checks them
+against their replay from the frames by ``stepper.step_records``.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import warnings
 
 import numpy as np
 
 from .errors import ConfigError
-from .stepper import RECORD_COLUMNS, _RECORD_DTYPE, Trajectory
+from .stepper import RECORD_COLUMNS, Trajectory, lag_fields, step_records
 
 MAGIC = b"NLPF1"
 VERSION = 2
@@ -30,42 +32,29 @@ RECORDS_NAME = "records.csv"
 MANIFEST_NAME = "manifest.cfg"
 
 
-def format_float(v: float) -> str:
-    return "%.17g" % float(v)
-
-
 def _frame_dtype(n_cells, d):
     return np.dtype([("t", "<f8"), ("theta", "<f8", (n_cells,)),
                      ("chi", "<f8", (d, n_cells))])
 
 
 def write_records_csv(path, records):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(RECORD_COLUMNS) + "\n")
-        for row in records:
-            fh.write(",".join(format_float(row[c]) for c in RECORD_COLUMNS)
-                     + "\n")
+    np.savetxt(path, records[list(RECORD_COLUMNS)], fmt="%.17g",
+               delimiter=",", header=",".join(RECORD_COLUMNS), comments="")
 
 
 def read_records_csv(path):
+    """The record columns of a records file; a table without rows is left
+    to the caller's row count check."""
     with open(path, "r", newline="") as fh:
-        header = fh.readline().strip()
-        if header.split(",") != list(RECORD_COLUMNS):
+        if fh.readline().strip().split(",") != list(RECORD_COLUMNS):
             raise ConfigError(f"{path}: unexpected record columns")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            tokens = line.split(",")
-            if len(tokens) != len(RECORD_COLUMNS):
-                raise ConfigError(
-                    f"{path}:{lineno}: {len(tokens)} fields, expected "
-                    f"{len(RECORD_COLUMNS)}")
-            try:
-                rows.append(tuple(float(tok) for tok in tokens))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    return np.array(rows, dtype=_RECORD_DTYPE)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                return np.loadtxt(fh, delimiter=",", ndmin=1, dtype=[
+                    (c, "f8") for c in RECORD_COLUMNS])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 def write_trajectory(out_dir, traj, cells):
@@ -95,6 +84,9 @@ def read_trajectory(out_dir, components):
     of the configured horizon, and one frame per snapshot at the configured
     cadence, each stamped with the time of the record row it follows, and a
     phase field inside the potential's set in every cell of every frame.
+    The frames are convolved once, into ``fields``.  With every step stored
+    the trajectory carries the rows ``stepper.step_records`` replays from
+    the frames, and each stored value must match its replay to round-off.
     Anything else is a ConfigError.
     """
     config = components.config
@@ -135,7 +127,8 @@ def read_trajectory(out_dir, components):
     if records.size != config.n_steps:
         raise ConfigError(f"{rec_path}: {records.size} rows, the configured "
                           f"horizon takes {config.n_steps} steps")
-    want = np.concatenate([[0.0], records["t"][config.snapshot_steps() - 1]])
+    steps = np.concatenate([[0], config.snapshot_steps()])
+    want = np.concatenate([[0.0], records["t"]])[steps]
     times = frames["t"].copy()
     if times.size != want.size:
         raise ConfigError(f"{path}: {times.size} frames, expected "
@@ -143,15 +136,35 @@ def read_trajectory(out_dir, components):
     bad = np.flatnonzero(times != want)
     if bad.size:
         i = int(bad[0])
-        raise ConfigError(f"{path}: frame {i} time {times[i]!r} does not "
-                          f"match the record time {want[i]!r}")
+        raise ConfigError(f"{path}: frame {i} time {float(times[i])} does "
+                          f"not match the record time {float(want[i])} "
+                          f"(column t, step {int(steps[i])})")
+    thetas = np.ascontiguousarray(frames["theta"])
     chis = np.ascontiguousarray(np.swapaxes(frames["chi"], 1, 2))
+    del frames     # free the frame table before the replay
     outside = np.argwhere(~components.potential.contains(chis))
     if outside.size:
         i, cell = (int(v) for v in outside[0])
         raise ConfigError(f"{path}: frame {i} at time {float(times[i])!r} "
                           f"has its phase field outside the potential domain "
                           f"in cell {cell}")
-    return Trajectory(times=times,
-                      thetas=np.ascontiguousarray(frames["theta"]),
-                      chis=chis, records=records, cadence=config.cadence)
+    fields = components.coupling.b_field(chis, full=True)
+    if config.cadence == 1:
+        window = config.lag_steps
+        bar_theta, bar_chi = lag_fields(thetas[:-1], chis[:-1], window)
+        of_step = np.arange(records.size) // window
+        replayed = step_records(components, times, thetas, chis, fields,
+                                bar_theta[of_step], bar_chi[of_step])
+        for name in RECORD_COLUMNS:
+            got, want = records[name], replayed[name]
+            bad = np.flatnonzero(~(np.abs(got - want)
+                                   <= 1e-12 * np.maximum(1.0, np.abs(want))))
+            if bad.size:
+                n = int(bad[0])
+                raise ConfigError(
+                    f"{rec_path}: column {name} of step {n + 1} at t="
+                    f"{float(times[n + 1])} reads {float(got[n])}, the "
+                    f"frames give {float(want[n])}")
+        records = replayed
+    return Trajectory(times=times, thetas=thetas, chis=chis, records=records,
+                      cadence=config.cadence, fields=fields)

@@ -33,13 +33,17 @@ from scipy.linalg import LinAlgError, solveh_banded
 
 from .errors import ConfigError, ModeError, NumericalError
 from .geometry import assemble_diffusion, harmonic_face_conductivity
+from .longrange import PairFields
 from .thermo import truncated_entropy_gradient, truncated_mobility
 
 RECORD_COLUMNS = ("t", "total_energy", "total_entropy", "min_theta",
                   "max_theta", "entropy_residual_min", "pairing_residual",
                   "selection_margin")
 
-_RECORD_DTYPE = np.dtype([(c, "f8") for c in RECORD_COLUMNS])
+# per-step maxima of <q, grad theta'> and |sigma' - s_chi^rho + xi'|, in memory
+STEP_MAXIMA = ("face_pairing_max", "forcing_max")
+_RECORD_DTYPE = np.dtype([(c, "f8") for c in RECORD_COLUMNS + STEP_MAXIMA])
+_RECORD_BLOCK = 64     # accepted steps per step_records call in run
 
 # Newton's round-off floor, in units of the double-precision epsilon
 ROUNDOFF_ULPS = 4.0
@@ -50,8 +54,8 @@ _ULP = float(np.finfo(float).eps)
 class State:
     theta: np.ndarray          # (M,)
     chi: np.ndarray            # (M, d)
-    xi: np.ndarray             # (M, d)
     t: float
+    fields: PairFields | None = None   # nonlocal fields of chi
 
 
 @dataclass
@@ -113,6 +117,7 @@ class Trajectory:
     chis: np.ndarray           # (S, M, d)
     records: np.ndarray        # structured, one row per completed step
     cadence: int
+    fields: PairFields         # of the stored frames
     rejections: int = 0
 
     def __post_init__(self):
@@ -161,23 +166,21 @@ def rhs_ell(model, theta, chi, b_val, rho):
 
 
 def step_chi(potential, chi, alpha, g, dt):
-    """One implicit proximal step; returns (chi', xi') with xi' the selection.
+    """One implicit proximal step; returns chi'.
 
     The implicit Euler step of ``alpha chi' + dphi(chi) ni g`` is the
-    proximal map of phi at chi + dt g/alpha; the selection
-    xi' = g - alpha (chi' - chi)/dt lies in the normal cone at chi' and,
-    because chi lies in the set, satisfies the cone bound of the continuous
-    theory: |xi'| <= |g|.  Cells are independent: each row is one inclusion.
+    proximal map of phi at chi + dt g/alpha, and ``selection`` gives the
+    element of dphi(chi') it picks.  Cells are independent: each row is one
+    inclusion.
     """
-    z = chi + (dt / alpha)[:, None] * g
-    chi_new = potential.prox(z)
-    return chi_new, selection(chi, chi_new, alpha, g, dt)
+    return potential.prox(chi + (dt / alpha)[:, None] * g)
 
 
 def selection(chi_old, chi_new, alpha, g, dt):
     """Selection xi' = g - alpha (chi' - chi)/dt of the subdifferential at
-    chi'; prox optimality puts it there.  Broadcasts over leading axes, with
-    dt a scalar or one step per leading index."""
+    chi'; prox optimality puts it there and, because chi lies in the set, it
+    obeys the cone bound of the continuous theory: |xi'| <= |g|.  Broadcasts
+    over leading axes, with dt a scalar or one step per leading index."""
     return g - alpha[..., None] * (chi_new - chi_old) / dt
 
 
@@ -211,14 +214,56 @@ def cell_budget(model, theta, chi, B, eps):
 
 def budget_totals(volumes, E_cell, S_cell):
     """Total energy sum w E and total entropy sum w S of the cell budgets of
-    one state, or of each state of a stack."""
-    return E_cell @ volumes, S_cell @ volumes
+    one state, or of each state of a stack.  Each state is summed on its
+    own, pairwise, which a BLAS product does not promise."""
+    return (np.add.reduce(E_cell * volumes, axis=-1),
+            np.add.reduce(S_cell * volumes, axis=-1))
 
 
-def entropy_residual(theta_new, S_old, S_new, op, t_new, dt):
-    """Cellwise theta' (S' - S)/dt + div q' of one step; the scheme keeps it
-    above a small negative tolerance."""
-    return theta_new * (S_new - S_old) / dt + op.residual(theta_new, t_new)
+def forcing_norm(model, theta, chi, xi, rho):
+    """|sigma'(chi) - s_chi^rho(theta, chi) + xi| per cell, the forcing of
+    the lower envelope's comparison ODE."""
+    return np.linalg.norm(model.sig_p(chi) - truncated_entropy_gradient(
+        model, theta, chi, rho) + xi, axis=-1)
+
+
+def step_records(components, times, thetas, chis, fields, bar_theta,
+                 bar_chi):
+    """Record rows of the T steps between T + 1 consecutive states, given
+    their PairFields ``fields`` and each step's lagged fields (T, M[, d]).
+
+    Row n, the nominal step from state n to n + 1, depends on that step
+    alone, so the rows do not depend on how the states are cut into blocks.
+    The cellwise entropy residual theta' (S' - S)/dt + div q' is kept above
+    a small negative tolerance by the scheme.
+    """
+    grid, model, config = components.grid, components.model, components.config
+    coupling, rho = components.coupling, config.rho
+    dt = config.step_size(times[:-1])
+    theta, chi = thetas[1:], chis[1:]
+    rows = np.empty(len(dt), dtype=_RECORD_DTYPE)
+    rows["t"] = times[1:]
+    rows["min_theta"], rows["max_theta"] = theta.min(-1), theta.max(-1)
+    E_cell, S_cell = cell_budget(model, thetas, chis, fields.B, config.eps_reg)
+    rows["total_energy"], rows["total_entropy"] = budget_totals(
+        grid.volumes, E_cell[1:], S_cell[1:])
+    op = conduction_operator(grid, model, components.boundary, bar_theta,
+                             bar_chi)
+    rows["entropy_residual_min"] = (theta * (S_cell[1:] - S_cell[:-1])
+                                    / dt[:, None]
+                                    + op.residual(theta, times[1:])).min(-1)
+    dth = theta.take(grid.iface_owner, axis=-1) \
+        - theta.take(grid.iface_neigh, axis=-1)
+    rows["face_pairing_max"] = np.max(-op.face_fluxes(theta) * dth, axis=-1,
+                                      initial=-math.inf)
+    rows["pairing_residual"] = coupling.pairing_residual(fields, dt)[2]
+    alpha, g = rhs_ell(model, thetas[:-1], chis[:-1], fields.b[:-1], rho)
+    xi = selection(chis[:-1], chi, alpha, g, dt[:, None, None])
+    # an indicator's normal cone holds 0, so xi obeys the forcing bound alone
+    c_bound = bound_C_ell(model, coupling.c_b, rho) * (1 + 1e-6)
+    rows["selection_margin"] = c_bound - np.linalg.norm(xi, axis=-1).max(-1)
+    rows["forcing_max"] = forcing_norm(model, theta, chi, xi, rho).max(-1)
+    return rows
 
 
 def phase_source(model, chi_old, chi_new, b_old, dt):
@@ -356,33 +401,28 @@ def run(components: RunComponents):
     if not np.all(potential.contains(chi0)):
         raise ConfigError("initial phase field must lie in the potential domain")
 
-    # the normal cone of an indicator holds 0 at chi0, so the selection
-    # obeys the forcing bound alone: |xi| <= C_ell
-    c_bound = bound_C_ell(model, coupling.c_b, config.rho)
-
     n_steps = config.n_steps
     window = config.lag_steps
-    state = State(theta0, chi0, np.zeros_like(chi0), 0.0)
+    state = State(theta0, chi0, 0.0, coupling.b_field(chi0, full=True))
 
     records = np.zeros(n_steps, dtype=_RECORD_DTYPE)
     rejections = 0
 
-    def advance(st, fields, dt, op, depth):
+    def advance(st, dt, op, depth):
         """One (chi, theta) step from st over dt; splits in half on failure.
 
-        ``fields`` are the nonlocal fields of st; the new state's are
-        returned with it, so each state is convolved once.  ``op`` is the
-        diffusion operator of the nominal step: the lagged fields it is
-        built from do not change when the step is halved.
+        Each state carries its nonlocal fields, so each is convolved once.
+        ``op`` is the diffusion operator of the nominal step: the lagged
+        fields it is built from do not change when the step is halved.
         """
         nonlocal rejections
-        b_old = fields.b
+        b_old = st.fields.b
         if np.any(np.linalg.norm(b_old, axis=-1) > coupling.c_b * (1 + 1e-9)):
             raise NumericalError("pair-interaction bound exceeded; kernel "
                                  "assembly inconsistent with its declared sup")
         alpha, g = rhs_ell(model, st.theta, st.chi, b_old, config.rho)
         try:
-            chi_new, xi_new = step_chi(potential, st.chi, alpha, g, dt)
+            chi_new = step_chi(potential, st.chi, alpha, g, dt)
             outside = np.flatnonzero(~potential.contains(chi_new))
             if outside.size:
                 raise NumericalError(
@@ -393,45 +433,42 @@ def run(components: RunComponents):
             if depth >= config.max_halvings:
                 raise
             rejections += 1
-            mid, mid_fields = advance(st, fields, 0.5 * dt, op, depth + 1)
-            return advance(mid, mid_fields, 0.5 * dt, op, depth + 1)
-        new = State(theta_new, chi_new, xi_new, st.t + dt)
-        return new, coupling.b_field(chi_new, full=True)
+            mid = advance(st, 0.5 * dt, op, depth + 1)
+            return advance(mid, 0.5 * dt, op, depth + 1)
+        return State(theta_new, chi_new, st.t + dt,
+                     coupling.b_field(chi_new, full=True))
 
-    eps = config.eps_reg
     stored = set(config.snapshot_steps().tolist())
-    fields = coupling.b_field(chi0, full=True)
-    _, S_prev = cell_budget(model, theta0, chi0, fields.B, eps)
-    # stored (t, theta, chi) frames; the states since the last window boundary
-    snaps, recent = [(0.0, theta0, chi0)], [state]
+    # the stored frames; the record block, which opens with the last
+    # recorded state, and its steps' lagged fields; the window's states
+    snaps, block, lags, recent = [state], [state], [], [state]
     for step in range(n_steps):
         dt = config.step_size(state.t)
         if step % window == 0:
-            bar = lag_fields(np.array([st.theta for st in recent]),
-                             np.array([st.chi for st in recent]), window)
-            op = conduction_operator(grid, model, boundary, bar[0][-1],
-                                     bar[1][-1])
+            bar = [a[-1] for a in lag_fields(
+                np.array([st.theta for st in recent]),
+                np.array([st.chi for st in recent]), window)]
+            op = conduction_operator(grid, model, boundary, *bar)
             recent = recent[-1:]
-        prev_fields = fields
-        state, fields = advance(state, fields, dt, op, 0)
+        state = advance(state, dt, op, 0)
         recent.append(state)
-
-        # per-step scalar record
-        E_cell, S_cell = cell_budget(model, state.theta, state.chi, fields.B,
-                                     eps)
-        total_E, total_S = budget_totals(grid.volumes, E_cell, S_cell)
-        ent_res = entropy_residual(state.theta, S_prev, S_cell, op, state.t, dt)
-        S_prev = S_cell
-        _, _, pair_res = coupling.pairing_residual(prev_fields, fields, dt)
-        sel_margin = c_bound * (1 + 1e-6) \
-            - float(np.max(np.linalg.norm(state.xi, axis=-1)))
-        records[step] = (state.t, total_E, total_S,
-                         float(np.min(state.theta)), float(np.max(state.theta)),
-                         float(np.min(ent_res)), pair_res, sel_margin)
-
+        block.append(state)
+        lags.append(bar)
+        if len(lags) == _RECORD_BLOCK or step + 1 == n_steps:
+            records[step + 1 - len(lags):step + 1] = step_records(
+                components, *_stack(block), *map(np.array, zip(*lags)))
+            block, lags = block[-1:], []
         if step + 1 in stored:
-            snaps.append((state.t, state.theta, state.chi))
+            snaps.append(state)
 
-    times, thetas, chis = map(np.array, zip(*snaps))
+    times, thetas, chis, fields = _stack(snaps)
     return Trajectory(times=times, thetas=thetas, chis=chis, records=records,
-                      cadence=config.cadence, rejections=rejections)
+                      cadence=config.cadence, rejections=rejections,
+                      fields=fields)
+
+
+def _stack(states):
+    """Times, temperatures, phase fields and PairFields of states."""
+    fields = PairFields.join([st.fields for st in states])
+    return (np.array([st.t for st in states]),
+            np.array([st.theta for st in states]), fields.chi, fields)

@@ -182,7 +182,7 @@ def inclusion_dependence(resolved):
         z = np.empty((shifts.size, n_steps + 1))
         z[:, 0] = 0.5
         for k in range(n_steps):
-            z[:, k + 1] = step_chi(box, z[:, k:k + 1], a, g, step)[0][:, 0]
+            z[:, k + 1] = step_chi(box, z[:, k:k + 1], a, g, step)[:, 0]
         return z
 
     zs = {step: march(step) for step in (dt, dt / 2.0)}
@@ -224,10 +224,9 @@ def study_csv(rows) -> str:
     if not rows:
         return "\n"
     cols = list(rows[0].keys())
-    from .snapshots import format_float
     lines = [",".join(cols)]
     for row in rows:
-        lines.append(",".join(format_float(row[c])
+        lines.append(",".join("%.17g" % row[c]
                               if isinstance(row[c], float) else str(row[c])
                               for c in cols))
     return "\n".join(lines) + "\n"

@@ -2,14 +2,34 @@
 
 The full M x M kernel matrix is formed from every cell-centre pair, mirrored
 to exact symmetry, and the b, B and pairing sums are taken pair by pair in
-row blocks.  This is the textbook quadrature the convolution operator in
-`nlpf.longrange` must reproduce; it is quadratic in memory, so it serves
-only as a test oracle on small grids.
+row blocks, with G and G' of the even polynomial pair term evaluated pair
+by pair (the solver only ever convolves their expansion).  This is the
+textbook quadrature the convolution operator in `nlpf.longrange` must
+reproduce; it is quadratic in memory, so it serves only as a test oracle on
+small grids.
 """
 
 import numpy as np
 
 BLOCK = 256
+
+
+def value(G, z):
+    """G(z) = sum_k c_k |z|^(2k) of an EvenPolynomialG, per row of z."""
+    s = np.sum(np.square(z), axis=-1)
+    out = np.zeros_like(s)
+    for k, c in enumerate(G.coeffs, start=1):
+        out = out + c * s ** k
+    return out
+
+
+def grad(G, z):
+    """G'(z) = sum_k 2k c_k |z|^(2k-2) z, per row of z."""
+    s = np.sum(np.square(z), axis=-1)
+    fac = np.zeros_like(s)
+    for k, c in enumerate(G.coeffs, start=1):
+        fac = fac + 2.0 * k * c * s ** (k - 1)
+    return fac[..., None] * z
 
 
 def kernel_matrix(grid, kernel):
@@ -31,7 +51,7 @@ def b_field(grid, kernel, G, chi):
     out = np.empty_like(chi)
     for s in range(0, chi.shape[0], BLOCK):
         e = min(s + BLOCK, chi.shape[0])
-        gp = G.grad(chi[s:e, None, :] - chi[None, :, :])
+        gp = grad(G, chi[s:e, None, :] - chi[None, :, :])
         out[s:e] = 2.0 * np.einsum("mj,mjd->md", wk[s:e], gp)
     return out
 
@@ -42,7 +62,7 @@ def B_field(grid, kernel, G, chi):
     out = np.empty(chi.shape[0])
     for s in range(0, chi.shape[0], BLOCK):
         e = min(s + BLOCK, chi.shape[0])
-        gv = G.value(chi[s:e, None, :] - chi[None, :, :])
+        gv = value(G, chi[s:e, None, :] - chi[None, :, :])
         out[s:e] = np.einsum("mj,mj->m", wk[s:e], gv)
     return out
 
@@ -60,7 +80,7 @@ def pairing(grid, kernel, G, chi, chid):
     rhs = 0.0
     for s in range(0, chi.shape[0], BLOCK):
         e = min(s + BLOCK, chi.shape[0])
-        gp = G.grad(chi[s:e, None, :] - chi[None, :, :])
+        gp = grad(G, chi[s:e, None, :] - chi[None, :, :])
         dd = chid[s:e, None, :] - chid[None, :, :]
         rhs += float(np.einsum("mj,mjd,mjd->", wk[s:e] * w[s:e, None], gp, dd))
     return lhs, rhs

@@ -1,24 +1,24 @@
 """Config files, the binary trajectory, record tables, and the command
 line."""
 
+import importlib.util
 import re
 import struct
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import nlpf.stepper as stepper
 from nlpf.cli import main
 from nlpf.config import (build_components, load_config, parse_config_text,
                          render_manifest, resolve_config)
-from nlpf.convex import IndicatorBox
 from nlpf.diagnostics import entropy_production, measured_forcing_bound
-from nlpf.errors import ConfigError
-from nlpf.geometry import build_grid
-from nlpf.snapshots import (read_records_csv, read_trajectory,
+from nlpf.errors import ConfigError, NumericalError
+from nlpf.snapshots import (_frame_dtype, read_records_csv, read_trajectory,
                             write_records_csv, write_trajectory)
-from nlpf.stepper import _RECORD_DTYPE, SolverConfig, Trajectory, run
+from nlpf.stepper import (_RECORD_DTYPE, RECORD_COLUMNS, lag_fields, run,
+                          step_records)
 
 
 def test_parse_rejects_garbage():
@@ -60,19 +60,15 @@ def frame_bytes(n_cells, d):
 
 
 def stored_trajectory(out, cells=12, d=2):
-    """Three random frames, two steps of 0.125 apart, stored in ``out``;
-    returns them with stand-in components that match the stored grid."""
-    rng = np.random.default_rng(5)
-    records = np.zeros(2, dtype=_RECORD_DTYPE)
-    records["t"] = [0.125, 0.25]
-    traj = Trajectory(times=np.array([0.0, 0.125, 0.25]),
-                      thetas=1.0 + rng.random((3, cells)),
-                      chis=rng.random((3, cells, d)), records=records,
-                      cadence=1)
-    comp = SimpleNamespace(grid=build_grid(1, [1.0], [cells]),
-                           model=SimpleNamespace(d=d),
-                           potential=IndicatorBox(np.zeros(d), np.ones(d)),
-                           config=SolverConfig(dt=0.125, horizon=0.25))
+    """A run of two steps of 0.125, with d phases on the simplex, stored in
+    ``out``; returns it with its components."""
+    comp, _ = build_components(resolve_config({
+        "grid.cells": str(cells), "thermo.model": "multi_phase_power",
+        "thermo.components": str(d), "potential.kind": "simplex",
+        "init.chi.base": "0.2", "init.chi.amplitude": "0.1",
+        "solver.dt": "0.125", "solver.horizon": "0.25",
+        "solver.rho": "100"}))
+    traj = run(comp)
     write_trajectory(out, traj, (cells,))
     return traj, comp
 
@@ -111,8 +107,6 @@ def test_snapshot_rejects_corruption(tmp_path):
 
 
 def test_records_csv_round_trip(tmp_path):
-    from nlpf.stepper import RECORD_COLUMNS, _RECORD_DTYPE
-
     rec = np.zeros(3, dtype=_RECORD_DTYPE)
     rec["t"] = [0.1, 0.2, 0.3]
     rec["total_energy"] = [1.0 / 3.0, np.pi, 1e-17]
@@ -180,8 +174,8 @@ def test_cli_verify_catches_tampering(tmp_path, capsys):
     fields[col] = "-1.0"
     rec[1] = ",".join(fields)
     (out / "records.csv").write_text("\n".join(rec) + "\n")
-    assert main(["verify", str(out)]) == 3
-    assert "check selection: FAIL" in capsys.readouterr().out
+    assert main(["verify", str(out)]) == 2
+    assert "column selection_margin of step 1 " in capsys.readouterr().err
 
 
 def _drop_frame(out, index):
@@ -255,6 +249,94 @@ def test_cli_verify_rejects_chi_outside_domain(tmp_path, capsys, checks):
     assert err.startswith("error: ")
     assert "frame 3 at time 0.03 " in err
     assert "cell 5" in err
+
+
+@pytest.mark.parametrize("column", RECORD_COLUMNS)
+def test_cli_verify_rejects_each_tampered_column(tmp_path, capsys, column):
+    """A stored record 1e-6 away from the replay of its frames is a broken
+    trajectory; the error names the column, the step and its time."""
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    records = read_records_csv(out / "records.csv")
+    value = records[column][2]
+    records[column][2] = value + 1e-6 * max(1.0, abs(value))
+    write_records_csv(out / "records.csv", records)
+    assert main(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"column {column}" in err
+    assert "step 3" in err and "0.03" in err
+
+
+def test_cli_verify_names_a_mismatched_frame_time(tmp_path, capsys):
+    """The message shows both times as plain floats."""
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / "trajectory.nlpf"
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, header_bytes(1) + 2 * frame_bytes(16, 1),
+                     0.021)
+    path.write_bytes(bytes(raw))
+    assert main(["verify", str(out)]) == 2
+    assert "frame 2 time 0.021 does not match the record time 0.02" \
+        in capsys.readouterr().err
+
+
+def _workload_components(name):
+    """Components of a benchmark workload at seed 0."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return build_components(resolve_config(parse_config_text(
+        workloads.config_text(name, 0))))[0]
+
+
+def fail_third_theta_step(monkeypatch):
+    """Make the third temperature step fail once, so that it is retried as
+    two halves."""
+    real, calls = stepper.step_theta, []
+
+    def flaky(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NumericalError("forced failure")
+        return real(*args)
+
+    monkeypatch.setattr(stepper, "step_theta", flaky)
+
+
+@pytest.mark.parametrize("name", ["bar1d-default", "bar1d-256-robin-avg",
+                                  "plate2d-64", "plate2d-32-poly3",
+                                  "halved-step"])
+def test_run_records_equal_their_replay(tmp_path, monkeypatch, name):
+    """The rows run writes block by block are bit for bit the rows
+    read_trajectory replays from the stored frames."""
+    if name == "halved-step":
+        comp = build_components(load_config(write_cfg(tmp_path)))[0]
+        fail_third_theta_step(monkeypatch)
+    else:
+        comp = _workload_components(name)
+    traj = run(comp)
+    assert traj.rejections == (name == "halved-step")
+    write_trajectory(tmp_path / "out", traj, comp.grid.cells)
+    back = read_trajectory(tmp_path / "out", comp)
+    for column in traj.records.dtype.names:
+        assert np.array_equal(back.records[column], traj.records[column])
+
+
+@pytest.mark.parametrize("check", ["selection", "pairing"])
+def test_cli_verify_step_checks_need_every_step(tmp_path, capsys, check):
+    """Records of steps between stored frames cannot be replayed, so the
+    checks that judge every step refuse a run stored at cadence 2."""
+    cfg = write_cfg(tmp_path, "output.cadence = 2\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["verify", str(out), "--checks", check]) == 2
+    assert "cadence 2" in capsys.readouterr().err
 
 
 def test_cli_verify_lower_needs_every_step(tmp_path, capsys):
@@ -332,12 +414,32 @@ def perturb_ragged_window_cell(out):
     perturb_cell(out, 49, 7)
 
 
+def rewrite_records(out):
+    """Replace records.csv in ``out`` by the rows ``step_records`` gives on
+    its frames and manifest, as a run ending in those frames would write."""
+    comp, _ = build_components(load_config(out / "manifest.cfg"))
+    frames = np.fromfile(out / "trajectory.nlpf", offset=header_bytes(1),
+                         dtype=_frame_dtype(comp.grid.n_cells, comp.model.d))
+    times, thetas = frames["t"], np.ascontiguousarray(frames["theta"])
+    chis = np.ascontiguousarray(np.swapaxes(frames["chi"], 1, 2))
+    window = comp.config.lag_steps
+    bar_theta, bar_chi = lag_fields(thetas[:-1], chis[:-1], window)
+    of_step = np.arange(len(times) - 1) // window
+    write_records_csv(out / "records.csv", step_records(
+        comp, times, thetas, chis, comp.coupling.b_field(chis, full=True),
+        bar_theta[of_step], bar_chi[of_step]))
+
+
 @pytest.mark.parametrize("mutate, check", [
     (flip_lag_mode, "entropy"), (perturb_snapshot_cell, "energy"),
     (perturb_ragged_window_cell, "entropy")])
 def test_verify_catches_mutation(tmp_path, capsys, mutate, check):
+    """A mutated run contradicts its records (exit 2); with the records
+    rewritten from the mutated frames, the check itself FAILs (exit 3)."""
     out = run_robin_average(tmp_path)
     mutate(out)
+    assert main(["verify", str(out)]) == 2
+    rewrite_records(out)
     assert main(["verify", str(out)]) == 3
     assert f"check {check}: FAIL" in capsys.readouterr().out
 

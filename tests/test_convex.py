@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nlpf.config import resolve_config
 from nlpf.convex import IndicatorBall, IndicatorBox, IndicatorSimplex
-from nlpf.stepper import step_chi
+from nlpf.stepper import selection, step_chi
 from nlpf.studies import inclusion_dependence
 
 
@@ -84,8 +84,10 @@ def test_inclusion_ramp_then_stick():
     xi = np.zeros(n_steps)
     residuals = np.zeros(n_steps)
     for k in range(n_steps):
-        z_new, xi_new = step_chi(box, zeta[k:k + 1, None], alpha, g, dt)
-        zeta[k + 1], xi[k] = z_new[0, 0], xi_new[0, 0]
+        z_old = zeta[k:k + 1, None]
+        z_new = step_chi(box, z_old, alpha, g, dt)
+        zeta[k + 1] = z_new[0, 0]
+        xi[k] = selection(z_old, z_new, alpha, g, dt)[0, 0]
         rate = (zeta[k + 1] - zeta[k]) / dt
         assert box.contains(z_new)[0]
         residuals[k] = 0.0 - dt * (1.0 - xi[k] ** 2 - rate ** 2) / 2.0

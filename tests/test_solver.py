@@ -1,5 +1,7 @@
 """Time stepping: the two half-steps, lag tracking, and full runs."""
 
+import dataclasses
+import functools
 import math
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from nlpf.geometry import BoundaryData, build_grid
 from nlpf.stepper import (SolverConfig, State, bound_C_ell, budget_totals,
                           cell_budget, conduction_operator, kirchhoff,
                           lag_fields, phase_source, rhs_ell, run, selection,
-                          step_chi, step_theta)
+                          step_chi, step_records, step_theta)
 from nlpf.thermo import build_model
 
 from conftest import two_phase_components
@@ -106,7 +108,8 @@ def test_step_chi_interior_is_explicit_euler():
     alpha = np.array([2.0])
     g = np.array([[0.25]])
     dt = 0.1
-    chi_new, xi = step_chi(box, chi, alpha, g, dt)
+    chi_new = step_chi(box, chi, alpha, g, dt)
+    xi = selection(chi, chi_new, alpha, g, dt)
     assert chi_new[0, 0] == pytest.approx(0.5 + dt * 0.25 / 2.0, rel=1e-15)
     assert abs(xi[0, 0]) <= 1e-15
 
@@ -116,7 +119,8 @@ def test_step_chi_clips_and_selects():
     chi = np.array([[0.9]])
     alpha = np.array([1.0])
     g = np.array([[5.0]])
-    chi_new, xi = step_chi(box, chi, alpha, g, 0.1)
+    chi_new = step_chi(box, chi, alpha, g, 0.1)
+    xi = selection(chi, chi_new, alpha, g, 0.1)
     assert chi_new[0, 0] == 1.0
     # xi = g - alpha (chi' - chi)/dt = 5 - 1 = 4, a normal-cone element
     assert xi[0, 0] == pytest.approx(4.0, rel=1e-14)
@@ -128,8 +132,7 @@ def test_step_theta_single_cell_robin():
     grid = build_grid(1, [1.0], [1])
     model = build_model("decoupled_power")
     boundary = BoundaryData(grid, 1.0, 2.0)
-    st = State(theta=np.array([1.0]), chi=np.zeros((1, 1)), xi=np.zeros((1, 1)),
-               t=0.0)
+    st = State(theta=np.array([1.0]), chi=np.zeros((1, 1)), t=0.0)
     chi_new = st.chi
     zeros = np.zeros((1, 1))
     cfg = SolverConfig(dt=0.05, horizon=1.0)
@@ -162,8 +165,7 @@ def test_step_theta_positivity_guard():
     grid = build_grid(1, [1.0], [1])
     model = build_model("decoupled_power")
     boundary = BoundaryData(grid, 0.0, 1.0)
-    st = State(theta=np.array([1.0]), chi=np.zeros((1, 1)),
-               xi=np.zeros((1, 1)), t=0.0)
+    st = State(theta=np.array([1.0]), chi=np.zeros((1, 1)), t=0.0)
     cfg = SolverConfig(dt=0.01, horizon=1.0, n_reg=1)
     chi_new = np.full((1, 1), 0.5)
     b_old = np.full((1, 1), 2000.0)   # (lam' + b) . dchi makes a huge sink
@@ -179,8 +181,7 @@ def test_step_theta_rejects_nonfinite_source():
     grid = build_grid(1, [1.0], [4])
     model = build_model("decoupled_power")
     boundary = BoundaryData(grid, 0.0, 1.0)
-    st = State(theta=np.ones(4), chi=np.full((4, 1), 0.5),
-               xi=np.zeros((4, 1)), t=0.25)
+    st = State(theta=np.ones(4), chi=np.full((4, 1), 0.5), t=0.25)
     b_old = np.zeros((4, 1))
     b_old[2, 0] = np.nan
     op = conduction_operator(grid, model, boundary, st.theta, st.chi)
@@ -230,6 +231,48 @@ def test_run_is_deterministic():
     assert np.array_equal(t1.chis[-1], t2.chis[-1])
     assert np.array_equal(t1.records["total_entropy"],
                           t2.records["total_entropy"])
+
+
+@functools.cache
+def blocked_run(kind):
+    """A run of more than one record block, every step stored, with each
+    step's lagged fields: 100 steps of a 16-cell Robin bar with a lag window
+    of 3, or 70 steps of the three-phase even-polynomial case."""
+    if kind == "robin-window":
+        comp = two_phase_components(cells=16, horizon=0.1, dt=1e-3,
+                                    gamma=1.0)
+        comp.config = dataclasses.replace(
+            comp.config, lag_mode="interval_average", lag_window=3)
+    else:
+        comp = poly3_simplex_components()
+        comp.config = dataclasses.replace(comp.config, horizon=0.07,
+                                          dt=1e-3)
+    traj = run(comp)
+    window = comp.config.lag_steps
+    bar_theta, bar_chi = lag_fields(traj.thetas[:-1], traj.chis[:-1], window)
+    of_step = np.arange(traj.records.size) // window
+    return comp, traj, bar_theta[of_step], bar_chi[of_step]
+
+
+@given(st.sampled_from(["robin-window", "poly3"]),
+       st.lists(st.integers(1, 40), min_size=1, max_size=30))
+def test_step_records_independent_of_blocks(kind, sizes):
+    """Rows computed on blocks of any sizes, 1 included, are bit for bit the
+    rows of the whole stack and the rows run wrote in its own blocks."""
+    comp, traj, bar_theta, bar_chi = blocked_run(kind)
+    n = traj.records.size
+    cuts = np.minimum(np.cumsum([0] + sizes), n)
+    cuts = np.unique(np.append(cuts, n))
+    rows = np.concatenate([step_records(
+        comp, traj.times[a:b + 1], traj.thetas[a:b + 1], traj.chis[a:b + 1],
+        comp.coupling.b_field(traj.chis[a:b + 1], full=True), bar_theta[a:b],
+        bar_chi[a:b])
+        for a, b in zip(cuts[:-1], cuts[1:])])
+    whole = step_records(comp, traj.times, traj.thetas, traj.chis,
+                         traj.fields, bar_theta, bar_chi)
+    for name in rows.dtype.names:
+        assert np.array_equal(rows[name], whole[name])
+        assert np.array_equal(rows[name], traj.records[name])
 
 
 def test_run_ragged_final_step():
@@ -327,8 +370,8 @@ def poly3_simplex_components():
     lambda: two_phase_components(cells=16, horizon=0.05, dt=0.01, n_reg=4),
     poly3_simplex_components], ids=["two-phase-regularised", "poly3-simplex"])
 def test_stack_matches_per_state(make):
-    """Row n of each per-cell function on the snapshot stack is what it
-    gives on snapshot n alone; the totals agree to a BLAS summation."""
+    """Row n of each per-cell function on the snapshot stack, and of the
+    totals, is what it gives on snapshot n alone."""
     comp = make()
     traj = run(comp)
     model, eps = comp.model, comp.config.eps_reg
@@ -349,8 +392,7 @@ def test_stack_matches_per_state(make):
         assert np.array_equal(alpha[n], a_n) and np.array_equal(g[n], g_n)
         assert np.array_equal(kv[n], kirchhoff(unique, th[n]))
         e_n, s_n = budget_totals(comp.grid.volumes, E_n, S_n)
-        assert abs(tot_E[n] - e_n) <= 1e-15 * abs(e_n)
-        assert abs(tot_S[n] - s_n) <= 1e-15 * abs(s_n)
+        assert tot_E[n] == e_n and tot_S[n] == s_n
         if n + 1 < len(traj.times):
             assert np.array_equal(xi[n], selection(ch[n], ch[n + 1], a_n,
                                                    g_n, dts[n]))
