@@ -71,7 +71,7 @@ _SCHEMA = {
     "solver.newton_tol": ("f", 1e-14),
     "solver.newton_cap": ("i", 60),
     "solver.max_halvings": ("i", 5),
-    "output.cadence": ("i", 1),
+    "output.cadence": ("i", 1),   # kept for manifests; 1 is the only value
     "study.deltas": ("F", [1e-3, 5e-4]),
     "study.dt_levels": ("i", 3),
     "study.local_ns": ("I", [4, 8, 16]),
@@ -232,6 +232,10 @@ def build_components(resolved: dict):
     violating model never produces output files.
     """
     p = resolved
+    if p["output.cadence"] != 1:
+        raise ConfigError(f"output.cadence = {p['output.cadence']}: every "
+                          "step is stored as a frame, so 1 is the only "
+                          "accepted value")
     grid = build_grid(p["grid.dim"], p["grid.lengths"], p["grid.cells"])
 
     name = p["thermo.model"]
@@ -272,7 +276,6 @@ def build_components(resolved: dict):
                           lag_window=p["solver.lag_window"],
                           newton_tol=p["solver.newton_tol"],
                           newton_cap=p["solver.newton_cap"],
-                          cadence=p["output.cadence"],
                           max_halvings=p["solver.max_halvings"])
 
     final = dict(resolved)

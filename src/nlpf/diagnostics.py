@@ -9,8 +9,8 @@ dependence on the data, the algebraic identities of the dissipative
 operator, and a Kirchhoff-transform regularity functional.  Every check of
 a trajectory takes the run's components and the trajectory,
 ``(components, traj)``, and judges the record rows that
-``snapshots.read_trajectory`` replays with ``stepper.step_records`` and the
-frames' pair fields ``traj.fields``; only the lower envelope's ODE
+``stepper.replay_records`` gives on the frames and the frames' pair fields
+``traj.fields``; only the lower envelope's ODE
 integrator walks forward in time, with steps it chooses itself.
 """
 
@@ -31,24 +31,14 @@ from .thermo import generic_coefficients, truncated_mobility
 # ---------------------------------------------------------------------------
 # small helpers
 
-def _dense(traj, what):
-    if traj.cadence != 1:
-        raise ConfigError(
-            f"{what} needs every step stored (cadence 1), got cadence "
-            f"{traj.cadence}")
-
-
 def _frame_totals(components, traj):
-    """Total energy and entropy at every frame; with every step stored,
-    those after the initial state are the record rows'."""
-    n = 1 if traj.cadence == 1 else len(traj.times)
+    """Total energy and entropy at every frame: the initial state's, then
+    the record rows'."""
     E, S = budget_totals(components.grid.volumes, *cell_budget(
-        components.model, traj.thetas[:n], traj.chis[:n], traj.fields.B[:n],
+        components.model, traj.thetas[:1], traj.chis[:1], traj.fields.B[:1],
         components.config.eps_reg))
-    if n == 1:
-        return (np.append(E, traj.records["total_energy"]),
-                np.append(S, traj.records["total_entropy"]))
-    return E, S
+    return (np.append(E, traj.records["total_energy"]),
+            np.append(S, traj.records["total_entropy"]))
 
 
 # ---------------------------------------------------------------------------
@@ -57,26 +47,32 @@ def _frame_totals(components, traj):
 @dataclass
 class EnergyBudgetReport:
     step_residuals: np.ndarray   # Delta E + dt * boundary outflow, per step
-    drift: float                 # max |E(t) - E(0)| over snapshots
+    drift: float                 # max |E(t) - E(0)| over the frames
     scale: float                 # max(1, |E(0)|)
-    coarse: bool                 # snapshots are coarser than the step size
+    insulated: bool
 
     @property
     def relative_drift(self) -> float:
         return self.drift / self.scale
+
+    def figure(self):
+        """Name and value of the number the energy check judges: the
+        relative drift from E(0) when insulated, otherwise the largest step
+        residual."""
+        if self.insulated:
+            return "relative drift", self.relative_drift
+        return "max step residual", float(np.max(np.abs(self.step_residuals),
+                                                 initial=0.0))
 
 
 def energy_budget(components, traj):
     """Per-step closure of the total energy balance.
 
     With insulated boundaries every residual is a pure Taylor remainder of
-    the phase couplings, O(dt^2) per step; snapshots coarser than the step
-    (cadence > 1) still bound the drift, and the report flags them.  With
-    Robin exchange each step's boundary outflow is added back so the same
-    identity applies, which needs every step stored.
+    the phase couplings, O(dt^2) per step, and the check judges the drift
+    from E(0).  With Robin exchange each step's boundary outflow is added
+    back so the same identity applies, and the check judges each step.
     """
-    if not components.boundary.is_insulated:
-        _dense(traj, "energy budget with Robin exchange")
     times = traj.times
     totals, _ = _frame_totals(components, traj)
     res = np.diff(totals) + np.diff(times) \
@@ -84,7 +80,7 @@ def energy_budget(components, traj):
     drift = float(np.max(np.abs(totals - totals[0])))
     return EnergyBudgetReport(step_residuals=res, drift=drift,
                               scale=max(1.0, abs(totals[0])),
-                              coarse=traj.cadence != 1)
+                              insulated=components.boundary.is_insulated)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +110,8 @@ def entropy_production(components, traj):
     negative tolerance rather than zero.  The global total must not decrease
     when the boundary is insulated.  The cellwise and face values are the
     step records' ``entropy_residual_min`` and ``face_pairing_max``, which
-    ``stepper.step_records`` replays from the frames with each step's lag.
+    ``stepper.replay_records`` gives on the frames with each step's lag.
     """
-    _dense(traj, "entropy production")
     _, totals = _frame_totals(components, traj)
     tol = 1e-8 * max(1.0, float(np.max(np.abs(totals))))
     defects = np.diff(totals)
@@ -150,11 +145,10 @@ class LowerBoundReport:
 def measured_forcing_bound(components, traj) -> float:
     """Largest |sigma' - s_chi^rho + xi| seen along the trajectory.
 
-    The selection xi is the residual of each proximal step, so every step
-    must be stored; the step records carry each step's largest value, and xi
-    is zero at the initial state.
+    The selection xi is the residual of each proximal step; the step
+    records carry each step's largest value, and xi is zero at the initial
+    state.
     """
-    _dense(traj, "measured forcing bound")
     initial = forcing_norm(components.model, traj.thetas[0], traj.chis[0],
                            0.0, components.config.rho)
     return float(max(np.max(initial), np.max(traj.records["forcing_max"])))
@@ -228,7 +222,6 @@ def upper_envelope(components, traj):
     if config.n_reg == 0:
         raise ModeError("upper envelope requires the regularized scheme "
                         "(n_reg >= 1)")
-    _dense(traj, "upper envelope")
     times, chis = traj.times, traj.chis
     src = phase_source(model, chis[:-1], chis[1:], traj.fields.b[:-1],
                        np.diff(times)[:, None])
@@ -320,9 +313,6 @@ def truncation_inactivity(components: RunComponents, traj, factor: float = 2.0,
     comp2 = replace(components, config=replace(components.config,
                                                rho=components.config.rho * factor))
     other = run(comp2)
-    if other.thetas.shape != traj.thetas.shape:
-        raise ConfigError("comparison run produced a different snapshot "
-                          "layout; store both at cadence 1")
     dth = np.abs(other.thetas - traj.thetas)
     dch = np.abs(other.chis - traj.chis)
     step_max = np.maximum(dth.max(axis=1), dch.max(axis=(1, 2)))
@@ -371,8 +361,6 @@ def continuous_dependence(components: RunComponents, delta: float,
                         "depending on temperature only")
     if not components.boundary.is_insulated:
         raise ModeError("continuous dependence needs an insulated boundary")
-    if components.config.cadence != 1:
-        raise ConfigError("dependence run must store every step")
 
     traj1 = run(components) if base_traj is None else base_traj
     eta_th, eta_ch = perturbation_profiles(components.grid, model.d)
@@ -488,7 +476,6 @@ def regularity_indicator(components, traj):
     gradient energy of the Kirchhoff transform K(theta).  Uniqueness setting
     only, since K needs a chi-free conductivity.
     """
-    _dense(traj, "regularity indicator")
     grid = components.grid
     dts = np.diff(traj.times)
     dth = np.diff(traj.thetas, axis=0) / dts[:, None]
@@ -522,15 +509,9 @@ def run_checks(components: RunComponents, traj, names=DEFAULT_CHECKS):
     for name in names:
         if name == "energy":
             rep = energy_budget(components, traj)
-            if boundary.is_insulated:
-                ok = rep.relative_drift <= 1e-6
-                detail = f"relative drift {rep.relative_drift:.3e}"
-            else:
-                worst = float(np.max(np.abs(rep.step_residuals)))
-                ok = worst <= 1e-6 * rep.scale
-                detail = f"max step residual {worst:.3e}"
-            if rep.coarse:
-                detail += " (coarse snapshots)"
+            label, value = rep.figure()
+            ok = value <= 1e-6 * (1.0 if rep.insulated else rep.scale)
+            detail = f"{label} {value:.3e}"
         elif name == "entropy":
             rep = entropy_production(components, traj)
             ok = rep.monotone and rep.local_ok \
@@ -539,12 +520,10 @@ def run_checks(components: RunComponents, traj, names=DEFAULT_CHECKS):
                       f"cell residual min {rep.cell_residual_min:.3e}, "
                       f"face pairing max {rep.face_pairing_max:.3e}")
         elif name == "selection":
-            _dense(traj, "selection")
             worst = float(np.min(traj.records["selection_margin"]))
             ok = worst >= 0.0
             detail = f"min margin {worst:.3e}"
         elif name == "pairing":
-            _dense(traj, "pairing")
             worst = float(np.max(np.abs(traj.records["pairing_residual"])))
             ok = worst <= 1e-11
             detail = f"max residual {worst:.3e}"

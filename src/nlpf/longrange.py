@@ -188,6 +188,11 @@ class PairFields:
         return PairFields(*(how([getattr(p, f.name) for p in parts])
                             for f in fields(PairFields)))
 
+    def __getitem__(self, index):
+        """The fields of the states ``index`` picks from a stack."""
+        return PairFields(*(getattr(self, f.name)[index]
+                            for f in fields(PairFields)))
+
 
 @dataclass
 class NonlocalCoupling:

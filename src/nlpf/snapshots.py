@@ -3,14 +3,15 @@
 A run is stored as one file, ``trajectory.nlpf`` (little endian
 throughout): a header of magic ``NLPF1`` (5 bytes), format version (1 byte),
 grid dimension N (1 byte), order-parameter dimension d (1 byte) and the
-per-axis cell counts (N x u64), then one frame per snapshot: the time (f64),
-the temperature field and each order-parameter component, in row-major f64.
+per-axis cell counts (N x u64), then one frame per state, the initial one
+and one per step: the time (f64), the temperature field and each
+order-parameter component, in row-major f64.
 Readers refuse a wrong magic or version, a header that does not match the
 manifest, and a payload that is not a whole number of frames.
 
 Scalar records go to CSV with a fixed column order and 17 significant
 digits, which round-trips IEEE doubles exactly; the reader checks them
-against their replay from the frames by ``stepper.step_records``.
+against their replay from the frames by ``stepper.replay_records``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError
-from .stepper import RECORD_COLUMNS, Trajectory, lag_fields, step_records
+from .stepper import RECORD_COLUMNS, Trajectory, replay_records
 
 MAGIC = b"NLPF1"
 VERSION = 2
@@ -58,7 +59,7 @@ def read_records_csv(path):
 
 
 def write_trajectory(out_dir, traj, cells):
-    """Write the header once and every snapshot as one frame, then the
+    """Write the header once and every state as one frame, then the
     records; ``cells`` is the per-axis count tuple."""
     n_snaps, n_cells, d = traj.chis.shape
     if int(np.prod(cells)) != n_cells \
@@ -81,13 +82,13 @@ def read_trajectory(out_dir, components):
 
     The trajectory must be complete for ``components``: a header matching
     the grid and model, a whole number of frames, one record row per step
-    of the configured horizon, and one frame per snapshot at the configured
-    cadence, each stamped with the time of the record row it follows, and a
+    of the configured horizon, and the initial frame and one frame per
+    step, each stamped with the time of the record row it follows, and a
     phase field inside the potential's set in every cell of every frame.
-    The frames are convolved once, into ``fields``.  With every step stored
-    the trajectory carries the rows ``stepper.step_records`` replays from
-    the frames, and each stored value must match its replay to round-off.
-    Anything else is a ConfigError.
+    The frames are convolved once, into ``fields``.  The trajectory carries
+    the rows ``stepper.replay_records`` gives on the frames, and each stored
+    value must match its replay to round-off.  Anything else is a
+    ConfigError.
     """
     config = components.config
     grid, d = components.grid, components.model.d
@@ -127,18 +128,17 @@ def read_trajectory(out_dir, components):
     if records.size != config.n_steps:
         raise ConfigError(f"{rec_path}: {records.size} rows, the configured "
                           f"horizon takes {config.n_steps} steps")
-    steps = np.concatenate([[0], config.snapshot_steps()])
-    want = np.concatenate([[0.0], records["t"]])[steps]
+    want = np.concatenate([[0.0], records["t"]])
     times = frames["t"].copy()
     if times.size != want.size:
         raise ConfigError(f"{path}: {times.size} frames, expected "
-                          f"{want.size} at cadence {config.cadence}")
+                          f"{want.size}, one per step and the initial state")
     bad = np.flatnonzero(times != want)
     if bad.size:
         i = int(bad[0])
         raise ConfigError(f"{path}: frame {i} time {float(times[i])} does "
                           f"not match the record time {float(want[i])} "
-                          f"(column t, step {int(steps[i])})")
+                          f"(column t, step {i})")
     thetas = np.ascontiguousarray(frames["theta"])
     chis = np.ascontiguousarray(np.swapaxes(frames["chi"], 1, 2))
     del frames     # free the frame table before the replay
@@ -149,22 +149,16 @@ def read_trajectory(out_dir, components):
                           f"has its phase field outside the potential domain "
                           f"in cell {cell}")
     fields = components.coupling.b_field(chis, full=True)
-    if config.cadence == 1:
-        window = config.lag_steps
-        bar_theta, bar_chi = lag_fields(thetas[:-1], chis[:-1], window)
-        of_step = np.arange(records.size) // window
-        replayed = step_records(components, times, thetas, chis, fields,
-                                bar_theta[of_step], bar_chi[of_step])
-        for name in RECORD_COLUMNS:
-            got, want = records[name], replayed[name]
-            bad = np.flatnonzero(~(np.abs(got - want)
-                                   <= 1e-12 * np.maximum(1.0, np.abs(want))))
-            if bad.size:
-                n = int(bad[0])
-                raise ConfigError(
-                    f"{rec_path}: column {name} of step {n + 1} at t="
-                    f"{float(times[n + 1])} reads {float(got[n])}, the "
-                    f"frames give {float(want[n])}")
-        records = replayed
-    return Trajectory(times=times, thetas=thetas, chis=chis, records=records,
-                      cadence=config.cadence, fields=fields)
+    replayed = replay_records(components, times, thetas, chis, fields)
+    for name in RECORD_COLUMNS:
+        got, want = records[name], replayed[name]
+        bad = np.flatnonzero(~(np.abs(got - want)
+                               <= 1e-12 * np.maximum(1.0, np.abs(want))))
+        if bad.size:
+            n = int(bad[0])
+            raise ConfigError(
+                f"{rec_path}: column {name} of step {n + 1} at t="
+                f"{float(times[n + 1])} reads {float(got[n])}, the "
+                f"frames give {float(want[n])}")
+    return Trajectory(times=times, thetas=thetas, chis=chis,
+                      records=replayed, fields=fields)

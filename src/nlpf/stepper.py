@@ -43,7 +43,9 @@ RECORD_COLUMNS = ("t", "total_energy", "total_entropy", "min_theta",
 # per-step maxima of <q, grad theta'> and |sigma' - s_chi^rho + xi'|, in memory
 STEP_MAXIMA = ("face_pairing_max", "forcing_max")
 _RECORD_DTYPE = np.dtype([(c, "f8") for c in RECORD_COLUMNS + STEP_MAXIMA])
-_RECORD_BLOCK = 64     # accepted steps per step_records call in run
+# cells of all states per replay_records chunk: a long run is replayed in
+# chunks whose work arrays stay small
+_REPLAY_CELLS = 1 << 16
 
 # Newton's round-off floor, in units of the double-precision epsilon
 ROUNDOFF_ULPS = 4.0
@@ -68,7 +70,6 @@ class SolverConfig:
     lag_window: int = 1
     newton_tol: float = 1e-14
     newton_cap: int = 60
-    cadence: int = 1
     max_halvings: int = 5
 
     def __post_init__(self):
@@ -82,8 +83,6 @@ class SolverConfig:
             raise ConfigError(f"unknown lag mode '{self.lag_mode}'")
         if self.lag_window < 1:
             raise ConfigError("lag window must be >= 1")
-        if self.cadence < 1:
-            raise ConfigError("output cadence must be >= 1")
 
     @property
     def eps_reg(self) -> float:
@@ -104,20 +103,14 @@ class SolverConfig:
         cut short at the horizon."""
         return np.minimum(self.dt, self.horizon - t)
 
-    def snapshot_steps(self) -> np.ndarray:
-        """Steps that end with a snapshot: each cadence-th and the last."""
-        return np.minimum(np.arange(self.cadence, self.n_steps + self.cadence,
-                                    self.cadence), self.n_steps)
-
 
 @dataclass
 class Trajectory:
-    times: np.ndarray          # (S,)
-    thetas: np.ndarray         # (S, M)
-    chis: np.ndarray           # (S, M, d)
-    records: np.ndarray        # structured, one row per completed step
-    cadence: int
-    fields: PairFields         # of the stored frames
+    times: np.ndarray          # (T + 1,)
+    thetas: np.ndarray         # (T + 1, M)
+    chis: np.ndarray           # (T + 1, M, d)
+    records: np.ndarray        # structured, one row per step
+    fields: PairFields         # of the frames
     rejections: int = 0
 
     def __post_init__(self):
@@ -233,7 +226,7 @@ def step_records(components, times, thetas, chis, fields, bar_theta,
     their PairFields ``fields`` and each step's lagged fields (T, M[, d]).
 
     Row n, the nominal step from state n to n + 1, depends on that step
-    alone, so the rows do not depend on how the states are cut into blocks.
+    alone, so the rows do not depend on how the states are cut into chunks.
     The cellwise entropy residual theta' (S' - S)/dt + div q' is kept above
     a small negative tolerance by the scheme.
     """
@@ -263,6 +256,34 @@ def step_records(components, times, thetas, chis, fields, bar_theta,
     c_bound = bound_C_ell(model, coupling.c_b, rho) * (1 + 1e-6)
     rows["selection_margin"] = c_bound - np.linalg.norm(xi, axis=-1).max(-1)
     rows["forcing_max"] = forcing_norm(model, theta, chi, xi, rho).max(-1)
+    return rows
+
+
+def replay_records(components, times, thetas, chis, fields):
+    """Record rows of the T steps of a run, from its T + 1 states and their
+    PairFields ``fields``.
+
+    The states are cut into chunks of about ``_REPLAY_CELLS`` cells; each
+    chunk takes its steps' lagged fields from ``lag_fields`` on the states
+    from the start of the window before its first step, and its rows from
+    ``step_records``.  No lag copy is made over the whole stack.
+    """
+    window = components.config.lag_steps
+    n_steps = len(times) - 1
+    size = max(1, _REPLAY_CELLS // thetas.shape[-1])
+    rows = np.empty(n_steps, dtype=_RECORD_DTYPE)
+    for a in range(0, n_steps, size):
+        b = min(a + size, n_steps)
+        # the step from state n uses window m = n // J, frozen at state 0
+        # for m = 0 and at states (m - 1) J + 1 .. m J otherwise: for the
+        # steps a .. b - 1, all of them lie in s .. b - 1
+        s = max(0, a // window - 1) * window
+        bar_theta, bar_chi = lag_fields(thetas[s:b], chis[s:b], window)
+        row = np.arange(a, b) // window - s // window
+        rows[a:b] = step_records(components, times[a:b + 1],
+                                 thetas[a:b + 1], chis[a:b + 1],
+                                 fields[a:b + 1], bar_theta[row],
+                                 bar_chi[row])
     return rows
 
 
@@ -381,9 +402,10 @@ class RunComponents:
 def run(components: RunComponents):
     """March the coupled scheme over ceil(T/dt) steps.
 
-    Returns a Trajectory with snapshots at the configured cadence and one
-    record row per nominal step.  A failed step is retried as two half steps,
-    recursively up to config.max_halvings, then reported as a hard error.
+    Returns a Trajectory with every state as a frame and one record row per
+    nominal step, the rows ``replay_records`` gives on the frames.  A failed
+    step is retried as two half steps, recursively up to
+    config.max_halvings, then reported as a hard error.
     """
     grid = components.grid
     model = components.model
@@ -401,11 +423,8 @@ def run(components: RunComponents):
     if not np.all(potential.contains(chi0)):
         raise ConfigError("initial phase field must lie in the potential domain")
 
-    n_steps = config.n_steps
     window = config.lag_steps
     state = State(theta0, chi0, 0.0, coupling.b_field(chi0, full=True))
-
-    records = np.zeros(n_steps, dtype=_RECORD_DTYPE)
     rejections = 0
 
     def advance(st, dt, op, depth):
@@ -438,37 +457,23 @@ def run(components: RunComponents):
         return State(theta_new, chi_new, st.t + dt,
                      coupling.b_field(chi_new, full=True))
 
-    stored = set(config.snapshot_steps().tolist())
-    # the stored frames; the record block, which opens with the last
-    # recorded state, and its steps' lagged fields; the window's states
-    snaps, block, lags, recent = [state], [state], [], [state]
-    for step in range(n_steps):
-        dt = config.step_size(state.t)
+    states = [state]
+    for step in range(config.n_steps):
         if step % window == 0:
+            # the states of the window just closed, or the initial state
+            recent = states[-window - 1:]
             bar = [a[-1] for a in lag_fields(
                 np.array([st.theta for st in recent]),
                 np.array([st.chi for st in recent]), window)]
             op = conduction_operator(grid, model, boundary, *bar)
-            recent = recent[-1:]
-        state = advance(state, dt, op, 0)
-        recent.append(state)
-        block.append(state)
-        lags.append(bar)
-        if len(lags) == _RECORD_BLOCK or step + 1 == n_steps:
-            records[step + 1 - len(lags):step + 1] = step_records(
-                components, *_stack(block), *map(np.array, zip(*lags)))
-            block, lags = block[-1:], []
-        if step + 1 in stored:
-            snaps.append(state)
+        state = advance(state, config.step_size(state.t), op, 0)
+        states.append(state)
 
-    times, thetas, chis, fields = _stack(snaps)
-    return Trajectory(times=times, thetas=thetas, chis=chis, records=records,
-                      cadence=config.cadence, rejections=rejections,
-                      fields=fields)
-
-
-def _stack(states):
-    """Times, temperatures, phase fields and PairFields of states."""
+    times = np.array([st.t for st in states])
+    thetas = np.array([st.theta for st in states])
     fields = PairFields.join([st.fields for st in states])
-    return (np.array([st.t for st in states]),
-            np.array([st.theta for st in states]), fields.chi, fields)
+    del states     # free the per-state arrays before the replay
+    return Trajectory(times=times, thetas=thetas, chis=fields.chi,
+                      records=replay_records(components, times, thetas,
+                                             fields.chi, fields),
+                      fields=fields, rejections=rejections)

@@ -64,7 +64,7 @@ def dt_refinement(resolved):
         comp = RunComponents(grid, model, potential, coupling, boundary,
                              theta0, chi0,
                              SolverConfig(dt=dt, horizon=horizon,
-                                          rho=math.e ** 8, cadence=10 ** 9))
+                                          rho=math.e ** 8))
         return run(comp).thetas[-1]
 
     ref = final_theta(dt0 / 64.0)

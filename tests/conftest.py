@@ -16,7 +16,7 @@ hypothesis.settings.load_profile("default")
 
 def two_phase_components(cells=32, horizon=1.0, dt=1e-3, n_reg=0,
                          rho=float(np.e) ** 8, uniqueness=False,
-                         gamma=0.0, cadence=1, lam_amp=0.1, sig_amp=0.2):
+                         gamma=0.0, lam_amp=0.1, sig_amp=0.2):
     """Standard 1D bar with a warm bump and a phase gradient.
 
     This is the configuration most tests share: insulated by default, both
@@ -33,8 +33,7 @@ def two_phase_components(cells=32, horizon=1.0, dt=1e-3, n_reg=0,
     x = grid.centers[:, 0]
     theta0 = 1.0 + 0.2 * np.exp(-((x - 0.5) ** 2) / 0.02)
     chi0 = (0.3 + 0.2 * np.sin(np.pi * x))[:, None]
-    config = SolverConfig(dt=dt, horizon=horizon, n_reg=n_reg, rho=rho,
-                          cadence=cadence)
+    config = SolverConfig(dt=dt, horizon=horizon, n_reg=n_reg, rho=rho)
     return RunComponents(grid, model, potential, coupling, boundary,
                          theta0, chi0, config)
 

@@ -17,8 +17,7 @@ from nlpf.diagnostics import entropy_production, measured_forcing_bound
 from nlpf.errors import ConfigError, NumericalError
 from nlpf.snapshots import (_frame_dtype, read_records_csv, read_trajectory,
                             write_records_csv, write_trajectory)
-from nlpf.stepper import (_RECORD_DTYPE, RECORD_COLUMNS, lag_fields, run,
-                          step_records)
+from nlpf.stepper import _RECORD_DTYPE, RECORD_COLUMNS, replay_records, run
 
 
 def test_parse_rejects_garbage():
@@ -120,25 +119,17 @@ def test_records_csv_round_trip(tmp_path):
 def test_trajectory_round_trip(tmp_path):
     from conftest import two_phase_components
 
-    for cadence in (1, 2):
-        comp = two_phase_components(cells=8, horizon=0.05, dt=0.01,
-                                    cadence=cadence)
-        traj = run(comp)
-        out = tmp_path / f"cadence{cadence}"
-        write_trajectory(out, traj, comp.grid.cells)
-        back = read_trajectory(out, comp)
-        assert np.array_equal(back.times, traj.times)
-        assert back.cadence == cadence
-        assert np.array_equal(back.thetas[-1], traj.thetas[-1])
-        assert np.array_equal(back.chis[-1], traj.chis[-1])
-        if cadence == 1:
-            assert measured_forcing_bound(comp, back) \
-                == measured_forcing_bound(comp, traj)
-        else:
-            with pytest.raises(ConfigError):
-                measured_forcing_bound(comp, back)
-        assert np.array_equal(back.records["total_entropy"],
-                              traj.records["total_entropy"])
+    comp = two_phase_components(cells=8, horizon=0.05, dt=0.01)
+    traj = run(comp)
+    write_trajectory(tmp_path, traj, comp.grid.cells)
+    back = read_trajectory(tmp_path, comp)
+    assert np.array_equal(back.times, traj.times)
+    assert np.array_equal(back.thetas, traj.thetas)
+    assert np.array_equal(back.chis, traj.chis)
+    assert measured_forcing_bound(comp, back) \
+        == measured_forcing_bound(comp, traj)
+    assert np.array_equal(back.records["total_entropy"],
+                          traj.records["total_entropy"])
 
 
 def write_cfg(tmp_path, extra=""):
@@ -328,40 +319,33 @@ def test_run_records_equal_their_replay(tmp_path, monkeypatch, name):
         assert np.array_equal(back.records[column], traj.records[column])
 
 
-@pytest.mark.parametrize("check", ["selection", "pairing"])
-def test_cli_verify_step_checks_need_every_step(tmp_path, capsys, check):
-    """Records of steps between stored frames cannot be replayed, so the
-    checks that judge every step refuse a run stored at cadence 2."""
+def test_cli_run_refuses_cadence(tmp_path, capsys):
+    """Every step is a frame: any output.cadence but 1 exits 2 before
+    stepping, naming the key, and writes nothing."""
     cfg = write_cfg(tmp_path, "output.cadence = 2\n")
     out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    assert main(["verify", str(out), "--checks", check]) == 2
-    assert "cadence 2" in capsys.readouterr().err
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "output.cadence" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_cli_verify_lower_needs_every_step(tmp_path, capsys):
-    """The lower check rebuilds each step's selection, which a run stored
-    at cadence 2 does not allow."""
-    cfg = write_cfg(tmp_path, "output.cadence = 2\n")
+@pytest.mark.parametrize("gamma", ["0.0", "1.0"],
+                         ids=["insulated", "robin"])
+def test_cli_run_prints_the_energy_figure_verify_judges(tmp_path, capsys,
+                                                        gamma):
+    """run prints the relative drift from E(0) of an insulated run and the
+    largest step residual of a Robin run, as `verify` does."""
+    cfg = write_cfg(tmp_path, f"boundary.gamma = {gamma}\n")
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    assert main(["verify", str(out), "--checks", "lower"]) == 2
-    assert "cadence 2" in capsys.readouterr().err
-
-
-def test_cli_verify_robin_energy_needs_every_step(tmp_path, capsys):
-    """A Robin budget charges each step with its own outflow, which a run
-    stored at cadence 2 does not allow; an insulated run keeps its drift
-    check."""
-    for gamma, code in (("0.0", 0), ("1.0", 2)):
-        cfg = write_cfg(tmp_path, "output.cadence = 2\n"
-                        f"boundary.gamma = {gamma}\n")
-        out = tmp_path / f"out{gamma}"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        assert main(["verify", str(out), "--checks", "energy"]) == code
-    captured = capsys.readouterr()
-    assert "check energy: PASS" in captured.out
-    assert "cadence 2" in captured.err
+    ran = re.search(r"energy (.+?) (\S+), min theta",
+                    capsys.readouterr().out)
+    assert main(["verify", str(out), "--checks", "energy"]) == 0
+    verified = re.search(r"check energy: PASS \((.+) (\S+)\)",
+                         capsys.readouterr().out)
+    assert ran.groups() == verified.groups()
+    assert ran.group(1) == ("relative drift" if gamma == "0.0"
+                            else "max step residual")
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -415,19 +399,15 @@ def perturb_ragged_window_cell(out):
 
 
 def rewrite_records(out):
-    """Replace records.csv in ``out`` by the rows ``step_records`` gives on
+    """Replace records.csv in ``out`` by the rows ``replay_records`` gives on
     its frames and manifest, as a run ending in those frames would write."""
     comp, _ = build_components(load_config(out / "manifest.cfg"))
     frames = np.fromfile(out / "trajectory.nlpf", offset=header_bytes(1),
                          dtype=_frame_dtype(comp.grid.n_cells, comp.model.d))
     times, thetas = frames["t"], np.ascontiguousarray(frames["theta"])
     chis = np.ascontiguousarray(np.swapaxes(frames["chi"], 1, 2))
-    window = comp.config.lag_steps
-    bar_theta, bar_chi = lag_fields(thetas[:-1], chis[:-1], window)
-    of_step = np.arange(len(times) - 1) // window
-    write_records_csv(out / "records.csv", step_records(
-        comp, times, thetas, chis, comp.coupling.b_field(chis, full=True),
-        bar_theta[of_step], bar_chi[of_step]))
+    write_records_csv(out / "records.csv", replay_records(
+        comp, times, thetas, chis, comp.coupling.b_field(chis, full=True)))
 
 
 @pytest.mark.parametrize("mutate, check", [

@@ -45,7 +45,6 @@ def test_energy_budget_insulated(short_run):
     comp, traj = short_run
     rep = energy_budget(comp, traj)
     assert rep.relative_drift <= 1e-6
-    assert not rep.coarse
 
 
 def test_energy_budget_robin_equilibrium():

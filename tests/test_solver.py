@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 from pathlib import Path
+from unittest import mock
 
 import hypothesis
 import numpy as np
@@ -19,8 +20,8 @@ from nlpf.errors import ConfigError, ModeError, NumericalError
 from nlpf.geometry import BoundaryData, build_grid
 from nlpf.stepper import (SolverConfig, State, bound_C_ell, budget_totals,
                           cell_budget, conduction_operator, kirchhoff,
-                          lag_fields, phase_source, rhs_ell, run, selection,
-                          step_chi, step_records, step_theta)
+                          lag_fields, phase_source, replay_records, rhs_ell,
+                          run, selection, step_chi, step_records, step_theta)
 from nlpf.thermo import build_model
 
 from conftest import two_phase_components
@@ -235,9 +236,9 @@ def test_run_is_deterministic():
 
 @functools.cache
 def blocked_run(kind):
-    """A run of more than one record block, every step stored, with each
-    step's lagged fields: 100 steps of a 16-cell Robin bar with a lag window
-    of 3, or 70 steps of the three-phase even-polynomial case."""
+    """A run of many steps, every step stored, with each step's lagged
+    fields: 100 steps of a 16-cell Robin bar with a lag window of 3, or 70
+    steps of the three-phase even-polynomial case."""
     if kind == "robin-window":
         comp = two_phase_components(cells=16, horizon=0.1, dt=1e-3,
                                     gamma=1.0)
@@ -254,11 +255,22 @@ def blocked_run(kind):
     return comp, traj, bar_theta[of_step], bar_chi[of_step]
 
 
+def replay_in_chunks(comp, traj, steps):
+    """replay_records on ``traj`` with chunks of ``steps`` steps."""
+    with mock.patch.object(stepper, "_REPLAY_CELLS",
+                           steps * comp.grid.n_cells):
+        return replay_records(comp, traj.times, traj.thetas, traj.chis,
+                              traj.fields)
+
+
 @given(st.sampled_from(["robin-window", "poly3"]),
-       st.lists(st.integers(1, 40), min_size=1, max_size=30))
-def test_step_records_independent_of_blocks(kind, sizes):
+       st.lists(st.integers(1, 40), min_size=1, max_size=30),
+       st.integers(1, 40))
+def test_step_records_independent_of_blocks(kind, sizes, chunk):
     """Rows computed on blocks of any sizes, 1 included, are bit for bit the
-    rows of the whole stack and the rows run wrote in its own blocks."""
+    rows of the whole stack and the rows run wrote; so are the rows
+    replay_records gives in chunks of any number of steps, chunks that cut
+    lag windows included."""
     comp, traj, bar_theta, bar_chi = blocked_run(kind)
     n = traj.records.size
     cuts = np.minimum(np.cumsum([0] + sizes), n)
@@ -270,9 +282,13 @@ def test_step_records_independent_of_blocks(kind, sizes):
         for a, b in zip(cuts[:-1], cuts[1:])])
     whole = step_records(comp, traj.times, traj.thetas, traj.chis,
                          traj.fields, bar_theta, bar_chi)
+    chunked = replay_in_chunks(comp, traj, chunk)
+    one_chunk = replay_in_chunks(comp, traj, n)
     for name in rows.dtype.names:
         assert np.array_equal(rows[name], whole[name])
         assert np.array_equal(rows[name], traj.records[name])
+        assert np.array_equal(chunked[name], traj.records[name])
+        assert np.array_equal(chunked[name], one_chunk[name])
 
 
 def test_run_ragged_final_step():
@@ -333,25 +349,6 @@ def test_kirchhoff_closed_form_and_quadrature():
     quad, _ = integrate.quad(lambda s: float(model.k(np.array([s]), chi)[0]),
                              0.0, 2.0, epsabs=1e-13, epsrel=1e-13)
     assert val[0] == pytest.approx(quad, rel=1e-12)
-
-
-def test_cadence_thins_snapshots():
-    comp = two_phase_components(cells=8, horizon=0.1, dt=0.01, cadence=5)
-    traj = run(comp)
-    # records stay per-step, snapshots thin out (2 cadence points + final)
-    assert traj.records.shape[0] == 10
-    assert len(traj.times) == 3       # t = 0, 0.05 and the final state
-    assert traj.cadence == 5
-
-
-def test_snapshot_schedule_ragged_cadence():
-    """5 steps at cadence 2 store frames after steps 2, 4 and 5."""
-    config = SolverConfig(dt=1.0, horizon=5.0, cadence=2)
-    assert config.snapshot_steps().tolist() == [2, 4, 5]
-    traj = run(two_phase_components(cells=8, horizon=0.05, dt=0.01,
-                                    cadence=2))
-    assert traj.records.size == 5
-    assert np.array_equal(traj.times[1:], traj.records["t"][[1, 3, 4]])
 
 
 def poly3_simplex_components():
