@@ -329,6 +329,62 @@ def test_cli_run_refuses_cadence(tmp_path, capsys):
     assert not out.exists()
 
 
+def run_stored_at_cadence_2(tmp_path, extra="", name="out"):
+    """A run whose manifest reads output.cadence = 2, as one written while
+    output could still be thinned would."""
+    out = tmp_path / name
+    cfg = write_cfg(tmp_path, extra)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = out / "manifest.cfg"
+    text = manifest.read_text()
+    assert "output.cadence = 1\n" in text
+    manifest.write_text(text.replace("output.cadence = 1\n",
+                                     "output.cadence = 2\n"))
+    return out
+
+
+@pytest.mark.parametrize("check", ["selection", "pairing"])
+def test_cli_verify_step_checks_need_every_step(tmp_path, capsys, check):
+    """The checks that judge every step refuse a run stored at cadence 2:
+    exit 2, naming the key, and no verdict."""
+    out = run_stored_at_cadence_2(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", str(out), "--checks", check]) == 2
+    captured = capsys.readouterr()
+    assert "output.cadence = 2" in captured.err
+    assert f"check {check}:" not in captured.out
+
+
+def test_cli_verify_lower_needs_every_step(tmp_path, capsys):
+    """The lower check rebuilds each step's selection, which a run stored
+    at cadence 2 does not allow."""
+    out = run_stored_at_cadence_2(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", str(out), "--checks", "lower"]) == 2
+    captured = capsys.readouterr()
+    assert "output.cadence = 2" in captured.err
+    assert "check lower:" not in captured.out
+
+
+def test_cli_verify_robin_energy_needs_every_step(tmp_path, capsys):
+    """A Robin budget charges each step with its own outflow, so a Robin
+    run stored at cadence 2 is refused; the same run stored at every step
+    passes, and so does an insulated one."""
+    for gamma in ("0.0", "1.0"):
+        cfg = write_cfg(tmp_path, f"boundary.gamma = {gamma}\n")
+        out = tmp_path / f"out{gamma}"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["verify", str(out), "--checks", "energy"]) == 0
+    assert capsys.readouterr().out.count("check energy: PASS") == 2
+    out = run_stored_at_cadence_2(tmp_path, "boundary.gamma = 1.0\n",
+                                  name="coarse")
+    capsys.readouterr()
+    assert main(["verify", str(out), "--checks", "energy"]) == 2
+    captured = capsys.readouterr()
+    assert "output.cadence = 2" in captured.err
+    assert "check energy:" not in captured.out
+
+
 @pytest.mark.parametrize("gamma", ["0.0", "1.0"],
                          ids=["insulated", "robin"])
 def test_cli_run_prints_the_energy_figure_verify_judges(tmp_path, capsys,
