@@ -270,10 +270,14 @@ def build_components(resolved: dict):
     if rho == "auto":
         from .diagnostics import calibrate_rho
         rho = calibrate_rho(p["solver.rho_c_star"], grid.dim).rho_star
+    windows = {"previous_step": 1, "interval_average": p["solver.lag_window"]}
+    if p["solver.lag_mode"] not in windows:
+        raise ConfigError(f"unknown lag mode '{p['solver.lag_mode']}'")
+    if p["solver.lag_window"] < 1:
+        raise ConfigError("lag window must be >= 1")
     config = SolverConfig(dt=p["solver.dt"], horizon=p["solver.horizon"],
                           n_reg=p["solver.n_reg"], rho=rho,
-                          lag_mode=p["solver.lag_mode"],
-                          lag_window=p["solver.lag_window"],
+                          lag_window=windows[p["solver.lag_mode"]],
                           newton_tol=p["solver.newton_tol"],
                           newton_cap=p["solver.newton_cap"],
                           max_halvings=p["solver.max_halvings"])

@@ -182,16 +182,20 @@ class PairFields:
     kchi: np.ndarray    # (..., M, d) Kw (chi - shift)
 
     @staticmethod
-    def join(parts, how=np.stack):
-        """One stack of the fields of ``parts``: ``np.stack`` joins single
-        states, ``np.concatenate`` stacks."""
-        return PairFields(*(how([getattr(p, f.name) for p in parts])
+    def join(parts):
+        """One stack of the fields of the stacks ``parts``."""
+        return PairFields(*(np.concatenate([getattr(p, f.name) for p in parts])
                             for f in fields(PairFields)))
 
     def __getitem__(self, index):
         """The fields of the states ``index`` picks from a stack."""
         return PairFields(*(getattr(self, f.name)[index]
                             for f in fields(PairFields)))
+
+    def __setitem__(self, index, value):
+        """Store the fields ``value`` at the states ``index`` of a stack."""
+        for f in fields(PairFields):
+            getattr(self, f.name)[index] = getattr(value, f.name)
 
 
 @dataclass
@@ -254,7 +258,7 @@ class NonlocalCoupling:
         n = max(1, _STACK_POINTS // (cols * math.prod(self._fft_shape)))
         parts = [self._convolve(chi[s:s + n], adjoint)
                  for s in range(0, max(1, len(chi)), n)]
-        return PairFields.join(parts, np.concatenate)
+        return PairFields.join(parts)
 
     def _convolve(self, chi: np.ndarray, adjoint: bool) -> PairFields:
         shift = np.add.reduce(chi, axis=-2, keepdims=True) / chi.shape[-2]
@@ -312,19 +316,11 @@ class NonlocalCoupling:
         return PairFields(chi=chi, shift=shift, b=np.swapaxes(b, -1, -2), B=B,
                           kchi=np.swapaxes(kchi, -1, -2))
 
-    def b_field(self, chi: np.ndarray, full: bool = False):
-        """b_i = 2 sum_j w_j K_ij G'(chi_i - chi_j); shape (..., M, d).
-
-        ``chi`` is one field (M, d) or a stack (T, M, d).  With ``full`` the
-        whole PairFields is returned: B and Kw chi come from the same
-        convolution.
-        """
-        out = self._fields(chi)
-        return out if full else out.b
-
-    def B_field(self, chi: np.ndarray) -> np.ndarray:
-        """B_i = sum_j w_j K_ij G(chi_i - chi_j); shape (..., M)."""
-        return self._fields(chi).B
+    def b_field(self, chi: np.ndarray) -> PairFields:
+        """PairFields of one field (M, d) or a stack (T, M, d): b_i =
+        2 sum_j w_j K_ij G'(chi_i - chi_j) and, from the same convolution,
+        B_i = sum_j w_j K_ij G(chi_i - chi_j) and Kw chi."""
+        return self._fields(chi)
 
     def pairing_residual(self, stack: PairFields, dt):
         """(lhs, rhs, residual) of the pairing identity over each step of a
@@ -344,7 +340,9 @@ class NonlocalCoupling:
         wchid = self.w[:, None] * (np.diff(chi, axis=0) / dt)
 
         def pair(u, v):
-            return np.einsum("...md,...md->...", u, v)
+            # einsum sums in the operands' stride order: fix one layout
+            return np.einsum("...md,...md->...", np.ascontiguousarray(u),
+                             np.ascontiguousarray(v))
 
         lhs = pair(wchid, stack.b[:-1])
         c = self.G.coeffs
@@ -442,7 +440,7 @@ def local_limit_error(grid: Grid, n: int, chi_fn,
     idx = np.flatnonzero(margin_ok)
 
     coupling = build_coupling(grid, ScaledTopHat(n, grid.dim), QuadraticG(), 1.0)
-    pair = 2.0 * coupling.B_field(chi)
+    pair = 2.0 * coupling.b_field(chi).B
     target = nu * np.array([np.sum(np.square(np.asarray(grad_fn(x[i]), float)))
                             for i in idx])
     sup_err = float(np.max(np.abs(pair[idx] - target), initial=0.0))

@@ -31,6 +31,8 @@ VERSION = 2
 TRAJECTORY_NAME = "trajectory.nlpf"
 RECORDS_NAME = "records.csv"
 MANIFEST_NAME = "manifest.cfg"
+# cells of the frames written at once: no copy of the whole trajectory
+_WRITE_CELLS = 1 << 16
 
 
 def _frame_dtype(n_cells, d):
@@ -59,21 +61,24 @@ def read_records_csv(path):
 
 
 def write_trajectory(out_dir, traj, cells):
-    """Write the header once and every state as one frame, then the
-    records; ``cells`` is the per-axis count tuple."""
+    """Write the header, then every state as one frame, about _WRITE_CELLS
+    cells at a time, then the records; ``cells`` is the per-axis counts."""
     n_snaps, n_cells, d = traj.chis.shape
     if int(np.prod(cells)) != n_cells \
             or traj.thetas.shape != (n_snaps, n_cells):
         raise ConfigError("trajectory fields do not match the cell counts")
-    frames = np.empty(n_snaps, dtype=_frame_dtype(n_cells, d))
-    frames["t"] = traj.times
-    frames["theta"] = traj.thetas
-    frames["chi"] = np.swapaxes(traj.chis, 1, 2)
+    size = max(1, _WRITE_CELLS // n_cells)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, TRAJECTORY_NAME), "wb") as fh:
         fh.write(MAGIC + struct.pack("<BBB", VERSION, len(cells), d)
                  + struct.pack(f"<{len(cells)}Q", *[int(c) for c in cells]))
-        fh.write(frames)
+        for a in range(0, n_snaps, size):
+            frames = np.empty(min(size, n_snaps - a),
+                              dtype=_frame_dtype(n_cells, d))
+            frames["t"] = traj.times[a:a + size]
+            frames["theta"] = traj.thetas[a:a + size]
+            frames["chi"] = np.swapaxes(traj.chis[a:a + size], 1, 2)
+            fh.write(frames)
     write_records_csv(os.path.join(out_dir, RECORDS_NAME), traj.records)
 
 
@@ -148,7 +153,7 @@ def read_trajectory(out_dir, components):
         raise ConfigError(f"{path}: frame {i} at time {float(times[i])!r} "
                           f"has its phase field outside the potential domain "
                           f"in cell {cell}")
-    fields = components.coupling.b_field(chis, full=True)
+    fields = components.coupling.b_field(chis)
     replayed = replay_records(components, times, thetas, chis, fields)
     for name in RECORD_COLUMNS:
         got, want = records[name], replayed[name]

@@ -66,8 +66,7 @@ class SolverConfig:
     horizon: float
     n_reg: int = 0                       # regularizing eps = 1/n_reg; 0 disables
     rho: float = math.e ** 8             # truncation cap (resolved by the caller)
-    lag_mode: str = "previous_step"      # or "interval_average"
-    lag_window: int = 1
+    lag_window: int = 1                  # steps per lag window; 1: previous step
     newton_tol: float = 1e-14
     newton_cap: int = 60
     max_halvings: int = 5
@@ -79,19 +78,12 @@ class SolverConfig:
             raise ConfigError("truncation parameter must be >= 1")
         if self.n_reg < 0:
             raise ConfigError("regularization index must be >= 0")
-        if self.lag_mode not in ("previous_step", "interval_average"):
-            raise ConfigError(f"unknown lag mode '{self.lag_mode}'")
         if self.lag_window < 1:
             raise ConfigError("lag window must be >= 1")
 
     @property
     def eps_reg(self) -> float:
         return 1.0 / self.n_reg if self.n_reg > 0 else 0.0
-
-    @property
-    def lag_steps(self) -> int:
-        """Steps per lag window: lag_window, or 1 for previous_step."""
-        return self.lag_window if self.lag_mode == "interval_average" else 1
 
     @property
     def n_steps(self) -> int:
@@ -132,6 +124,19 @@ def lag_fields(thetas, chis, window):
         .mean(axis=1)
     return (np.concatenate([thetas[:1], means]),
             np.concatenate([chis[:1], chis[window:closed + 1:window]]))
+
+
+def lagged_fields(thetas, chis, window, a, b):
+    """Lagged fields (b - a, M[, d]) of the steps a .. b - 1, one row per
+    step, from the states of a run before state b.
+
+    The step from state n uses window m = n // J, frozen at state 0 for
+    m = 0 and at states (m - 1) J + 1 .. m J otherwise: for the steps
+    a .. b - 1, all of them lie in s .. b - 1."""
+    s = max(0, a // window - 1) * window
+    bar_theta, bar_chi = lag_fields(thetas[s:b], chis[s:b], window)
+    row = np.arange(a, b) // window - s // window
+    return bar_theta[row], bar_chi[row]
 
 
 def bound_C_ell(model, c_b: float, rho: float) -> float:
@@ -264,26 +269,19 @@ def replay_records(components, times, thetas, chis, fields):
     PairFields ``fields``.
 
     The states are cut into chunks of about ``_REPLAY_CELLS`` cells; each
-    chunk takes its steps' lagged fields from ``lag_fields`` on the states
-    from the start of the window before its first step, and its rows from
-    ``step_records``.  No lag copy is made over the whole stack.
+    chunk takes its steps' lagged fields from ``lagged_fields`` and its
+    rows from ``step_records``.  No lag copy is made over the whole stack.
     """
-    window = components.config.lag_steps
+    window = components.config.lag_window
     n_steps = len(times) - 1
     size = max(1, _REPLAY_CELLS // thetas.shape[-1])
     rows = np.empty(n_steps, dtype=_RECORD_DTYPE)
     for a in range(0, n_steps, size):
         b = min(a + size, n_steps)
-        # the step from state n uses window m = n // J, frozen at state 0
-        # for m = 0 and at states (m - 1) J + 1 .. m J otherwise: for the
-        # steps a .. b - 1, all of them lie in s .. b - 1
-        s = max(0, a // window - 1) * window
-        bar_theta, bar_chi = lag_fields(thetas[s:b], chis[s:b], window)
-        row = np.arange(a, b) // window - s // window
         rows[a:b] = step_records(components, times[a:b + 1],
                                  thetas[a:b + 1], chis[a:b + 1],
-                                 fields[a:b + 1], bar_theta[row],
-                                 bar_chi[row])
+                                 fields[a:b + 1],
+                                 *lagged_fields(thetas, chis, window, a, b))
     return rows
 
 
@@ -402,17 +400,14 @@ class RunComponents:
 def run(components: RunComponents):
     """March the coupled scheme over ceil(T/dt) steps.
 
-    Returns a Trajectory with every state as a frame and one record row per
-    nominal step, the rows ``replay_records`` gives on the frames.  A failed
+    Returns a Trajectory with every state, written into its arrays as it
+    is accepted, and the rows ``replay_records`` gives on them.  A failed
     step is retried as two half steps, recursively up to
     config.max_halvings, then reported as a hard error.
     """
-    grid = components.grid
-    model = components.model
-    potential = components.potential
-    coupling = components.coupling
+    grid, model, config = components.grid, components.model, components.config
+    potential, coupling = components.potential, components.coupling
     boundary = components.boundary
-    config = components.config
 
     theta0 = np.asarray(components.theta0, dtype=float).copy()
     chi0 = np.atleast_2d(np.asarray(components.chi0, dtype=float)).copy()
@@ -423,8 +418,13 @@ def run(components: RunComponents):
     if not np.all(potential.contains(chi0)):
         raise ConfigError("initial phase field must lie in the potential domain")
 
-    window = config.lag_steps
-    state = State(theta0, chi0, 0.0, coupling.b_field(chi0, full=True))
+    window, n_steps = config.lag_window, config.n_steps
+    state = State(theta0, chi0, 0.0, coupling.b_field(chi0))
+    times = np.zeros(n_steps + 1)
+    thetas = np.empty((n_steps + 1,) + theta0.shape)
+    fields = PairFields(*(np.empty((n_steps + 1,) + v.shape)
+                          for v in vars(state.fields).values()))
+    thetas[0], fields[0] = theta0, state.fields
     rejections = 0
 
     def advance(st, dt, op, depth):
@@ -454,25 +454,17 @@ def run(components: RunComponents):
             rejections += 1
             mid = advance(st, 0.5 * dt, op, depth + 1)
             return advance(mid, 0.5 * dt, op, depth + 1)
-        return State(theta_new, chi_new, st.t + dt,
-                     coupling.b_field(chi_new, full=True))
+        return State(theta_new, chi_new, st.t + dt, coupling.b_field(chi_new))
 
-    states = [state]
-    for step in range(config.n_steps):
+    for step in range(n_steps):
         if step % window == 0:
-            # the states of the window just closed, or the initial state
-            recent = states[-window - 1:]
-            bar = [a[-1] for a in lag_fields(
-                np.array([st.theta for st in recent]),
-                np.array([st.chi for st in recent]), window)]
-            op = conduction_operator(grid, model, boundary, *bar)
+            bar = lagged_fields(thetas, fields.chi, window, step, step + 1)
+            op = conduction_operator(grid, model, boundary,
+                                     *(v[0] for v in bar))
         state = advance(state, config.step_size(state.t), op, 0)
-        states.append(state)
+        times[step + 1], thetas[step + 1] = state.t, state.theta
+        fields[step + 1] = state.fields
 
-    times = np.array([st.t for st in states])
-    thetas = np.array([st.theta for st in states])
-    fields = PairFields.join([st.fields for st in states])
-    del states     # free the per-state arrays before the replay
     return Trajectory(times=times, thetas=thetas, chis=fields.chi,
                       records=replay_records(components, times, thetas,
                                              fields.chi, fields),

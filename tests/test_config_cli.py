@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nlpf.snapshots as snapshots
 import nlpf.stepper as stepper
 from nlpf.cli import main
 from nlpf.config import (build_components, load_config, parse_config_text,
@@ -103,6 +104,17 @@ def test_snapshot_rejects_corruption(tmp_path):
             read_trajectory(tmp_path, comp)
     path.write_bytes(good)
     read_trajectory(tmp_path, comp)
+
+
+@pytest.mark.parametrize("frames", [1, 2, 5])
+def test_trajectory_written_in_chunks(tmp_path, monkeypatch, frames):
+    """Frames written a few at a time give the file written in one go."""
+    traj, comp = stored_trajectory(tmp_path / "whole")
+    monkeypatch.setattr(snapshots, "_WRITE_CELLS", frames * 12)
+    write_trajectory(tmp_path / "chunked", traj, (12,))
+    for name in ("trajectory.nlpf", "records.csv"):
+        assert (tmp_path / "chunked" / name).read_bytes() \
+            == (tmp_path / "whole" / name).read_bytes()
 
 
 def test_records_csv_round_trip(tmp_path):
@@ -463,7 +475,7 @@ def rewrite_records(out):
     times, thetas = frames["t"], np.ascontiguousarray(frames["theta"])
     chis = np.ascontiguousarray(np.swapaxes(frames["chi"], 1, 2))
     write_records_csv(out / "records.csv", replay_records(
-        comp, times, thetas, chis, comp.coupling.b_field(chis, full=True)))
+        comp, times, thetas, chis, comp.coupling.b_field(chis)))
 
 
 @pytest.mark.parametrize("mutate, check", [
@@ -610,6 +622,33 @@ def test_cli_study_rejects_nonpositive_inputs(tmp_path, capsys, kind, extra,
     captured = capsys.readouterr()
     assert key in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("mode, window, steps", [
+    ("previous_step", 1, 1), ("previous_step", 5, 1),
+    ("interval_average", 1, 1), ("interval_average", 5, 5)])
+def test_build_components_lag_window(mode, window, steps):
+    """previous_step is a lag window of one step, whatever solver.lag_window
+    says; the manifest keeps both keys as written."""
+    comp, final = build_components(resolve_config({
+        "solver.lag_mode": mode, "solver.lag_window": str(window),
+        "solver.rho": "100"}))
+    assert comp.config.lag_window == steps
+    assert (final["solver.lag_mode"], final["solver.lag_window"]) \
+        == (mode, window)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("solver.lag_mode = nope\n", "unknown lag mode 'nope'"),
+    ("solver.lag_window = 0\n", "lag window must be >= 1"),
+    ("solver.lag_mode = interval_average\nsolver.lag_window = 0\n",
+     "lag window must be >= 1")], ids=["mode", "window", "average-window"])
+def test_cli_run_rejects_bad_lag(tmp_path, capsys, extra, message):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_cfg(tmp_path, extra)),
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_build_components_auto_rho():

@@ -28,7 +28,7 @@ def two_cell_coupling():
 
 def pairing_step(cp, chi, chi_new, dt):
     """(lhs, rhs, residual) of the pairing identity over one step."""
-    stack = cp.b_field(np.stack([chi, chi_new]), full=True)
+    stack = cp.b_field(np.stack([chi, chi_new]))
     return tuple(v[0] for v in cp.pairing_residual(stack, [dt]))
 
 
@@ -37,9 +37,9 @@ def test_two_cell_oracle():
     # gives (-1, +1); B_i = sum_j w_j G(chi_i - chi_j) = 1/2 * 1/2 = 1/4
     cp = two_cell_coupling()
     chi = np.array([[0.0], [1.0]])
-    assert np.allclose(cp.b_field(chi), [[-1.0], [1.0]], atol=1e-15)
-    assert np.allclose(cp.B_field(chi), [0.25, 0.25], atol=1e-15)
-    assert np.dot(cp.w, cp.B_field(chi)) == pytest.approx(0.25, abs=1e-15)
+    assert np.allclose(cp.b_field(chi).b, [[-1.0], [1.0]], atol=1e-15)
+    assert np.allclose(cp.b_field(chi).B, [0.25, 0.25], atol=1e-15)
+    assert np.dot(cp.w, cp.b_field(chi).B) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_pairing_identity_oracle():
@@ -81,7 +81,7 @@ def test_field_bound(seed):
     chi = rng.random((12, 1))
     c_b = 2.0 * kernel.sup() * g.sup_grad_norm(1.0) * grid.domain_volume
     assert cp.c_b == c_b
-    norms = np.linalg.norm(cp.b_field(chi), axis=1)
+    norms = np.linalg.norm(cp.b_field(chi).b, axis=1)
     assert np.max(norms) <= c_b + 1e-12
 
 
@@ -173,13 +173,13 @@ GRIDS = ([1], [2], [7], [32], [1, 5], [6, 9], [16, 16])
 def assert_matches_oracle(grid, kernel, G, chi, chid, dt=1.0):
     """b and B to 1e-13 relative; pairing residual and both of its sums."""
     cp = build_coupling(grid, kernel, G, 1.0)
-    old = cp.b_field(chi, full=True)
+    old = cp.b_field(chi)
     chi_new = chi + dt * chid
     b_ref = dense_oracle.b_field(grid, kernel, G, chi)
     B_ref = dense_oracle.B_field(grid, kernel, G, chi)
     assert np.max(np.abs(old.b - b_ref)) <= 1e-13 * np.max(np.abs(b_ref))
     assert np.max(np.abs(old.B - B_ref)) <= 1e-13 * np.max(np.abs(B_ref))
-    assert np.array_equal(cp.B_field(chi), old.B)
+    assert np.array_equal(cp.b_field(chi).B, old.B)
 
     lhs, rhs, residual = pairing_step(cp, chi, chi_new, dt)
     assert abs(residual) <= 1e-13
@@ -225,12 +225,13 @@ def test_stacked_fields_match_per_snapshot(monkeypatch):
     cp = build_coupling(grid, GaussianKernel(0.3, 0.4),
                         EvenPolynomialG([1.0, 0.5]), 1.0)
     chis = np.random.default_rng(3).random((5, 12, 2))
-    b, B = cp.b_field(chis), cp.B_field(chis)
+    stack = cp.b_field(chis)
+    b, B = stack.b, stack.B
     for n, chi in enumerate(chis):
-        one = cp.b_field(chi, full=True)
+        one = cp.b_field(chi)
         assert np.allclose(b[n], one.b, rtol=0, atol=1e-15)
         assert np.allclose(B[n], one.B, rtol=0, atol=1e-15)
-    assert cp.b_field(chis[:0]).shape == (0, 12, 2)
+    assert cp.b_field(chis[:0]).b.shape == (0, 12, 2)
 
 
 @pytest.mark.parametrize("interaction", ["quadratic", "poly2"])

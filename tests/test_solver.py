@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +19,7 @@ from nlpf.config import build_components, parse_config_text, resolve_config
 from nlpf.convex import IndicatorBox
 from nlpf.errors import ConfigError, ModeError, NumericalError
 from nlpf.geometry import BoundaryData, build_grid
+from nlpf.longrange import PairFields
 from nlpf.stepper import (SolverConfig, State, bound_C_ell, budget_totals,
                           cell_budget, conduction_operator, kirchhoff,
                           lag_fields, phase_source, replay_records, rhs_ell,
@@ -35,7 +37,7 @@ def test_solver_config_validation():
     with pytest.raises(ConfigError):
         SolverConfig(dt=0.1, horizon=1.0, rho=0.5)
     with pytest.raises(ConfigError):
-        SolverConfig(dt=0.1, horizon=1.0, lag_mode="nope")
+        SolverConfig(dt=0.1, horizon=1.0, lag_window=0)
     cfg = SolverConfig(dt=0.1, horizon=1.0, n_reg=4)
     assert cfg.eps_reg == pytest.approx(0.25)
     assert SolverConfig(dt=0.1, horizon=1.0).eps_reg == 0.0
@@ -82,8 +84,7 @@ def test_lag_fields_matches_sequential_replay(mode, window, steps, seed):
     rng = np.random.default_rng(seed)
     thetas = 0.5 + rng.random((steps + 1, 7))
     chis = rng.random((steps + 1, 7, 2))
-    J = SolverConfig(dt=1.0, horizon=1.0, lag_mode=mode,
-                     lag_window=window).lag_steps
+    J = window if mode == "interval_average" else 1
     th, ch = lag_fields(thetas[:-1], chis[:-1], J)
     assert len(th) == 1 + (steps - 1) // J
     for n, (want_th, want_ch) in enumerate(replay_lag(mode, window, thetas,
@@ -243,13 +244,13 @@ def blocked_run(kind):
         comp = two_phase_components(cells=16, horizon=0.1, dt=1e-3,
                                     gamma=1.0)
         comp.config = dataclasses.replace(
-            comp.config, lag_mode="interval_average", lag_window=3)
+            comp.config, lag_window=3)
     else:
         comp = poly3_simplex_components()
         comp.config = dataclasses.replace(comp.config, horizon=0.07,
                                           dt=1e-3)
     traj = run(comp)
-    window = comp.config.lag_steps
+    window = comp.config.lag_window
     bar_theta, bar_chi = lag_fields(traj.thetas[:-1], traj.chis[:-1], window)
     of_step = np.arange(traj.records.size) // window
     return comp, traj, bar_theta[of_step], bar_chi[of_step]
@@ -277,7 +278,7 @@ def test_step_records_independent_of_blocks(kind, sizes, chunk):
     cuts = np.unique(np.append(cuts, n))
     rows = np.concatenate([step_records(
         comp, traj.times[a:b + 1], traj.thetas[a:b + 1], traj.chis[a:b + 1],
-        comp.coupling.b_field(traj.chis[a:b + 1], full=True), bar_theta[a:b],
+        comp.coupling.b_field(traj.chis[a:b + 1]), bar_theta[a:b],
         bar_chi[a:b])
         for a, b in zip(cuts[:-1], cuts[1:])])
     whole = step_records(comp, traj.times, traj.thetas, traj.chis,
@@ -289,6 +290,23 @@ def test_step_records_independent_of_blocks(kind, sizes, chunk):
         assert np.array_equal(rows[name], traj.records[name])
         assert np.array_equal(chunked[name], traj.records[name])
         assert np.array_equal(chunked[name], one_chunk[name])
+
+
+def test_run_holds_one_copy(monkeypatch):
+    """run writes each state into the trajectory's arrays as it accepts it,
+    so its peak allocation stays near one copy of the returned states; a
+    list of states stacked at the end holds two."""
+    monkeypatch.setattr(stepper, "_REPLAY_CELLS", 8 * 256)
+    comp = two_phase_components(cells=256, horizon=0.2, dt=1e-3)
+    tracemalloc.start()
+    try:
+        traj = run(comp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (traj.times, traj.thetas,
+                                  *vars(traj.fields).values()))
+    assert peak <= 1.6 * held
 
 
 def test_run_ragged_final_step():
@@ -373,7 +391,8 @@ def test_stack_matches_per_state(make):
     traj = run(comp)
     model, eps = comp.model, comp.config.eps_reg
     th, ch = traj.thetas, traj.chis
-    b, B = comp.coupling.b_field(ch), comp.coupling.B_field(ch)
+    stack = comp.coupling.b_field(ch)
+    b, B = stack.b, stack.B
     dts = np.diff(traj.times)
     E, S = cell_budget(model, th, ch, B, eps)
     alpha, g = rhs_ell(model, th, ch, b, comp.config.rho)
@@ -395,6 +414,21 @@ def test_stack_matches_per_state(make):
                                                    g_n, dts[n]))
             assert np.array_equal(src[n], phase_source(
                 model, ch[n], ch[n + 1], b[n], dts[n]))
+
+
+def test_pairing_residual_independent_of_layout():
+    """The pairing sums of the poly3 stack, whose b and Kw chi are views
+    across the convolved (T, d, M) columns, are bit for bit those of
+    C-contiguous copies of the same fields, the layout run stores."""
+    comp = poly3_simplex_components()
+    traj = run(comp)
+    stack = comp.coupling.b_field(traj.chis)
+    copies = PairFields(*(np.ascontiguousarray(v)
+                          for v in vars(stack).values()))
+    dt = np.diff(traj.times)
+    for got, want in zip(comp.coupling.pairing_residual(stack, dt),
+                         comp.coupling.pairing_residual(copies, dt)):
+        assert np.array_equal(got, want)
 
 
 def default_physics(**overrides):
