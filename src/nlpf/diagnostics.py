@@ -8,9 +8,9 @@ two-sided temperature envelopes, truncation inactivity, continuous
 dependence on the data, the algebraic identities of the dissipative
 operator, and a Kirchhoff-transform regularity functional.  Every check of
 a trajectory takes the run's components and the trajectory,
-``(components, traj)``, and judges the record rows that
-``stepper.replay_records`` gives on the frames and the frames' pair fields
-``traj.fields``; only the lower envelope's ODE
+``(components, traj)``.  All but ``regularity`` and ``truncation`` read only
+the record rows that ``stepper.replay_records`` gives on the frames, their
+times and frame 0, and none convolves; only the lower envelope's ODE
 integrator walks forward in time, with steps it chooses itself.
 """
 
@@ -22,23 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ModeError, NumericalError
-from .stepper import (RunComponents, budget_totals, cell_budget,
-                      conduction_operator, forcing_norm, kirchhoff,
-                      phase_source, run)
+from .stepper import (RunComponents, conduction_operator, forcing_norm,
+                      kirchhoff, run)
 from .thermo import generic_coefficients, truncated_mobility
-
-
-# ---------------------------------------------------------------------------
-# small helpers
-
-def _frame_totals(components, traj):
-    """Total energy and entropy at every frame: the initial state's, then
-    the record rows'."""
-    E, S = budget_totals(components.grid.volumes, *cell_budget(
-        components.model, traj.thetas[:1], traj.chis[:1], traj.fields.B[:1],
-        components.config.eps_reg))
-    return (np.append(E, traj.records["total_energy"]),
-            np.append(S, traj.records["total_entropy"]))
 
 
 # ---------------------------------------------------------------------------
@@ -70,13 +56,13 @@ def energy_budget(components, traj):
 
     With insulated boundaries every residual is a pure Taylor remainder of
     the phase couplings, O(dt^2) per step, and the check judges the drift
-    from E(0).  With Robin exchange each step's boundary outflow is added
+    from E(0).  With Robin exchange each row's boundary outflow is added
     back so the same identity applies, and the check judges each step.
+    E(0) is the first row's start energy.
     """
-    times = traj.times
-    totals, _ = _frame_totals(components, traj)
-    res = np.diff(totals) + np.diff(times) \
-        * components.boundary.outflow(traj.thetas[1:], times[1:])
+    rec = traj.records
+    totals = np.append(rec["start_energy"][:1], rec["total_energy"])
+    res = np.diff(totals) + np.diff(traj.times) * rec["outflow"]
     drift = float(np.max(np.abs(totals - totals[0])))
     return EnergyBudgetReport(step_residuals=res, drift=drift,
                               scale=max(1.0, abs(totals[0])),
@@ -112,13 +98,13 @@ def entropy_production(components, traj):
     step records' ``entropy_residual_min`` and ``face_pairing_max``, which
     ``stepper.replay_records`` gives on the frames with each step's lag.
     """
-    _, totals = _frame_totals(components, traj)
+    rec = traj.records
+    totals = np.append(rec["start_entropy"][:1], rec["total_entropy"])
     tol = 1e-8 * max(1.0, float(np.max(np.abs(totals))))
     defects = np.diff(totals)
     global_min = float(np.min(defects)) if defects.size else 0.0
     monotone = bool(np.all(defects >= -tol)) \
         if components.boundary.is_insulated else True
-    rec = traj.records
     return EntropyReport(
         cell_residual_min=float(np.min(rec["entropy_residual_min"])),
         global_defect_min=global_min, tolerance=tol, monotone=monotone,
@@ -214,21 +200,17 @@ def upper_envelope(components, traj):
     """Affine barrier v(t) = v0 + n M t for the regularized scheme.
 
     The (1/n) theta_t term alone caps the growth rate by n times the largest
-    phase source magnitude M, so the computed maximum must stay below the
-    barrier.  Meaningless without regularization (n_reg = 0 raises).
+    phase source magnitude M of the rows, so the computed maximum must stay
+    below the barrier.  Meaningless without regularization (n_reg = 0 raises).
     """
-    model = components.model
     boundary, config = components.boundary, components.config
     if config.n_reg == 0:
         raise ModeError("upper envelope requires the regularized scheme "
                         "(n_reg >= 1)")
-    times, chis = traj.times, traj.chis
-    src = phase_source(model, chis[:-1], chis[1:], traj.fields.b[:-1],
-                       np.diff(times)[:, None])
-    M = float(np.max(np.abs(src)))
+    M = float(np.max(traj.records["source_max"]))
     v0 = float(np.max(traj.thetas[0]))
     if not boundary.is_insulated:
-        v0 = max(v0, float(np.max(boundary.theta_gamma_at(times))))
+        v0 = max(v0, float(np.max(boundary.theta_gamma_at(traj.times))))
     env = v0 + config.n_reg * M * traj.records["t"]
     margins = (1.0 + 1e-6) * env - traj.records["max_theta"]
     return UpperEnvelopeReport(envelope=env,

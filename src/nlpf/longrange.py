@@ -181,12 +181,6 @@ class PairFields:
     B: np.ndarray       # (..., M)
     kchi: np.ndarray    # (..., M, d) Kw (chi - shift)
 
-    @staticmethod
-    def join(parts):
-        """One stack of the fields of the stacks ``parts``."""
-        return PairFields(*(np.concatenate([getattr(p, f.name) for p in parts])
-                            for f in fields(PairFields)))
-
     def __getitem__(self, index):
         """The fields of the states ``index`` picks from a stack."""
         return PairFields(*(getattr(self, f.name)[index]
@@ -247,8 +241,8 @@ class NonlocalCoupling:
         return out[self._keep].reshape(np.shape(f))
 
     def _fields(self, chi: np.ndarray, adjoint: bool = False) -> PairFields:
-        """PairFields of one state, or of a stack in chunks; ``adjoint``
-        uses the transposed operator."""
+        """PairFields of one state, or of a stack in chunks written into
+        one preallocated stack; ``adjoint`` uses the transposed operator."""
         chi = np.asarray(chi, dtype=float)
         if chi.ndim < 3:
             return self._convolve(chi, adjoint)
@@ -256,9 +250,13 @@ class NonlocalCoupling:
         cols = d + 1 if c.size == 1 and not adjoint \
             else len(_pair_expansion(c.size, d)[0])
         n = max(1, _STACK_POINTS // (cols * math.prod(self._fft_shape)))
-        parts = [self._convolve(chi[s:s + n], adjoint)
-                 for s in range(0, max(1, len(chi)), n)]
-        return PairFields.join(parts)
+        for s in range(0, max(1, len(chi)), n):
+            part = self._convolve(chi[s:s + n], adjoint)
+            if s == 0:
+                out = PairFields(*(np.empty((len(chi),) + v.shape[1:])
+                                   for v in vars(part).values()))
+            out[s:s + n] = part
+        return out
 
     def _convolve(self, chi: np.ndarray, adjoint: bool) -> PairFields:
         shift = np.add.reduce(chi, axis=-2, keepdims=True) / chi.shape[-2]

@@ -90,10 +90,9 @@ def read_trajectory(out_dir, components):
     of the configured horizon, and the initial frame and one frame per
     step, each stamped with the time of the record row it follows, and a
     phase field inside the potential's set in every cell of every frame.
-    The frames are convolved once, into ``fields``.  The trajectory carries
-    the rows ``stepper.replay_records`` gives on the frames, and each stored
-    value must match its replay to round-off.  Anything else is a
-    ConfigError.
+    The trajectory carries the rows ``stepper.replay_records`` gives on the
+    frames, one chunk of them convolved at a time, and each stored value
+    must match its replay to round-off.  Anything else is a ConfigError.
     """
     config = components.config
     grid, d = components.grid, components.model.d
@@ -153,8 +152,7 @@ def read_trajectory(out_dir, components):
         raise ConfigError(f"{path}: frame {i} at time {float(times[i])!r} "
                           f"has its phase field outside the potential domain "
                           f"in cell {cell}")
-    fields = components.coupling.b_field(chis)
-    replayed = replay_records(components, times, thetas, chis, fields)
+    replayed = replay_records(components, times, thetas, chis)
     for name in RECORD_COLUMNS:
         got, want = records[name], replayed[name]
         bad = np.flatnonzero(~(np.abs(got - want)
@@ -166,4 +164,4 @@ def read_trajectory(out_dir, components):
                 f"{float(times[n + 1])} reads {float(got[n])}, the "
                 f"frames give {float(want[n])}")
     return Trajectory(times=times, thetas=thetas, chis=chis,
-                      records=replayed, fields=fields)
+                      records=replayed)

@@ -40,9 +40,12 @@ RECORD_COLUMNS = ("t", "total_energy", "total_entropy", "min_theta",
                   "max_theta", "entropy_residual_min", "pairing_residual",
                   "selection_margin")
 
-# per-step maxima of <q, grad theta'> and |sigma' - s_chi^rho + xi'|, in memory
-STEP_MAXIMA = ("face_pairing_max", "forcing_max")
-_RECORD_DTYPE = np.dtype([(c, "f8") for c in RECORD_COLUMNS + STEP_MAXIMA])
+# per-step values kept in memory only: the largest <q, grad theta'>,
+# |sigma' - s_chi^rho + xi'| and |phase source|, the Robin outflow at the
+# step's end, and the total energy and entropy of the step's first state
+STEP_VALUES = ("face_pairing_max", "forcing_max", "source_max", "outflow",
+               "start_energy", "start_entropy")
+_RECORD_DTYPE = np.dtype([(c, "f8") for c in RECORD_COLUMNS + STEP_VALUES])
 # cells of all states per replay_records chunk: a long run is replayed in
 # chunks whose work arrays stay small
 _REPLAY_CELLS = 1 << 16
@@ -102,7 +105,6 @@ class Trajectory:
     thetas: np.ndarray         # (T + 1, M)
     chis: np.ndarray           # (T + 1, M, d)
     records: np.ndarray        # structured, one row per step
-    fields: PairFields         # of the frames
     rejections: int = 0
 
     def __post_init__(self):
@@ -225,26 +227,31 @@ def forcing_norm(model, theta, chi, xi, rho):
         model, theta, chi, rho) + xi, axis=-1)
 
 
-def step_records(components, times, thetas, chis, fields, bar_theta,
-                 bar_chi):
-    """Record rows of the T steps between T + 1 consecutive states, given
-    their PairFields ``fields`` and each step's lagged fields (T, M[, d]).
+def step_records(components, times, thetas, chis, fields, a, b):
+    """Record rows of the steps a .. b - 1 of a run, from its states up to
+    b, ``thetas`` (.., M) and ``chis`` (.., M, d), and the PairFields
+    ``fields`` of states a .. b; each step's lagged fields come from
+    ``lagged_fields``.
 
     Row n, the nominal step from state n to n + 1, depends on that step
-    alone, so the rows do not depend on how the states are cut into chunks.
+    alone, so the rows do not depend on how the steps are cut into chunks.
     The cellwise entropy residual theta' (S' - S)/dt + div q' is kept above
     a small negative tolerance by the scheme.
     """
     grid, model, config = components.grid, components.model, components.config
     coupling, rho = components.coupling, config.rho
+    bar_theta, bar_chi = lagged_fields(thetas, chis, config.lag_window, a, b)
+    times, thetas, chis = times[a:b + 1], thetas[a:b + 1], chis[a:b + 1]
     dt = config.step_size(times[:-1])
     theta, chi = thetas[1:], chis[1:]
     rows = np.empty(len(dt), dtype=_RECORD_DTYPE)
     rows["t"] = times[1:]
     rows["min_theta"], rows["max_theta"] = theta.min(-1), theta.max(-1)
     E_cell, S_cell = cell_budget(model, thetas, chis, fields.B, config.eps_reg)
-    rows["total_energy"], rows["total_entropy"] = budget_totals(
-        grid.volumes, E_cell[1:], S_cell[1:])
+    E, S = budget_totals(grid.volumes, E_cell, S_cell)
+    rows["total_energy"], rows["total_entropy"] = E[1:], S[1:]
+    rows["start_energy"], rows["start_entropy"] = E[:-1], S[:-1]
+    rows["outflow"] = components.boundary.outflow(theta, times[1:])
     op = conduction_operator(grid, model, components.boundary, bar_theta,
                              bar_chi)
     rows["entropy_residual_min"] = (theta * (S_cell[1:] - S_cell[:-1])
@@ -255,6 +262,8 @@ def step_records(components, times, thetas, chis, fields, bar_theta,
     rows["face_pairing_max"] = np.max(-op.face_fluxes(theta) * dth, axis=-1,
                                       initial=-math.inf)
     rows["pairing_residual"] = coupling.pairing_residual(fields, dt)[2]
+    rows["source_max"] = np.abs(phase_source(
+        model, chis[:-1], chi, fields.b[:-1], np.diff(times)[:, None])).max(-1)
     alpha, g = rhs_ell(model, thetas[:-1], chis[:-1], fields.b[:-1], rho)
     xi = selection(chis[:-1], chi, alpha, g, dt[:, None, None])
     # an indicator's normal cone holds 0, so xi obeys the forcing bound alone
@@ -264,24 +273,21 @@ def step_records(components, times, thetas, chis, fields, bar_theta,
     return rows
 
 
-def replay_records(components, times, thetas, chis, fields):
-    """Record rows of the T steps of a run, from its T + 1 states and their
-    PairFields ``fields``.
+def replay_records(components, times, thetas, chis):
+    """Record rows of the T steps of a run, from its T + 1 states.
 
     The states are cut into chunks of about ``_REPLAY_CELLS`` cells; each
-    chunk takes its steps' lagged fields from ``lagged_fields`` and its
-    rows from ``step_records``.  No lag copy is made over the whole stack.
+    chunk is convolved on its own and gives its rows by ``step_records``,
+    so neither the pair fields nor a lag copy exist over the whole stack.
     """
-    window = components.config.lag_window
     n_steps = len(times) - 1
     size = max(1, _REPLAY_CELLS // thetas.shape[-1])
     rows = np.empty(n_steps, dtype=_RECORD_DTYPE)
     for a in range(0, n_steps, size):
         b = min(a + size, n_steps)
-        rows[a:b] = step_records(components, times[a:b + 1],
-                                 thetas[a:b + 1], chis[a:b + 1],
-                                 fields[a:b + 1],
-                                 *lagged_fields(thetas, chis, window, a, b))
+        rows[a:b] = step_records(components, times, thetas, chis,
+                                 components.coupling.b_field(chis[a:b + 1]),
+                                 a, b)
     return rows
 
 
@@ -401,9 +407,10 @@ def run(components: RunComponents):
     """March the coupled scheme over ceil(T/dt) steps.
 
     Returns a Trajectory with every state, written into its arrays as it
-    is accepted, and the rows ``replay_records`` gives on them.  A failed
-    step is retried as two half steps, recursively up to
-    config.max_halvings, then reported as a hard error.
+    is accepted.  The pair fields of the states are kept for one chunk of
+    about ``_REPLAY_CELLS`` cells; when a chunk closes, ``step_records``
+    turns it into rows.  A failed step is retried as two half steps,
+    recursively up to config.max_halvings, then reported as a hard error.
     """
     grid, model, config = components.grid, components.model, components.config
     potential, coupling = components.potential, components.coupling
@@ -419,13 +426,17 @@ def run(components: RunComponents):
         raise ConfigError("initial phase field must lie in the potential domain")
 
     window, n_steps = config.lag_window, config.n_steps
+    size = min(max(1, _REPLAY_CELLS // grid.n_cells), n_steps)
     state = State(theta0, chi0, 0.0, coupling.b_field(chi0))
     times = np.zeros(n_steps + 1)
     thetas = np.empty((n_steps + 1,) + theta0.shape)
-    fields = PairFields(*(np.empty((n_steps + 1,) + v.shape)
+    chis = np.empty((n_steps + 1,) + chi0.shape)
+    fields = PairFields(*(np.empty((size + 1,) + v.shape)
                           for v in vars(state.fields).values()))
-    thetas[0], fields[0] = theta0, state.fields
+    records = np.empty(n_steps, dtype=_RECORD_DTYPE)
+    thetas[0], chis[0], fields[0] = theta0, chi0, state.fields
     rejections = 0
+    a = 0      # the first state of the open chunk, fields[0]
 
     def advance(st, dt, op, depth):
         """One (chi, theta) step from st over dt; splits in half on failure.
@@ -458,14 +469,18 @@ def run(components: RunComponents):
 
     for step in range(n_steps):
         if step % window == 0:
-            bar = lagged_fields(thetas, fields.chi, window, step, step + 1)
+            bar = lagged_fields(thetas, chis, window, step, step + 1)
             op = conduction_operator(grid, model, boundary,
                                      *(v[0] for v in bar))
         state = advance(state, config.step_size(state.t), op, 0)
-        times[step + 1], thetas[step + 1] = state.t, state.theta
-        fields[step + 1] = state.fields
+        n = step + 1
+        times[n], thetas[n], chis[n] = state.t, state.theta, state.chi
+        fields[n - a] = state.fields
+        if n - a == size or n == n_steps:
+            records[a:n] = step_records(components, times, thetas, chis,
+                                        fields[:n - a + 1], a, n)
+            fields[0] = state.fields
+            a = n
 
-    return Trajectory(times=times, thetas=thetas, chis=fields.chi,
-                      records=replay_records(components, times, thetas,
-                                             fields.chi, fields),
-                      fields=fields, rejections=rejections)
+    return Trajectory(times=times, thetas=thetas, chis=chis, records=records,
+                      rejections=rejections)

@@ -4,6 +4,7 @@ line."""
 import importlib.util
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,26 @@ def test_trajectory_written_in_chunks(tmp_path, monkeypatch, frames):
     for name in ("trajectory.nlpf", "records.csv"):
         assert (tmp_path / "chunked" / name).read_bytes() \
             == (tmp_path / "whole" / name).read_bytes()
+
+
+def test_read_trajectory_holds_one_copy(tmp_path, monkeypatch):
+    """read_trajectory convolves the frames one replay chunk at a time, so
+    its peak allocation stays near the frame table it copies the states
+    out of; pair fields of every frame would add more than two copies."""
+    from conftest import two_phase_components
+
+    comp = two_phase_components(cells=256, horizon=0.2, dt=1e-3)
+    write_trajectory(tmp_path, run(comp), comp.grid.cells)
+    monkeypatch.setattr(stepper, "_REPLAY_CELLS", 8 * 256)
+    tracemalloc.start()
+    try:
+        traj = read_trajectory(tmp_path, comp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (traj.times, traj.thetas, traj.chis,
+                                  traj.records))
+    assert peak <= 2.2 * held
 
 
 def test_records_csv_round_trip(tmp_path):
@@ -474,8 +495,8 @@ def rewrite_records(out):
                          dtype=_frame_dtype(comp.grid.n_cells, comp.model.d))
     times, thetas = frames["t"], np.ascontiguousarray(frames["theta"])
     chis = np.ascontiguousarray(np.swapaxes(frames["chi"], 1, 2))
-    write_records_csv(out / "records.csv", replay_records(
-        comp, times, thetas, chis, comp.coupling.b_field(chis)))
+    write_records_csv(out / "records.csv",
+                      replay_records(comp, times, thetas, chis))
 
 
 @pytest.mark.parametrize("mutate, check", [

@@ -276,6 +276,29 @@ def test_run_checks_default_pass(short_run):
     assert all(o.passed for o in outcomes)
 
 
+def nan_after_frame_0(traj):
+    """``traj`` with the temperature and phase field of every frame after
+    the first set to NaN; its times and record rows are kept."""
+    thetas, chis = traj.thetas.copy(), traj.chis.copy()
+    thetas[1:], chis[1:] = np.nan, np.nan
+    return replace(traj, thetas=thetas, chis=chis)
+
+
+@pytest.mark.parametrize("kw, names", [
+    ({"gamma": 1.0}, DEFAULT_CHECKS),
+    ({"n_reg": 4}, ("energy", "entropy", "envelope"))],
+    ids=["robin-default", "regularised-envelope"])
+def test_checks_read_only_rows_and_frame_0(kw, names):
+    """Every check but regularity and truncation judges the record rows,
+    their times and frame 0 alone: with the later frames gone, each gives
+    the verdict and detail it gives on the whole trajectory."""
+    comp = two_phase_components(cells=16, horizon=0.1, dt=0.01, **kw)
+    traj = run(comp)
+    outcomes = run_checks(comp, traj, names)
+    assert all(o.passed for o in outcomes)
+    assert run_checks(comp, nan_after_frame_0(traj), names) == outcomes
+
+
 def test_run_checks_unknown_name(short_run):
     comp, traj = short_run
     with pytest.raises(ConfigError):

@@ -22,8 +22,9 @@ from nlpf.geometry import BoundaryData, build_grid
 from nlpf.longrange import PairFields
 from nlpf.stepper import (SolverConfig, State, bound_C_ell, budget_totals,
                           cell_budget, conduction_operator, kirchhoff,
-                          lag_fields, phase_source, replay_records, rhs_ell,
-                          run, selection, step_chi, step_records, step_theta)
+                          lag_fields, lagged_fields, phase_source,
+                          replay_records, rhs_ell, run, selection, step_chi,
+                          step_records, step_theta)
 from nlpf.thermo import build_model
 
 from conftest import two_phase_components
@@ -260,8 +261,7 @@ def replay_in_chunks(comp, traj, steps):
     """replay_records on ``traj`` with chunks of ``steps`` steps."""
     with mock.patch.object(stepper, "_REPLAY_CELLS",
                            steps * comp.grid.n_cells):
-        return replay_records(comp, traj.times, traj.thetas, traj.chis,
-                              traj.fields)
+        return replay_records(comp, traj.times, traj.thetas, traj.chis)
 
 
 @given(st.sampled_from(["robin-window", "poly3"]),
@@ -276,13 +276,17 @@ def test_step_records_independent_of_blocks(kind, sizes, chunk):
     n = traj.records.size
     cuts = np.minimum(np.cumsum([0] + sizes), n)
     cuts = np.unique(np.append(cuts, n))
+    window = comp.config.lag_window
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        lagged = lagged_fields(traj.thetas, traj.chis, window, a, b)
+        assert np.array_equal(lagged[0], bar_theta[a:b])
+        assert np.array_equal(lagged[1], bar_chi[a:b])
     rows = np.concatenate([step_records(
-        comp, traj.times[a:b + 1], traj.thetas[a:b + 1], traj.chis[a:b + 1],
-        comp.coupling.b_field(traj.chis[a:b + 1]), bar_theta[a:b],
-        bar_chi[a:b])
+        comp, traj.times, traj.thetas, traj.chis,
+        comp.coupling.b_field(traj.chis[a:b + 1]), a, b)
         for a, b in zip(cuts[:-1], cuts[1:])])
     whole = step_records(comp, traj.times, traj.thetas, traj.chis,
-                         traj.fields, bar_theta, bar_chi)
+                         comp.coupling.b_field(traj.chis), 0, n)
     chunked = replay_in_chunks(comp, traj, chunk)
     one_chunk = replay_in_chunks(comp, traj, n)
     for name in rows.dtype.names:
@@ -304,8 +308,7 @@ def test_run_holds_one_copy(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = sum(a.nbytes for a in (traj.times, traj.thetas,
-                                  *vars(traj.fields).values()))
+    held = sum(a.nbytes for a in (traj.times, traj.thetas, traj.chis))
     assert peak <= 1.6 * held
 
 
