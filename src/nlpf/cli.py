@@ -66,8 +66,7 @@ def _cmd_run(args) -> int:
     print(f"wrote {len(traj.times)} snapshots, {rec.size} records to "
           f"{args.out}")
     print(f"energy {label} {value:.3e}, min theta "
-          f"{rec['min_theta'].min() if rec.size else float('nan'):.6g}, "
-          f"rejected substeps {traj.rejections}")
+          f"{rec['min_theta'].min() if rec.size else float('nan'):.6g}")
     return 0
 
 

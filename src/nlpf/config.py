@@ -70,7 +70,6 @@ _SCHEMA = {
     "solver.lag_window": ("i", 1),
     "solver.newton_tol": ("f", 1e-14),
     "solver.newton_cap": ("i", 60),
-    "solver.max_halvings": ("i", 5),
     "output.cadence": ("i", 1),   # kept for manifests; 1 is the only value
     "study.deltas": ("F", [1e-3, 5e-4]),
     "study.dt_levels": ("i", 3),
@@ -279,8 +278,7 @@ def build_components(resolved: dict):
                           n_reg=p["solver.n_reg"], rho=rho,
                           lag_window=windows[p["solver.lag_mode"]],
                           newton_tol=p["solver.newton_tol"],
-                          newton_cap=p["solver.newton_cap"],
-                          max_halvings=p["solver.max_halvings"])
+                          newton_cap=p["solver.newton_cap"])
 
     final = dict(resolved)
     final["solver.rho"] = rho

@@ -72,7 +72,6 @@ class SolverConfig:
     lag_window: int = 1                  # steps per lag window; 1: previous step
     newton_tol: float = 1e-14
     newton_cap: int = 60
-    max_halvings: int = 5
 
     def __post_init__(self):
         if self.dt <= 0 or self.horizon <= 0:
@@ -105,7 +104,9 @@ class Trajectory:
     thetas: np.ndarray         # (T + 1, M)
     chis: np.ndarray           # (T + 1, M, d)
     records: np.ndarray        # structured, one row per step
-    rejections: int = 0
+    # run takes each step once and retries none; perfbench/run.py reads
+    # this count on every trajectory for its step_attempts_per_step
+    rejections = 0
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -279,15 +280,21 @@ def replay_records(components, times, thetas, chis):
     The states are cut into chunks of about ``_REPLAY_CELLS`` cells; each
     chunk is convolved on its own and gives its rows by ``step_records``,
     so neither the pair fields nor a lag copy exist over the whole stack.
+    As in ``run``, slot 0 of the fields carries the last state of the
+    previous chunk, so each state is convolved once.
     """
     n_steps = len(times) - 1
-    size = max(1, _REPLAY_CELLS // thetas.shape[-1])
+    size = min(max(1, _REPLAY_CELLS // thetas.shape[-1]), n_steps)
+    fields = components.coupling.b_field(chis[:size + 1])
     rows = np.empty(n_steps, dtype=_RECORD_DTYPE)
     for a in range(0, n_steps, size):
         b = min(a + size, n_steps)
+        if a:
+            fields[0] = fields[size]
+            fields[1:b - a + 1] = components.coupling.b_field(
+                chis[a + 1:b + 1])
         rows[a:b] = step_records(components, times, thetas, chis,
-                                 components.coupling.b_field(chis[a:b + 1]),
-                                 a, b)
+                                 fields[:b - a + 1], a, b)
     return rows
 
 
@@ -309,11 +316,11 @@ def step_theta(model, state, chi_new, b_old, op, dt, config):
     Linear and Nonlinear Equations, SIAM 1995, section 5).
 
     Raises NumericalError when the residual is not finite (naming the first
-    such cell) or when the damped Newton stalls above the floor;
-    the caller decides whether to halve the step.  A converged solve with
-    nonpositive temperature is also reported as an error: the scheme is
-    supposed to preserve positivity on its own, so a violation at finite dt
-    is a diagnostic, not a repair site.
+    such cell), or when the damped Newton stalls above the floor or reaches
+    ``newton_cap`` (naming the cell of the largest residual).  A converged
+    solve with nonpositive temperature is also reported as an error, naming
+    the coldest cell: the scheme is supposed to preserve positivity on its
+    own, so a violation at finite dt is a diagnostic, not a repair site.
     """
     t_new = state.t + dt
     load = op.robin_load(t_new)
@@ -363,17 +370,19 @@ def step_theta(model, state, chi_new, b_old, op, dt, config):
         else:
             raise NumericalError(
                 f"temperature step stalled at t={state.t:.6g}: residual "
-                f"{norm:.3e} not reducible along the Newton direction")
+                f"{norm:.3e} in cell {int(np.argmax(np.abs(f)))} not "
+                f"reducible along the Newton direction")
         theta = cand
         f, e = f2, e2
     else:
+        k = int(np.argmax(np.abs(f)))
         raise NumericalError(
-            f"temperature step exceeded {config.newton_cap} Newton "
-            f"iterations at t={state.t:.6g}; residual {float(np.max(np.abs(f))):.3e}")
+            f"temperature step exceeded {config.newton_cap} Newton iterations "
+            f"at t={state.t:.6g}; residual {abs(f[k]):.3e} in cell {k}")
     if np.any(theta <= 0.0):
         raise NumericalError(
-            f"temperature positivity violated at t={state.t + dt:.6g}: "
-            f"min theta' = {float(np.min(theta)):.3e}")
+            f"temperature positivity violated at t={t_new:.6g}: min theta' "
+            f"= {float(np.min(theta)):.3e} in cell {int(np.argmin(theta))}")
     return theta
 
 
@@ -409,8 +418,9 @@ def run(components: RunComponents):
     Returns a Trajectory with every state, written into its arrays as it
     is accepted.  The pair fields of the states are kept for one chunk of
     about ``_REPLAY_CELLS`` cells; when a chunk closes, ``step_records``
-    turns it into rows.  A failed step is retried as two half steps,
-    recursively up to config.max_halvings, then reported as a hard error.
+    turns it into rows.  Each nominal step is taken once, so every row is a
+    step that ``verify`` can replay; a step that fails raises
+    NumericalError naming the step, its time and the cell.
     """
     grid, model, config = components.grid, components.model, components.config
     potential, coupling = components.potential, components.coupling
@@ -435,45 +445,35 @@ def run(components: RunComponents):
                           for v in vars(state.fields).values()))
     records = np.empty(n_steps, dtype=_RECORD_DTYPE)
     thetas[0], chis[0], fields[0] = theta0, chi0, state.fields
-    rejections = 0
     a = 0      # the first state of the open chunk, fields[0]
 
-    def advance(st, dt, op, depth):
-        """One (chi, theta) step from st over dt; splits in half on failure.
-
-        Each state carries its nonlocal fields, so each is convolved once.
-        ``op`` is the diffusion operator of the nominal step: the lagged
-        fields it is built from do not change when the step is halved.
-        """
-        nonlocal rejections
-        b_old = st.fields.b
-        if np.any(np.linalg.norm(b_old, axis=-1) > coupling.c_b * (1 + 1e-9)):
-            raise NumericalError("pair-interaction bound exceeded; kernel "
-                                 "assembly inconsistent with its declared sup")
-        alpha, g = rhs_ell(model, st.theta, st.chi, b_old, config.rho)
+    for n in range(1, n_steps + 1):
+        if (n - 1) % window == 0:
+            bar = lagged_fields(thetas, chis, window, n - 1, n)
+            op = conduction_operator(grid, model, boundary,
+                                     *(v[0] for v in bar))
+        dt, b_old = config.step_size(state.t), state.fields.b
         try:
-            chi_new = step_chi(potential, st.chi, alpha, g, dt)
+            pair = np.linalg.norm(b_old, axis=-1)
+            if np.any(pair > coupling.c_b * (1 + 1e-9)):
+                raise NumericalError(
+                    f"pair-interaction bound exceeded at t={state.t:.6g} in "
+                    f"cell {int(np.argmax(pair))}: |b| = {pair.max():.3e}")
+            alpha, g = rhs_ell(model, state.theta, state.chi, b_old,
+                               config.rho)
+            chi_new = step_chi(potential, state.chi, alpha, g, dt)
             outside = np.flatnonzero(~potential.contains(chi_new))
             if outside.size:
                 raise NumericalError(
                     f"phase field left the potential domain at "
-                    f"t={st.t + dt:.6g} in cell {int(outside[0])}")
-            theta_new = step_theta(model, st, chi_new, b_old, op, dt, config)
-        except NumericalError:
-            if depth >= config.max_halvings:
-                raise
-            rejections += 1
-            mid = advance(st, 0.5 * dt, op, depth + 1)
-            return advance(mid, 0.5 * dt, op, depth + 1)
-        return State(theta_new, chi_new, st.t + dt, coupling.b_field(chi_new))
-
-    for step in range(n_steps):
-        if step % window == 0:
-            bar = lagged_fields(thetas, chis, window, step, step + 1)
-            op = conduction_operator(grid, model, boundary,
-                                     *(v[0] for v in bar))
-        state = advance(state, config.step_size(state.t), op, 0)
-        n = step + 1
+                    f"t={state.t + dt:.6g} in cell {int(outside[0])}")
+            theta_new = step_theta(model, state, chi_new, b_old, op, dt,
+                                   config)
+        except NumericalError as exc:
+            raise NumericalError(f"step {n}: {exc}") from exc
+        # each state carries its nonlocal fields, so each is convolved once
+        state = State(theta_new, chi_new, state.t + dt,
+                      coupling.b_field(chi_new))
         times[n], thetas[n], chis[n] = state.t, state.theta, state.chi
         fields[n - a] = state.fields
         if n - a == size or n == n_steps:
@@ -482,5 +482,4 @@ def run(components: RunComponents):
             fields[0] = state.fields
             a = n
 
-    return Trajectory(times=times, thetas=thetas, chis=chis, records=records,
-                      rejections=rejections)
+    return Trajectory(times=times, thetas=thetas, chis=chis, records=records)

@@ -16,7 +16,7 @@ from nlpf.cli import main
 from nlpf.config import (build_components, load_config, parse_config_text,
                          render_manifest, resolve_config)
 from nlpf.diagnostics import entropy_production, measured_forcing_bound
-from nlpf.errors import ConfigError, NumericalError
+from nlpf.errors import ConfigError
 from nlpf.snapshots import (_frame_dtype, read_records_csv, read_trajectory,
                             write_records_csv, write_trajectory)
 from nlpf.stepper import _RECORD_DTYPE, RECORD_COLUMNS, replay_records, run
@@ -319,35 +319,16 @@ def _workload_components(name):
         workloads.config_text(name, 0))))[0]
 
 
-def fail_third_theta_step(monkeypatch):
-    """Make the third temperature step fail once, so that it is retried as
-    two halves."""
-    real, calls = stepper.step_theta, []
-
-    def flaky(*args):
-        calls.append(None)
-        if len(calls) == 3:
-            raise NumericalError("forced failure")
-        return real(*args)
-
-    monkeypatch.setattr(stepper, "step_theta", flaky)
-
-
 @pytest.mark.parametrize("name", ["bar1d-default", "bar1d-256-robin-avg",
-                                  "plate2d-64", "plate2d-32-poly3",
-                                  "halved-step"])
-def test_run_records_equal_their_replay(tmp_path, monkeypatch, name):
+                                  "plate2d-64", "plate2d-32-poly3"])
+def test_run_records_equal_their_replay(tmp_path, name):
     """The rows run writes block by block are bit for bit the rows
     read_trajectory replays from the stored frames."""
-    if name == "halved-step":
-        comp = build_components(load_config(write_cfg(tmp_path)))[0]
-        fail_third_theta_step(monkeypatch)
-    else:
-        comp = _workload_components(name)
+    comp = _workload_components(name)
     traj = run(comp)
-    assert traj.rejections == (name == "halved-step")
     write_trajectory(tmp_path / "out", traj, comp.grid.cells)
     back = read_trajectory(tmp_path / "out", comp)
+    assert traj.rejections == back.rejections == 0
     for column in traj.records.dtype.names:
         assert np.array_equal(back.records[column], traj.records[column])
 
@@ -359,6 +340,28 @@ def test_cli_run_refuses_cadence(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert "output.cadence" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_refuses_max_halvings(tmp_path, capsys):
+    """A step is never retried, so solver.max_halvings is no key: a config
+    or a manifest that sets it exits 2 naming it, and writes nothing."""
+    cfg = write_cfg(tmp_path, "solver.max_halvings = 5\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "solver.max_halvings" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_failed_step_exits_3(tmp_path, capsys):
+    """configs/default.cfg with one Newton iteration per step fails its
+    first step: exit 3 naming the step and a cell, and nothing written."""
+    cfg = tmp_path / "capped.cfg"
+    cfg.write_text((CONFIGS / "default.cfg").read_text()
+                   + "solver.newton_cap = 1\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert re.search(r"step 1: .* in cell \d+", capsys.readouterr().err)
     assert not out.exists()
 
 

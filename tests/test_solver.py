@@ -19,7 +19,7 @@ from nlpf.config import build_components, parse_config_text, resolve_config
 from nlpf.convex import IndicatorBox
 from nlpf.errors import ConfigError, ModeError, NumericalError
 from nlpf.geometry import BoundaryData, build_grid
-from nlpf.longrange import PairFields
+from nlpf.longrange import NonlocalCoupling, PairFields
 from nlpf.stepper import (SolverConfig, State, bound_C_ell, budget_totals,
                           cell_budget, conduction_operator, kirchhoff,
                           lag_fields, lagged_fields, phase_source,
@@ -172,7 +172,8 @@ def test_step_theta_positivity_guard():
     cfg = SolverConfig(dt=0.01, horizon=1.0, n_reg=1)
     chi_new = np.full((1, 1), 0.5)
     b_old = np.full((1, 1), 2000.0)   # (lam' + b) . dchi makes a huge sink
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError,
+                       match=r"positivity violated at t=0\.01: .* in cell 0"):
         step_theta(model, st, chi_new, b_old,
                    conduction_operator(grid, model, boundary, st.theta,
                                        st.chi), 0.01, cfg)
@@ -194,8 +195,8 @@ def test_step_theta_rejects_nonfinite_source():
 
 
 def test_run_rejects_chi_outside_domain():
-    """A proximal map that leaves the set fails every halving; the error
-    names the time of the last, smallest step and the first bad cell."""
+    """A proximal map that leaves the set fails the step; the error names
+    the step, its end time and the first bad cell."""
     comp = two_phase_components(cells=8, horizon=0.02, dt=0.01)
     box = comp.potential
     real = box.prox
@@ -206,8 +207,18 @@ def test_run_rejects_chi_outside_domain():
         return out
 
     box.prox = leaky
-    with pytest.raises(NumericalError,
-                       match=r"potential domain at t=0\.0003125 in cell 3"):
+    with pytest.raises(NumericalError, match=r"step 1: .* potential domain "
+                       r"at t=0\.01 in cell 3"):
+        run(comp)
+
+
+def test_run_names_the_cell_over_the_pair_bound():
+    """A pair field above its a priori bound fails the step, naming the
+    cell of the largest |b|."""
+    comp = two_phase_components(cells=8, horizon=0.02, dt=0.01)
+    comp.coupling.c_b = 0.0025
+    with pytest.raises(NumericalError, match=r"^step 1: pair-interaction "
+                       r"bound exceeded at t=0 in cell 0: \|b\| = 3\.067e-03$"):
         run(comp)
 
 
@@ -296,6 +307,25 @@ def test_step_records_independent_of_blocks(kind, sizes, chunk):
         assert np.array_equal(chunked[name], one_chunk[name])
 
 
+def test_replay_convolves_each_state_once(monkeypatch):
+    """Chunks of three steps carry the last state's fields into the next
+    chunk: T + 1 states are convolved, and the rows equal one chunk's."""
+    comp = two_phase_components(cells=16, horizon=0.1, dt=0.01)
+    traj = run(comp)
+    whole = replay_records(comp, traj.times, traj.thetas, traj.chis)
+    real, states = NonlocalCoupling.b_field, []
+
+    def counted(self, chi):
+        states.append(1 if chi.ndim == 2 else len(chi))
+        return real(self, chi)
+
+    monkeypatch.setattr(NonlocalCoupling, "b_field", counted)
+    chunked = replay_in_chunks(comp, traj, 3)
+    assert sum(states) == traj.records.size + 1
+    for name in whole.dtype.names:
+        assert np.array_equal(chunked[name], whole[name])
+
+
 def test_run_holds_one_copy(monkeypatch):
     """run writes each state into the trajectory's arrays as it accepts it,
     so its peak allocation stays near one copy of the returned states; a
@@ -332,26 +362,20 @@ def test_run_validates_initial_data():
         run(comp2)
 
 
-def test_rejection_halves_the_step(monkeypatch):
-    comp = two_phase_components(cells=8, horizon=0.02, dt=0.01)
-    real = stepper.step_theta
+def test_failed_step_is_an_error(monkeypatch):
+    """A step that fails is not retried: run raises, naming the step."""
+    real, calls = stepper.step_theta, []
 
-    def flaky(model, st, chi_new, b_old, op, dt, config):
-        if dt > 0.006:
+    def flaky(*args):
+        calls.append(None)
+        if len(calls) == 2:
             raise NumericalError("synthetic overshoot")
-        return real(model, st, chi_new, b_old, op, dt, config)
+        return real(*args)
 
     monkeypatch.setattr(stepper, "step_theta", flaky)
-    traj = run(comp)
-    assert traj.rejections == 2
-    assert traj.times[-1] == pytest.approx(0.02, abs=1e-12)
-
-    def hopeless(*args, **kw):
-        raise NumericalError("always")
-
-    monkeypatch.setattr(stepper, "step_theta", hopeless)
-    with pytest.raises(NumericalError):
-        run(two_phase_components(cells=8, horizon=0.02, dt=0.01))
+    with pytest.raises(NumericalError, match=r"^step 2: synthetic overshoot"):
+        run(two_phase_components(cells=8, horizon=0.05, dt=0.01))
+    assert len(calls) == 2
 
 
 def test_kirchhoff_requires_uniqueness_mode():
@@ -443,18 +467,17 @@ def default_physics(**overrides):
 
 
 @pytest.mark.parametrize("cells", [256, 1024])
-def test_default_physics_fine_bar_never_halves(cells):
+def test_default_physics_fine_bar_completes(cells):
     """Newton stops at the round-off floor instead of stalling on it; a
     relative tolerance of 1e-14 alone is out of reach at these sizes."""
     traj = run(default_physics(**{"grid.cells": str(cells),
                                   "solver.horizon": "0.01"}))
-    assert traj.rejections == 0
+    assert traj.records.size == 10
 
 
-def test_default_physics_128_squared_step_never_halves():
+def test_default_physics_128_squared_step_completes():
     traj = run(default_physics(**{"grid.dim": "2",
                                   "grid.lengths": "1.0,1.0",
                                   "grid.cells": "128,128",
                                   "solver.horizon": "0.001"}))
     assert traj.records.size == 1
-    assert traj.rejections == 0
