@@ -12,10 +12,10 @@ and then solves the nonlinear energy balance
     [eps th' + e(th',chi') - eps th - e(th,chi)]/dt - div(k grad th') + Robin
         = -(lam'(chi') + b[chi]) . (chi'-chi)/dt
 
-by damped Newton on the monotone map th' -> eps th' + e(th', chi').  phi is
-the indicator of the constraint set, zero on every admissible state, so it
-has no term here; each new phase field is checked to lie in the set.  Each
-Newton matrix diag(eps + c_V) + dt A is symmetric positive definite and
+by plain Newton, undamped because the map is convex (see step_theta).  phi
+is the indicator of the constraint set, zero on every admissible state, so
+it has no term here; each new phase field is checked to lie in the set.
+Each Newton matrix diag(eps + c_V) + dt A is symmetric positive definite and
 banded, and is factorised by banded Cholesky; Newton stops at its relative
 tolerance or at the round-off floor of the residual, whichever comes first.
 With gamma = 0 the volume-weighted row sums of the diffusion map vanish, so
@@ -41,8 +41,9 @@ RECORD_COLUMNS = ("t", "total_energy", "total_entropy", "min_theta",
                   "selection_margin")
 
 # per-step values kept in memory only: the largest <q, grad theta'>,
-# |sigma' - s_chi^rho + xi'| and |phase source|, the Robin outflow at the
-# step's end, and the total energy and entropy of the step's first state
+# |sigma' - s_chi^rho + xi'| and |phase source| (regularised runs only), the
+# Robin outflow at the step's end, and the total energy and entropy of the
+# step's first state
 STEP_VALUES = ("face_pairing_max", "forcing_max", "source_max", "outflow",
                "start_energy", "start_entropy")
 _RECORD_DTYPE = np.dtype([(c, "f8") for c in RECORD_COLUMNS + STEP_VALUES])
@@ -263,8 +264,11 @@ def step_records(components, times, thetas, chis, fields, a, b):
     rows["face_pairing_max"] = np.max(-op.face_fluxes(theta) * dth, axis=-1,
                                       initial=-math.inf)
     rows["pairing_residual"] = coupling.pairing_residual(fields, dt)[2]
+    # only the envelope check of a regularised run reads source_max; other
+    # runs get the empty maximum, as face_pairing_max does with no face
     rows["source_max"] = np.abs(phase_source(
-        model, chis[:-1], chi, fields.b[:-1], np.diff(times)[:, None])).max(-1)
+        model, chis[:-1], chi, fields.b[:-1], np.diff(times)[:, None])
+    ).max(-1) if config.n_reg >= 1 else -math.inf
     alpha, g = rhs_ell(model, thetas[:-1], chis[:-1], fields.b[:-1], rho)
     xi = selection(chis[:-1], chi, alpha, g, dt[:, None, None])
     # an indicator's normal cone holds 0, so xi obeys the forcing bound alone
@@ -309,18 +313,24 @@ def phase_source(model, chi_old, chi_new, b_old, dt):
 def step_theta(model, state, chi_new, b_old, op, dt, config):
     """Backward-Euler energy step with diffusion operator ``op``; returns theta'.
 
-    Newton stops when the residual falls below ``newton_tol`` relative to
-    its start, or when every cell's residual is within ``ROUNDOFF_ULPS``
-    ulps of the terms that cancel in it: below that floor the residual is
-    rounding noise that no step can lower (Kelley, Iterative Methods for
-    Linear and Nonlinear Equations, SIAM 1995, section 5).
+    Plain Newton, from theta > 0, on the residual
+    F(th) = eps th + e(th, chi') + dt A th - base.  c_V = de/dth is positive
+    and increasing on th > 0, so F is convex there and its Jacobian
+    diag(eps + c_V) + dt A is an M-matrix.  If a positive root exists, the
+    first iterate lies at or above it and the later ones fall monotonically
+    to it (Ortega and Rheinboldt, Iterative Solution of Nonlinear Equations
+    in Several Variables, 1970, section 13.3): no step needs damping, and a
+    nonpositive iterate means that no positive root exists.  Newton stops
+    when the residual falls below ``newton_tol`` relative to its start, or
+    when every cell's residual is within ``ROUNDOFF_ULPS`` ulps of the terms
+    that cancel in it: below that floor the residual is rounding noise that
+    no step can lower (Kelley, Iterative Methods for Linear and Nonlinear
+    Equations, SIAM 1995, section 5).
 
     Raises NumericalError when the residual is not finite (naming the first
-    such cell), or when the damped Newton stalls above the floor or reaches
-    ``newton_cap`` (naming the cell of the largest residual).  A converged
-    solve with nonpositive temperature is also reported as an error, naming
-    the coldest cell: the scheme is supposed to preserve positivity on its
-    own, so a violation at finite dt is a diagnostic, not a repair site.
+    such cell), when the Newton matrix is not positive definite, when an
+    iterate is nonpositive (naming its coldest cell), or when Newton
+    reaches ``newton_cap`` (naming the cell of the largest residual).
     """
     t_new = state.t + dt
     load = op.robin_load(t_new)
@@ -333,12 +343,11 @@ def step_theta(model, state, chi_new, b_old, op, dt, config):
     theta = state.theta.copy()
 
     def residual(th):
-        e = model.e_ext(th, chi_new)
+        e = model.e(th, chi_new)
         return eps * th + e + dt * op.apply(th) - base, e
 
     def at_roundoff(f, th, e):
-        size = eps * np.abs(th) + np.abs(e) + dt * op.apply_abs(th) \
-            + np.abs(base)
+        size = eps * th + np.abs(e) + dt * op.apply_abs(th) + np.abs(base)
         return bool(np.all(np.abs(f) <= ROUNDOFF_ULPS * _ULP * size))
 
     f, e = residual(theta)
@@ -350,40 +359,27 @@ def step_theta(model, state, chi_new, b_old, op, dt, config):
                 f"temperature step at t={state.t:.6g}: residual not finite "
                 f"in cell {int(np.flatnonzero(~np.isfinite(f))[0])}")
         if norm <= tol or at_roundoff(f, theta, e):
-            break
+            return theta
         try:
             # f is finite, and so is the matrix at a finite theta
             delta = solveh_banded(
-                op.banded(eps + model.cv_ext(theta, chi_new), dt), -f,
+                op.banded(eps + model.cv(theta, chi_new), dt), -f,
                 overwrite_ab=True, check_finite=False)
         except LinAlgError as exc:
             raise NumericalError(
                 f"temperature step at t={state.t:.6g}: Newton matrix not "
                 f"positive definite ({exc})") from exc
-        step_size = 1.0
-        while step_size >= 2.0 ** -30:
-            cand = theta + step_size * delta
-            f2, e2 = residual(cand)
-            if float(np.max(np.abs(f2))) <= (1.0 - 1e-4 * step_size) * norm:
-                break
-            step_size *= 0.5
-        else:
+        theta = theta + delta
+        if np.any(theta <= 0.0):
             raise NumericalError(
-                f"temperature step stalled at t={state.t:.6g}: residual "
-                f"{norm:.3e} in cell {int(np.argmax(np.abs(f)))} not "
-                f"reducible along the Newton direction")
-        theta = cand
-        f, e = f2, e2
-    else:
-        k = int(np.argmax(np.abs(f)))
-        raise NumericalError(
-            f"temperature step exceeded {config.newton_cap} Newton iterations "
-            f"at t={state.t:.6g}; residual {abs(f[k]):.3e} in cell {k}")
-    if np.any(theta <= 0.0):
-        raise NumericalError(
-            f"temperature positivity violated at t={t_new:.6g}: min theta' "
-            f"= {float(np.min(theta)):.3e} in cell {int(np.argmin(theta))}")
-    return theta
+                f"temperature positivity violated at t={t_new:.6g}: min "
+                f"theta' = {float(np.min(theta)):.3e} in cell "
+                f"{int(np.argmin(theta))}")
+        f, e = residual(theta)
+    k = int(np.argmax(np.abs(f)))
+    raise NumericalError(
+        f"temperature step exceeded {config.newton_cap} Newton iterations "
+        f"at t={state.t:.6g}; residual {abs(f[k]):.3e} in cell {k}")
 
 
 def kirchhoff(model, theta):

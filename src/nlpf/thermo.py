@@ -164,14 +164,6 @@ class PowerModel:
         th = np.asarray(theta, dtype=float)
         return 2.0 * th - np.log1p(th)
 
-    def e_ext(self, theta, chi):
-        """Odd extension sign(th) e(|th|, x), matching the even cv extension."""
-        th = np.asarray(theta, dtype=float)
-        return np.sign(th) * self.e(np.abs(th), chi)
-
-    def cv_ext(self, theta, chi):
-        return self.cv(np.abs(np.asarray(theta, dtype=float)), chi)
-
     def c_tilde(self, theta):
         """min of cv over the phase domain and over temperatures >= theta:
         cv increases in theta and is least where <a, chi> = 0."""

@@ -147,14 +147,8 @@ def test_step_theta_single_cell_robin():
         return (x - math.log1p(x)) - (1.0 - math.log(2.0)) \
             + 0.05 * 2.0 * (x - 2.0)
 
-    lo, hi = 1.0, 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    assert theta_new[0] == pytest.approx(lo, abs=1e-12)
+    assert theta_new[0] == pytest.approx(bisect(residual, 1.0, 2.0),
+                                         abs=1e-12)
     # the operator used inside the Newton solve: no interior face, and
     # both end faces exchange through the one cell
     assert op.trans.shape == (0,)
@@ -162,9 +156,62 @@ def test_step_theta_single_cell_robin():
     assert op.banded(np.ones(1), 0.05).tolist() == [[1.1]]
 
 
+def recording(model, name):
+    """Wrap ``model.<name>`` on the instance; returns the list of the
+    temperatures it is called at, one copy per call."""
+    real, seen = getattr(model, name), []
+
+    def wrapped(theta, chi):
+        seen.append(np.array(theta, dtype=float))
+        return real(theta, chi)
+
+    setattr(model, name, wrapped)
+    return seen
+
+
+def bisect(residual, lo, hi):
+    """Root of an increasing scalar ``residual`` on [lo, hi]."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if residual(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def test_step_theta_cold_start_is_monotone():
+    """From a cold start far below the root, plain Newton overshoots once and
+    then falls monotonically to the root: every iterate the Jacobian is
+    evaluated at lies at or above the root and at or below the one before."""
+    grid = build_grid(1, [1.0], [1])
+    model = build_model("decoupled_power")
+    boundary = BoundaryData(grid, 1.0, 100.0)
+    st = State(theta=np.array([0.001]), chi=np.zeros((1, 1)), t=0.0)
+    cfg = SolverConfig(dt=0.01, horizon=1.0)
+    op = conduction_operator(grid, model, boundary, st.theta, st.chi)
+    seen = recording(model, "cv")
+    theta_new = step_theta(model, st, st.chi, np.zeros((1, 1)), op, 0.01,
+                           cfg)
+
+    def energy(x):
+        return x - math.log1p(x)
+
+    # e(x) - e(theta0) + dt * 2 gamma (x - 100) / V with V = 1
+    root = bisect(lambda x: energy(x) - energy(0.001) + 0.02 * (x - 100.0),
+                  0.001, 100.0)
+    assert theta_new[0] == pytest.approx(root, abs=1e-12)
+    iterates = [float(th[0]) for th in seen]
+    assert iterates[0] == 0.001 and len(iterates) >= 3
+    assert min(iterates[1:]) >= root * (1 - 1e-12)
+    for before, now in zip(iterates[1:], iterates[2:]):
+        assert now <= before * (1 + 1e-12)
+
+
 def test_step_theta_positivity_guard():
     # a single regularised cell with a violently negative source admits a
-    # negative root, and the stepper must refuse it rather than continue
+    # negative root, and the stepper must refuse it rather than continue;
+    # the energy is never evaluated at the nonpositive iterate
     grid = build_grid(1, [1.0], [1])
     model = build_model("decoupled_power")
     boundary = BoundaryData(grid, 0.0, 1.0)
@@ -172,11 +219,13 @@ def test_step_theta_positivity_guard():
     cfg = SolverConfig(dt=0.01, horizon=1.0, n_reg=1)
     chi_new = np.full((1, 1), 0.5)
     b_old = np.full((1, 1), 2000.0)   # (lam' + b) . dchi makes a huge sink
+    seen = recording(model, "e")
     with pytest.raises(NumericalError,
                        match=r"positivity violated at t=0\.01: .* in cell 0"):
         step_theta(model, st, chi_new, b_old,
                    conduction_operator(grid, model, boundary, st.theta,
                                        st.chi), 0.01, cfg)
+    assert seen and all(np.all(th > 0.0) for th in seen)
 
 
 def test_step_theta_rejects_nonfinite_source():
@@ -413,7 +462,9 @@ def poly3_simplex_components():
     poly3_simplex_components], ids=["two-phase-regularised", "poly3-simplex"])
 def test_stack_matches_per_state(make):
     """Row n of each per-cell function on the snapshot stack, and of the
-    totals, is what it gives on snapshot n alone."""
+    totals, is what it gives on snapshot n alone.  The run records the
+    largest phase source of a step only when it is regularised, for the
+    envelope check, and the empty maximum otherwise."""
     comp = make()
     traj = run(comp)
     model, eps = comp.model, comp.config.eps_reg
@@ -428,6 +479,8 @@ def test_stack_matches_per_state(make):
     unique = build_model("two_phase_power", uniqueness_mode=True)
     kv = kirchhoff(unique, th)
     tot_E, tot_S = budget_totals(comp.grid.volumes, E, S)
+    assert np.all(traj.records["source_max"] == (
+        np.abs(src).max(-1) if comp.config.n_reg else -np.inf))
     for n in range(len(traj.times)):
         E_n, S_n = cell_budget(model, th[n], ch[n], B[n], eps)
         a_n, g_n = rhs_ell(model, th[n], ch[n], b[n], comp.config.rho)
@@ -458,10 +511,11 @@ def test_pairing_residual_independent_of_layout():
         assert np.array_equal(got, want)
 
 
-def default_physics(**overrides):
-    """configs/default.cfg with some keys replaced, as run components."""
-    default = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
-    values = parse_config_text(default.read_text())
+def default_physics(config="default.cfg", **overrides):
+    """A shipped config, configs/default.cfg unless named, with some keys
+    replaced, as run components."""
+    path = Path(__file__).resolve().parents[1] / "configs" / config
+    values = parse_config_text(path.read_text())
     values.update(overrides)
     return build_components(resolve_config(values))[0]
 
@@ -481,3 +535,16 @@ def test_default_physics_128_squared_step_completes():
                                   "grid.cells": "128,128",
                                   "solver.horizon": "0.001"}))
     assert traj.records.size == 1
+
+
+@pytest.mark.parametrize("config", ["default.cfg", "simplex_plate.cfg"])
+def test_hard_start_runs_keep_theta_positive(config):
+    """Hard starts for undamped Newton: a cold body (0.05) under a hot
+    bump (+50), a stiff Robin exchange with a hot exterior and large steps;
+    every step completes and every state stays positive."""
+    traj = run(default_physics(config, **{
+        "init.theta.base": "0.05", "init.theta.amplitude": "50",
+        "boundary.gamma": "100", "boundary.theta_gamma": "10",
+        "solver.dt": "0.1", "solver.horizon": "1.0", "thermo.alpha": "2"}))
+    assert traj.records.size == 10
+    assert traj.thetas.min() > 0.0

@@ -1,4 +1,4 @@
-"""Constitutive relations: densities, extensions, bounds, model contracts."""
+"""Constitutive relations: densities, bounds, model contracts."""
 
 import math
 
@@ -37,17 +37,6 @@ def test_entropy_spot_value():
     chi = np.zeros((1, 1))
     assert TP.s(np.array([1.0]), chi)[0] == pytest.approx(
         math.log(2.0), rel=1e-14)
-
-
-def test_odd_extension():
-    chi = np.full((3, 1), 0.4)
-    th = np.array([-2.0, 0.0, 2.0])
-    e = TP.e_ext(th, chi)
-    assert e[0] == -e[2]
-    assert e[1] == 0.0
-    cv = TP.cv_ext(th, chi)
-    assert cv[0] == cv[2]
-    assert cv[0] > 0.0
 
 
 @given(st.floats(0.05, 30.0), st.floats(0.0, 1.0))
