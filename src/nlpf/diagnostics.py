@@ -58,11 +58,12 @@ def energy_budget(components, traj):
     the phase couplings, O(dt^2) per step, and the check judges the drift
     from E(0).  With Robin exchange each row's boundary outflow is added
     back so the same identity applies, and the check judges each step.
-    E(0) is the first row's start energy.
+    E(0) is the first row's start energy; dt is each step's ``step_size``.
     """
     rec = traj.records
     totals = np.append(rec["start_energy"][:1], rec["total_energy"])
-    res = np.diff(totals) + np.diff(traj.times) * rec["outflow"]
+    dt = components.config.step_size(traj.times[:-1])
+    res = np.diff(totals) + dt * rec["outflow"]
     drift = float(np.max(np.abs(totals - totals[0])))
     return EnergyBudgetReport(step_residuals=res, drift=drift,
                               scale=max(1.0, abs(totals[0])),
@@ -121,7 +122,6 @@ class LowerBoundReport:
     min_margin: float           # min of min_theta - (1 - 1e-6) w
     measured_R: float
     w0: float
-    closed_form_max_diff: float | None   # integrator vs exact solution if any
 
     @property
     def holds(self) -> bool:
@@ -148,8 +148,7 @@ def lower_bound_ode(components, traj, forcing_bound=None):
     R defaults to the bound measured along the trajectory.  An adaptive
     eighth-order Runge-Kutta (DOP853) at relative tolerance 1e-12 chooses its
     steps from the ODE, not from the run's step size, and keeps the
-    integrator error far below the slack; when the model knows a closed-form
-    solution the report carries the comparison.
+    integrator error far below the slack.
     """
     # scipy.integrate loads scipy.optimize and scipy.special (about 0.25 s);
     # importing it here keeps that off `nlpf run`, which imports this module
@@ -173,12 +172,9 @@ def lower_bound_ode(components, traj, forcing_bound=None):
     env = sol.y[0]
 
     margins = traj.records["min_theta"] - (1.0 - 1e-6) * env
-    ref = model.lower_bound_closed_form(w0, R, rec_t, config.rho)
-    closed = None if ref is None else float(np.max(np.abs(env - ref)))
     return LowerBoundReport(envelope=env,
                             min_margin=float(np.min(margins)),
-                            measured_R=R, w0=w0,
-                            closed_form_max_diff=closed)
+                            measured_R=R, w0=w0)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +455,7 @@ def regularity_indicator(components, traj):
     only, since K needs a chi-free conductivity.
     """
     grid = components.grid
-    dts = np.diff(traj.times)
+    dts = components.config.step_size(traj.times[:-1])
     dth = np.diff(traj.thetas, axis=0) / dts[:, None]
     rate = float(np.dot(dts, dth ** 2 @ grid.volumes))
     kv = kirchhoff(components.model, traj.thetas[1:])

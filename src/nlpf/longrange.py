@@ -168,14 +168,13 @@ def _pair_expansion(degree: int, d: int):
 @dataclass
 class PairFields:
     """b, B and Kw (chi - shift) of one state, or of a stack of states, all
-    from one batched convolution.
+    from one batched convolution of chi, which the caller keeps.
 
     The fields depend on chi only through differences, so they are computed
     from chi less its cell mean ``shift``; that keeps the monomials of the
     expansion, and hence its cancellation, at the size of chi's spread.
     """
 
-    chi: np.ndarray     # (..., M, d)
     shift: np.ndarray   # (..., 1, d)
     b: np.ndarray       # (..., M, d)
     B: np.ndarray       # (..., M)
@@ -263,7 +262,7 @@ class NonlocalCoupling:
         x = chi - shift
         c = self.G.coeffs
         if c.size > 1 or adjoint:
-            return self._expanded_fields(chi, shift, x, adjoint)
+            return self._expanded_fields(shift, x, adjoint)
         # G = c|z|^2: b = 4c (r x - Kw x) and B = c (r a - 2 x.Kw x + Kw a)
         # with a = |x|^2, from one convolution of the columns [x, a]
         a = np.einsum("...i,...i->...", x, x)
@@ -273,9 +272,9 @@ class NonlocalCoupling:
         b = 4.0 * c[0] * (self.r[:, None] * x - kx)
         B = c[0] * (self.r * a - 2.0 * np.einsum("...i,...i->...", x, kx)
                     + conv[..., -1, :])
-        return PairFields(chi=chi, shift=shift, b=b, B=B, kchi=kx)
+        return PairFields(shift=shift, b=b, B=B, kchi=kx)
 
-    def _expanded_fields(self, chi, shift, x, adjoint):
+    def _expanded_fields(self, shift, x, adjoint):
         """Fields of a polynomial G through the expansion in
         `_pair_expansion`; ``adjoint`` uses the transposed operator."""
         x = np.swapaxes(x, -1, -2)                 # (..., d, M)
@@ -311,7 +310,7 @@ class NonlocalCoupling:
         b = sum(4.0 * k * c * (x * S[k - 1][..., None, :] - V[k - 1])
                 for k, c in enumerate(coeffs, start=1))
         kchi = conv[..., terms[0][0][4], :]    # the columns of chi itself
-        return PairFields(chi=chi, shift=shift, b=np.swapaxes(b, -1, -2), B=B,
+        return PairFields(shift=shift, b=np.swapaxes(b, -1, -2), B=B,
                           kchi=np.swapaxes(kchi, -1, -2))
 
     def b_field(self, chi: np.ndarray) -> PairFields:
@@ -320,9 +319,10 @@ class NonlocalCoupling:
         B_i = sum_j w_j K_ij G(chi_i - chi_j) and Kw chi."""
         return self._fields(chi)
 
-    def pairing_residual(self, stack: PairFields, dt):
+    def pairing_residual(self, chi, stack: PairFields, dt):
         """(lhs, rhs, residual) of the pairing identity over each step of a
-        stack of T + 1 states; arrays of T values, ``dt`` one per step.
+        stack of T + 1 states ``chi`` with fields ``stack``; arrays of T
+        values, ``dt`` one per step.
 
         lhs = sum_i w_i b_i . chid_i with b at the step's first state and
         chid = (chi' - chi)/dt; rhs is the chain-rule derivative of the
@@ -333,7 +333,7 @@ class NonlocalCoupling:
         operator.  They agree when the stencil is even and G is even, so the
         residual is a machine-precision check of the assembled operator.
         """
-        chi, r = stack.chi, self.r[:, None]
+        r = self.r[:, None]
         dt = np.asarray(dt, dtype=float)[:, None, None]
         wchid = self.w[:, None] * (np.diff(chi, axis=0) / dt)
 

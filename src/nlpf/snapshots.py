@@ -7,7 +7,8 @@ per-axis cell counts (N x u64), then one frame per state, the initial one
 and one per step: the time (f64), the temperature field and each
 order-parameter component, in row-major f64.
 Readers refuse a wrong magic or version, a header that does not match the
-manifest, and a payload that is not a whole number of frames.
+manifest, a payload that is not a whole number of frames, a frame time off
+the manifest's time grid, and a temperature that is not finite and positive.
 
 Scalar records go to CSV with a fixed column order and 17 significant
 digits, which round-trips IEEE doubles exactly; the reader checks them
@@ -86,15 +87,15 @@ def read_trajectory(out_dir, components):
     """Load a stored trajectory.
 
     The trajectory must be complete for ``components``: a header matching
-    the grid and model, a whole number of frames, one record row per step
-    of the configured horizon, and the initial frame and one frame per
-    step, each stamped with the time of the record row it follows, and a
-    phase field inside the potential's set in every cell of every frame.
+    the grid and model, one record row per step of the configured horizon,
+    and the initial frame and one frame per step, stamped, as the rows are,
+    bit for bit with the config's time grid; every cell of every frame holds
+    a finite, positive temperature and a phase field in the potential's set.
     The trajectory carries the rows ``stepper.replay_records`` gives on the
     frames, one chunk of them convolved at a time, and each stored value
     must match its replay to round-off.  Anything else is a ConfigError.
     """
-    config = components.config
+    times = components.config.times
     grid, d = components.grid, components.model.d
     path = os.path.join(out_dir, TRAJECTORY_NAME)
     if not os.path.exists(path):
@@ -129,30 +130,37 @@ def read_trajectory(out_dir, components):
         raise ConfigError(f"{out_dir}: missing {RECORDS_NAME}")
     records = read_records_csv(rec_path)
 
-    if records.size != config.n_steps:
+    if records.size != times.size - 1:
         raise ConfigError(f"{rec_path}: {records.size} rows, the configured "
-                          f"horizon takes {config.n_steps} steps")
-    want = np.concatenate([[0.0], records["t"]])
-    times = frames["t"].copy()
-    if times.size != want.size:
-        raise ConfigError(f"{path}: {times.size} frames, expected "
-                          f"{want.size}, one per step and the initial state")
-    bad = np.flatnonzero(times != want)
-    if bad.size:
-        i = int(bad[0])
-        raise ConfigError(f"{path}: frame {i} time {float(times[i])} does "
-                          f"not match the record time {float(want[i])} "
-                          f"(column t, step {i})")
+                          f"horizon takes {times.size - 1} steps")
+    if frames.size != times.size:
+        raise ConfigError(f"{path}: {frames.size} frames, expected "
+                          f"{times.size}, one per step and the initial state")
+    for what, got, first in ((f"{path}: frame", frames["t"], 0),
+                             (f"{rec_path}: column t of step",
+                              records["t"], 1)):
+        bad = np.flatnonzero(got != times[first:])
+        if bad.size:
+            i = int(bad[0])
+            raise ConfigError(f"{what} {i + first} time {float(got[i])} is "
+                              f"off the time grid, which puts it at "
+                              f"{float(times[i + first])}")
     thetas = np.ascontiguousarray(frames["theta"])
     chis = np.ascontiguousarray(np.swapaxes(frames["chi"], 1, 2))
     del frames     # free the frame table before the replay
+    bad = np.argwhere(~(np.isfinite(thetas) & (thetas > 0)))
+    if bad.size:
+        i, cell = (int(v) for v in bad[0])
+        raise ConfigError(f"{path}: frame {i} at time {float(times[i])!r} "
+                          f"has temperature {float(thetas[i, cell])} in cell "
+                          f"{cell}, not finite and positive")
     outside = np.argwhere(~components.potential.contains(chis))
     if outside.size:
         i, cell = (int(v) for v in outside[0])
         raise ConfigError(f"{path}: frame {i} at time {float(times[i])!r} "
                           f"has its phase field outside the potential domain "
                           f"in cell {cell}")
-    replayed = replay_records(components, times, thetas, chis)
+    replayed = replay_records(components, thetas, chis)
     for name in RECORD_COLUMNS:
         got, want = records[name], replayed[name]
         bad = np.flatnonzero(~(np.abs(got - want)

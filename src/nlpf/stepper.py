@@ -90,28 +90,39 @@ class SolverConfig:
 
     @property
     def n_steps(self) -> int:
-        """Nominal steps to the horizon; the last one may be shorter."""
-        return int(math.ceil(self.horizon / self.dt - 1e-12))
+        """Steps to the horizon, at least one; the last may be shorter."""
+        return max(1, int(math.ceil(self.horizon / self.dt - 1e-12)))
 
     def step_size(self, t):
         """Nominal step from time t (or from each of an array of times): dt,
         cut short at the horizon."""
         return np.minimum(self.dt, self.horizon - t)
 
+    @property
+    def times(self):
+        """The one clock of run, the replay and every check: the times of
+        the n_steps + 1 states, 0 then t + step_size(t), as one sequential
+        sum of dt and the ragged last step; refused unless increasing."""
+        t = np.zeros(self.n_steps + 1)
+        np.cumsum(np.full(self.n_steps, self.dt), out=t[1:])
+        t[-1] = t[-2] + self.step_size(t[-2])
+        bad = np.flatnonzero(np.diff(t) <= 0)
+        if bad.size:
+            n = int(bad[0])
+            raise ConfigError(f"time grid does not increase at step {n + 1}: "
+                              f"{t[n]!r} then {t[n + 1]!r}")
+        return t
+
 
 @dataclass
 class Trajectory:
-    times: np.ndarray          # (T + 1,)
+    times: np.ndarray          # (T + 1,) the config's time grid
     thetas: np.ndarray         # (T + 1, M)
     chis: np.ndarray           # (T + 1, M, d)
     records: np.ndarray        # structured, one row per step
     # run takes each step once and retries none; perfbench/run.py reads
     # this count on every trajectory for its step_attempts_per_step
     rejections = 0
-
-    def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ConfigError("snapshot times must increase strictly")
 
 
 def lag_fields(thetas, chis, window):
@@ -229,11 +240,11 @@ def forcing_norm(model, theta, chi, xi, rho):
         model, theta, chi, rho) + xi, axis=-1)
 
 
-def step_records(components, times, thetas, chis, fields, a, b):
+def step_records(components, thetas, chis, fields, a, b):
     """Record rows of the steps a .. b - 1 of a run, from its states up to
     b, ``thetas`` (.., M) and ``chis`` (.., M, d), and the PairFields
-    ``fields`` of states a .. b; each step's lagged fields come from
-    ``lagged_fields``.
+    ``fields`` of states a .. b; each step takes its lagged fields from
+    ``lagged_fields`` and its times and size from the config.
 
     Row n, the nominal step from state n to n + 1, depends on that step
     alone, so the rows do not depend on how the steps are cut into chunks.
@@ -243,7 +254,8 @@ def step_records(components, times, thetas, chis, fields, a, b):
     grid, model, config = components.grid, components.model, components.config
     coupling, rho = components.coupling, config.rho
     bar_theta, bar_chi = lagged_fields(thetas, chis, config.lag_window, a, b)
-    times, thetas, chis = times[a:b + 1], thetas[a:b + 1], chis[a:b + 1]
+    times, thetas, chis = config.times[a:b + 1], thetas[a:b + 1], \
+        chis[a:b + 1]
     dt = config.step_size(times[:-1])
     theta, chi = thetas[1:], chis[1:]
     rows = np.empty(len(dt), dtype=_RECORD_DTYPE)
@@ -263,11 +275,11 @@ def step_records(components, times, thetas, chis, fields, a, b):
         - theta.take(grid.iface_neigh, axis=-1)
     rows["face_pairing_max"] = np.max(-op.face_fluxes(theta) * dth, axis=-1,
                                       initial=-math.inf)
-    rows["pairing_residual"] = coupling.pairing_residual(fields, dt)[2]
+    rows["pairing_residual"] = coupling.pairing_residual(chis, fields, dt)[2]
     # only the envelope check of a regularised run reads source_max; other
     # runs get the empty maximum, as face_pairing_max does with no face
     rows["source_max"] = np.abs(phase_source(
-        model, chis[:-1], chi, fields.b[:-1], np.diff(times)[:, None])
+        model, chis[:-1], chi, fields.b[:-1], dt[:, None])
     ).max(-1) if config.n_reg >= 1 else -math.inf
     alpha, g = rhs_ell(model, thetas[:-1], chis[:-1], fields.b[:-1], rho)
     xi = selection(chis[:-1], chi, alpha, g, dt[:, None, None])
@@ -278,7 +290,7 @@ def step_records(components, times, thetas, chis, fields, a, b):
     return rows
 
 
-def replay_records(components, times, thetas, chis):
+def replay_records(components, thetas, chis):
     """Record rows of the T steps of a run, from its T + 1 states.
 
     The states are cut into chunks of about ``_REPLAY_CELLS`` cells; each
@@ -287,7 +299,7 @@ def replay_records(components, times, thetas, chis):
     As in ``run``, slot 0 of the fields carries the last state of the
     previous chunk, so each state is convolved once.
     """
-    n_steps = len(times) - 1
+    n_steps = len(thetas) - 1
     size = min(max(1, _REPLAY_CELLS // thetas.shape[-1]), n_steps)
     fields = components.coupling.b_field(chis[:size + 1])
     rows = np.empty(n_steps, dtype=_RECORD_DTYPE)
@@ -297,7 +309,7 @@ def replay_records(components, times, thetas, chis):
             fields[0] = fields[size]
             fields[1:b - a + 1] = components.coupling.b_field(
                 chis[a + 1:b + 1])
-        rows[a:b] = step_records(components, times, thetas, chis,
+        rows[a:b] = step_records(components, thetas, chis,
                                  fields[:b - a + 1], a, b)
     return rows
 
@@ -409,7 +421,7 @@ class RunComponents:
 
 
 def run(components: RunComponents):
-    """March the coupled scheme over ceil(T/dt) steps.
+    """March the coupled scheme over the steps of the config's time grid.
 
     Returns a Trajectory with every state, written into its arrays as it
     is accepted.  The pair fields of the states are kept for one chunk of
@@ -431,10 +443,9 @@ def run(components: RunComponents):
     if not np.all(potential.contains(chi0)):
         raise ConfigError("initial phase field must lie in the potential domain")
 
-    window, n_steps = config.lag_window, config.n_steps
+    window, n_steps, times = config.lag_window, config.n_steps, config.times
     size = min(max(1, _REPLAY_CELLS // grid.n_cells), n_steps)
-    state = State(theta0, chi0, 0.0, coupling.b_field(chi0))
-    times = np.zeros(n_steps + 1)
+    state = State(theta0, chi0, times[0], coupling.b_field(chi0))
     thetas = np.empty((n_steps + 1,) + theta0.shape)
     chis = np.empty((n_steps + 1,) + chi0.shape)
     fields = PairFields(*(np.empty((size + 1,) + v.shape)
@@ -468,12 +479,10 @@ def run(components: RunComponents):
         except NumericalError as exc:
             raise NumericalError(f"step {n}: {exc}") from exc
         # each state carries its nonlocal fields, so each is convolved once
-        state = State(theta_new, chi_new, state.t + dt,
-                      coupling.b_field(chi_new))
-        times[n], thetas[n], chis[n] = state.t, state.theta, state.chi
-        fields[n - a] = state.fields
+        state = State(theta_new, chi_new, times[n], coupling.b_field(chi_new))
+        thetas[n], chis[n], fields[n - a] = theta_new, chi_new, state.fields
         if n - a == size or n == n_steps:
-            records[a:n] = step_records(components, times, thetas, chis,
+            records[a:n] = step_records(components, thetas, chis,
                                         fields[:n - a + 1], a, n)
             fields[0] = state.fields
             a = n

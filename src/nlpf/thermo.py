@@ -169,14 +169,6 @@ class PowerModel:
         cv increases in theta and is least where <a, chi> = 0."""
         return _power_ratio(np.asarray(theta, dtype=float), self.alpha)
 
-    def lower_bound_closed_form(self, w0, R, t, rho):
-        """Exact comparison solution when the ODE collapses to linear decay:
-        for alpha = 1 the minorant w/(1+w) cancels the linear mobility growth,
-        so w(t) = w0 exp(-R^2 t / (4 mu0)) while the cap is idle (w0 <= rho)."""
-        if self.alpha != 1 or w0 > rho:
-            return None
-        return w0 * np.exp(-(R * R) * np.asarray(t, dtype=float) / (4.0 * self.mu0))
-
 
 class TwoPhasePowerModel(PowerModel):
     """Scalar two-phase model: d = 1, a = 1/2 on x in [0, 1], with the
@@ -221,19 +213,14 @@ def build_model(name, **kwargs):
     return MODEL_REGISTRY[name](**kwargs)
 
 
-def _capped(theta, rho):
-    """The truncated temperature min(|theta|, rho), rho >= 1."""
-    return np.minimum(np.abs(np.asarray(theta, dtype=float)), rho)
-
-
 def truncated_entropy_gradient(model, theta, chi, rho):
-    """s_chi at the capped temperature min(|theta|, rho); even in theta."""
-    return model.s_chi(_capped(theta, rho), chi)
+    """s_chi at the capped temperature min(theta, rho), rho >= 1."""
+    return model.s_chi(np.minimum(theta, rho), chi)
 
 
 def truncated_mobility(model, theta, rho):
     """mu at the capped temperature: constant extension above the cap."""
-    return model.mu(_capped(theta, rho))
+    return model.mu(np.minimum(theta, rho))
 
 
 def generic_coefficients(theta, mu, c_v, dchi_E):

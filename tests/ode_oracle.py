@@ -1,10 +1,10 @@
-"""Fixed-step RK4 for the lower-envelope comparison ODE.
+"""Oracles for the lower-envelope comparison ODE.
 
 `nlpf.diagnostics.lower_bound_ode` integrates
-c~(w) w' = -R^2 w^2 / (4 mu_rho(w)) with an adaptive integrator; this is the
-classical fourth-order Runge-Kutta with a step of at most a quarter of the
-run's step size, kept as an independent oracle for models without a closed
-form (alpha = 2).
+c~(w) w' = -R^2 w^2 / (4 mu_rho(w)) with an adaptive integrator.  For
+alpha = 1 the ODE has a closed-form solution; for models without one
+(alpha = 2) the oracle is the classical fourth-order Runge-Kutta with a step
+of at most a quarter of the run's step size.
 """
 
 import math
@@ -12,6 +12,15 @@ import math
 import numpy as np
 
 from nlpf.thermo import truncated_mobility
+
+
+def closed_form_envelope(model, w0, R, times, rho):
+    """Exact comparison solution when the ODE collapses to linear decay:
+    for alpha = 1 the minorant w/(1+w) cancels the linear mobility growth,
+    so w(t) = w0 exp(-R^2 t / (4 mu0)) while the cap is idle (w0 <= rho)."""
+    assert model.alpha == 1 and w0 <= rho
+    return w0 * np.exp(-(R * R) * np.asarray(times, dtype=float)
+                       / (4.0 * model.mu0))
 
 
 def rk4_envelope(model, w0, R, rho, times, dt):

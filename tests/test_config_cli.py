@@ -2,6 +2,7 @@
 line."""
 
 import importlib.util
+import math
 import re
 import struct
 import tracemalloc
@@ -304,8 +305,48 @@ def test_cli_verify_names_a_mismatched_frame_time(tmp_path, capsys):
                      0.021)
     path.write_bytes(bytes(raw))
     assert main(["verify", str(out)]) == 2
-    assert "frame 2 time 0.021 does not match the record time 0.02" \
+    assert "frame 2 time 0.021 is off the time grid, which puts it at 0.02" \
         in capsys.readouterr().err
+
+
+def test_cli_verify_refuses_a_shifted_clock(tmp_path, capsys):
+    """A frame time moved off the manifest's time grid, with the records'
+    t moved to match, is a broken trajectory: the error names the frame and
+    both times."""
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / "trajectory.nlpf"
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, header_bytes(1) + 2 * frame_bytes(16, 1),
+                     0.0202)
+    path.write_bytes(bytes(raw))
+    records = read_records_csv(out / "records.csv")
+    records["t"][1] = 0.0202
+    write_records_csv(out / "records.csv", records)
+    assert main(["verify", str(out)]) == 2
+    assert "frame 2 time 0.0202 is off the time grid, which puts it at " \
+        "0.02" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theta", [math.nan, -0.5], ids=["nan", "negative"])
+def test_cli_verify_refuses_a_frame_temperature(tmp_path, capsys, theta):
+    """A stored temperature that is not finite and positive is a broken
+    trajectory, even when records.csv is the replay of the frames: the
+    error names the frame, its time and the cell."""
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / "trajectory.nlpf"
+    raw = bytearray(path.read_bytes())
+    # frame 3 of the 16-cell, d = 1 run: time, then theta of cell 5
+    struct.pack_into("<d", raw, header_bytes(1) + 3 * frame_bytes(16, 1)
+                     + 8 * (1 + 5), theta)
+    path.write_bytes(bytes(raw))
+    rewrite_records(out)
+    assert main(["verify", str(out)]) == 2
+    assert f"frame 3 at time 0.03 has temperature {theta} in cell 5, not " \
+        "finite and positive" in capsys.readouterr().err
 
 
 def _workload_components(name):
@@ -496,10 +537,10 @@ def rewrite_records(out):
     comp, _ = build_components(load_config(out / "manifest.cfg"))
     frames = np.fromfile(out / "trajectory.nlpf", offset=header_bytes(1),
                          dtype=_frame_dtype(comp.grid.n_cells, comp.model.d))
-    times, thetas = frames["t"], np.ascontiguousarray(frames["theta"])
+    thetas = np.ascontiguousarray(frames["theta"])
     chis = np.ascontiguousarray(np.swapaxes(frames["chi"], 1, 2))
     write_records_csv(out / "records.csv",
-                      replay_records(comp, times, thetas, chis))
+                      replay_records(comp, thetas, chis))
 
 
 @pytest.mark.parametrize("mutate, check", [

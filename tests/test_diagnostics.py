@@ -21,7 +21,7 @@ from nlpf.stepper import RunComponents, SolverConfig, run
 from nlpf.thermo import build_model
 
 from conftest import two_phase_components
-from ode_oracle import rk4_envelope
+from ode_oracle import closed_form_envelope, rk4_envelope
 
 
 UNIT_SAMPLE = IndicatorBox([0.0], [1.0]).domain_sample(64)
@@ -77,7 +77,9 @@ def test_lower_bound_holds(short_run):
     assert rep.holds
     assert rep.min_margin >= 0.0
     assert rep.measured_R > 0.0
-    assert rep.closed_form_max_diff <= 1e-8
+    ref = closed_form_envelope(comp.model, rep.w0, rep.measured_R,
+                               traj.records["t"], comp.config.rho)
+    assert np.max(np.abs(rep.envelope - ref)) <= 1e-8
 
 
 def test_lower_bound_synthetic_decay():
@@ -101,7 +103,6 @@ def test_lower_bound_matches_rk4_oracle_alpha2():
     comp = replace(comp, model=build_model("two_phase_power", alpha=2))
     traj = run(comp)
     rep = lower_bound_ode(comp, traj, forcing_bound=2.0)
-    assert rep.closed_form_max_diff is None
     ref = rk4_envelope(comp.model, rep.w0, 2.0, comp.config.rho,
                        traj.records["t"], comp.config.dt)
     assert ref[-1] < 0.13 * rep.w0

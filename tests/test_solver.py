@@ -321,7 +321,7 @@ def replay_in_chunks(comp, traj, steps):
     """replay_records on ``traj`` with chunks of ``steps`` steps."""
     with mock.patch.object(stepper, "_REPLAY_CELLS",
                            steps * comp.grid.n_cells):
-        return replay_records(comp, traj.times, traj.thetas, traj.chis)
+        return replay_records(comp, traj.thetas, traj.chis)
 
 
 @given(st.sampled_from(["robin-window", "poly3"]),
@@ -342,10 +342,10 @@ def test_step_records_independent_of_blocks(kind, sizes, chunk):
         assert np.array_equal(lagged[0], bar_theta[a:b])
         assert np.array_equal(lagged[1], bar_chi[a:b])
     rows = np.concatenate([step_records(
-        comp, traj.times, traj.thetas, traj.chis,
+        comp, traj.thetas, traj.chis,
         comp.coupling.b_field(traj.chis[a:b + 1]), a, b)
         for a, b in zip(cuts[:-1], cuts[1:])])
-    whole = step_records(comp, traj.times, traj.thetas, traj.chis,
+    whole = step_records(comp, traj.thetas, traj.chis,
                          comp.coupling.b_field(traj.chis), 0, n)
     chunked = replay_in_chunks(comp, traj, chunk)
     one_chunk = replay_in_chunks(comp, traj, n)
@@ -361,7 +361,7 @@ def test_replay_convolves_each_state_once(monkeypatch):
     chunk: T + 1 states are convolved, and the rows equal one chunk's."""
     comp = two_phase_components(cells=16, horizon=0.1, dt=0.01)
     traj = run(comp)
-    whole = replay_records(comp, traj.times, traj.thetas, traj.chis)
+    whole = replay_records(comp, traj.thetas, traj.chis)
     real, states = NonlocalCoupling.b_field, []
 
     def counted(self, chi):
@@ -389,6 +389,33 @@ def test_run_holds_one_copy(monkeypatch):
         tracemalloc.stop()
     held = sum(a.nbytes for a in (traj.times, traj.thetas, traj.chis))
     assert peak <= 1.6 * held
+
+
+@pytest.mark.parametrize("horizon, dt", [(0.35, 0.1), (0.05, 0.01),
+                                         (1.0, 1e-3)])
+def test_time_grid_is_the_run_clock(horizon, dt):
+    """config.times is 0, then t + step_size(t) one step at a time, bit for
+    bit, and it is the times run returns; 0.35 / 0.1 ends in a ragged
+    step."""
+    comp = two_phase_components(cells=4, horizon=horizon, dt=dt)
+    want = [0.0]
+    for _ in range(comp.config.n_steps):
+        want.append(want[-1] + comp.config.step_size(want[-1]))
+    assert np.array_equal(comp.config.times, want)
+    assert np.array_equal(run(comp).times, want)
+
+
+def test_time_grid_that_stalls_is_refused_before_any_step(monkeypatch):
+    """A grid whose last step has no length is a ConfigError raised before
+    the first step is taken."""
+    comp = two_phase_components(cells=4, horizon=0.3, dt=0.1)
+    monkeypatch.setattr(SolverConfig, "n_steps", property(lambda self: 4))
+    calls = []
+    monkeypatch.setattr(stepper, "step_theta",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ConfigError, match="does not increase at step 4"):
+        run(comp)
+    assert not calls
 
 
 def test_run_ragged_final_step():
@@ -460,18 +487,31 @@ def poly3_simplex_components():
 @pytest.mark.parametrize("make", [
     lambda: two_phase_components(cells=16, horizon=0.05, dt=0.01, n_reg=4),
     poly3_simplex_components], ids=["two-phase-regularised", "poly3-simplex"])
-def test_stack_matches_per_state(make):
+def test_stack_matches_per_state(make, monkeypatch):
     """Row n of each per-cell function on the snapshot stack, and of the
-    totals, is what it gives on snapshot n alone.  The run records the
-    largest phase source of a step only when it is regularised, for the
-    envelope check, and the empty maximum otherwise."""
+    totals, is what it gives on snapshot n alone, each step of size
+    ``step_size``.  The run records the largest phase source of a step only
+    when it is regularised, for the envelope check, and the empty maximum
+    otherwise; that source is bit for bit the one step_theta used."""
+    used = []
+
+    def recorded(model, chi_old, chi_new, b_old, dt):
+        out = phase_source(model, chi_old, chi_new, b_old, dt)
+        if out.ndim == 1:     # step_theta's call, one state
+            used.append(out)
+        return out
+
+    monkeypatch.setattr(stepper, "phase_source", recorded)
     comp = make()
     traj = run(comp)
     model, eps = comp.model, comp.config.eps_reg
     th, ch = traj.thetas, traj.chis
     stack = comp.coupling.b_field(ch)
     b, B = stack.b, stack.B
-    dts = np.diff(traj.times)
+    dts = comp.config.step_size(traj.times[:-1])
+    assert len(used) == traj.records.size
+    assert np.all(traj.records["source_max"] == (
+        np.abs(used).max(-1) if comp.config.n_reg else -np.inf))
     E, S = cell_budget(model, th, ch, B, eps)
     alpha, g = rhs_ell(model, th, ch, b, comp.config.rho)
     xi = selection(ch[:-1], ch[1:], alpha[:-1], g[:-1], dts[:, None, None])
@@ -505,9 +545,10 @@ def test_pairing_residual_independent_of_layout():
     stack = comp.coupling.b_field(traj.chis)
     copies = PairFields(*(np.ascontiguousarray(v)
                           for v in vars(stack).values()))
-    dt = np.diff(traj.times)
-    for got, want in zip(comp.coupling.pairing_residual(stack, dt),
-                         comp.coupling.pairing_residual(copies, dt)):
+    dt = comp.config.step_size(traj.times[:-1])
+    for got, want in zip(
+            comp.coupling.pairing_residual(traj.chis, stack, dt),
+            comp.coupling.pairing_residual(traj.chis, copies, dt)):
         assert np.array_equal(got, want)
 
 

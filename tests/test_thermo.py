@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import quadrature_oracle
 from inverse_oracle import inverse_temperature
+from ode_oracle import closed_form_envelope
 from nlpf.convex import IndicatorSimplex
 from nlpf.errors import ConfigError, ModelContractError
 from nlpf.thermo import (MODEL_REGISTRY, TwoPhasePowerModel, _power_ratio,
@@ -219,7 +220,7 @@ def test_densities_identity_and_domain():
 
 def test_closed_form_envelope():
     # alpha = 1 and w0 below the cap: w(t) = w0 exp(-R^2 t / (4 mu0))
-    val = TP.lower_bound_closed_form(1.0, 2.0, 1.0, rho=100.0)
+    val = closed_form_envelope(TP, 1.0, 2.0, 1.0, rho=100.0)
     assert val == pytest.approx(math.exp(-1.0), rel=1e-14)
 
 
