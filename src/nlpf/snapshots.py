@@ -6,9 +6,9 @@ grid dimension N (1 byte), order-parameter dimension d (1 byte) and the
 per-axis cell counts (N x u64), then one frame per state, the initial one
 and one per step: the time (f64), the temperature field and each
 order-parameter component, in row-major f64.
-Readers refuse a wrong magic or version, a header that does not match the
-manifest, a payload that is not a whole number of frames, a frame time off
-the manifest's time grid, and a temperature that is not finite and positive.
+Readers refuse a wrong magic or version, a header or frame 0 that does not
+match the manifest, a payload that is not a whole number of frames, a frame
+time off its time grid, and a temperature that is not finite and positive.
 
 Scalar records go to CSV with a fixed column order and 17 significant
 digits, which round-trips IEEE doubles exactly; the reader checks them
@@ -160,6 +160,13 @@ def read_trajectory(out_dir, components):
         raise ConfigError(f"{path}: frame {i} at time {float(times[i])!r} "
                           f"has its phase field outside the potential domain "
                           f"in cell {cell}")
+    for name, got, want in (("theta", thetas[0], components.theta0),
+                            ("chi", chis[0], components.chi0)):
+        bad = tuple(np.argwhere(got != want)[:1].ravel())
+        if bad:
+            raise ConfigError(f"{path}: frame 0 {name} in cell {bad[0]} reads "
+                              f"{float(got[bad])!r}, the manifest's initial "
+                              f"data give {float(want[bad])!r}")
     replayed = replay_records(components, thetas, chis)
     for name in RECORD_COLUMNS:
         got, want = records[name], replayed[name]

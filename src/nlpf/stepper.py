@@ -16,8 +16,10 @@ by plain Newton, undamped because the map is convex (see step_theta).  phi
 is the indicator of the constraint set, zero on every admissible state, so
 it has no term here; each new phase field is checked to lie in the set.
 Each Newton matrix diag(eps + c_V) + dt A is symmetric positive definite and
-banded, and is factorised by banded Cholesky; Newton stops at its relative
-tolerance or at the round-off floor of the residual, whichever comes first.
+banded: Cholesky, O(M u^2) for band u, solves a narrow band, and CG, O(M log M)
+per iteration through the DCT-II (T. F. Chan, SIAM J. Sci. Stat. Comput. 9
+(1988) 766; G. Strang, SIAM Review 41 (1999) 135), a wide one.  Newton stops
+at its relative tolerance or at the round-off floor of the residual.
 With gamma = 0 the volume-weighted row sums of the diffusion map vanish, so
 the scheme conserves the discrete total energy up to the Taylor remainders of
 the lam and pair-interaction difference quotients, which are O(dt) overall.
@@ -29,7 +31,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dctn, idctn
 from scipy.linalg import LinAlgError, solveh_banded
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConfigError, ModeError, NumericalError
 from .geometry import assemble_diffusion, harmonic_face_conductivity
@@ -54,6 +58,10 @@ _REPLAY_CELLS = 1 << 16
 # Newton's round-off floor, in units of the double-precision epsilon
 ROUNDOFF_ULPS = 4.0
 _ULP = float(np.finfo(float).eps)
+# Newton solves of band 48 and up go to CG (relative residual 1e-13, at most
+# 1000 iterations).  Banded against CG, least of 40 solves (2 vCPU, 1 thread):
+# band 40 0.74/0.94 ms, 44 1.33/1.12, 48 1.79/1.12, 64 4.54/1.84, 128 37/6.6.
+_CG_BAND, _CG_RTOL, _CG_CAP = 48, 1e-13, 1000
 
 
 @dataclass
@@ -322,6 +330,29 @@ def phase_source(model, chi_old, chi_new, b_old, dt):
     return -np.einsum("...d,...d->...", force, chi_new - chi_old) / dt
 
 
+def _newton_solve(op, shift, dt, rhs, t):
+    """x with (diag(shift) + dt A) x = rhs, A = ``op``; CG's preconditioner
+    is A with the mean diagonal and each axis' mean face coefficient."""
+    g = op.grid
+    if g.band < _CG_BAND:
+        return solveh_banded(op.banded(shift, dt), rhs, overwrite_ab=True,
+                             check_finite=False)
+    (nx, ny), m, w = g.cells, g.n_cells, op.trans / g.volumes[0]
+    lam = [4 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2 for n in (nx, ny)]
+    denom = np.mean(shift + dt * op.robin) + dt * (
+        np.mean(w[:(nx - 1) * ny]) * lam[0][:, None]
+        + np.mean(w[(nx - 1) * ny:]) * lam[1])
+    precond = LinearOperator((m, m), dtype=float, matvec=lambda r: idctn(
+        dctn(r.reshape(nx, ny), norm="ortho") / denom, norm="ortho").ravel())
+    matrix = LinearOperator((m, m), dtype=float,
+                            matvec=lambda v: shift * v + dt * op.apply(v))
+    x, info = cg(matrix, rhs, rtol=_CG_RTOL, maxiter=_CG_CAP, M=precond)
+    if info:
+        raise NumericalError(f"temperature step at t={t:.6g}: CG did not "
+                             f"converge in {info} iterations")
+    return x
+
+
 def step_theta(model, state, chi_new, b_old, op, dt, config):
     """Backward-Euler energy step with diffusion operator ``op``; returns theta'.
 
@@ -337,12 +368,13 @@ def step_theta(model, state, chi_new, b_old, op, dt, config):
     when every cell's residual is within ``ROUNDOFF_ULPS`` ulps of the terms
     that cancel in it: below that floor the residual is rounding noise that
     no step can lower (Kelley, Iterative Methods for Linear and Nonlinear
-    Equations, SIAM 1995, section 5).
+    Equations, SIAM 1995, section 5).  Newton systems of band ``_CG_BAND``
+    or more go to DCT-preconditioned CG (Chan 1988, Strang 1999).
 
     Raises NumericalError when the residual is not finite (naming the first
-    such cell), when the Newton matrix is not positive definite, when an
-    iterate is nonpositive (naming its coldest cell), or when Newton
-    reaches ``newton_cap`` (naming the cell of the largest residual).
+    such cell), when the Newton solve fails, when an iterate is nonpositive
+    (naming its coldest cell), or when Newton reaches ``newton_cap`` (naming
+    the cell of the largest residual).
     """
     t_new = state.t + dt
     load = op.robin_load(t_new)
@@ -374,9 +406,8 @@ def step_theta(model, state, chi_new, b_old, op, dt, config):
             return theta
         try:
             # f is finite, and so is the matrix at a finite theta
-            delta = solveh_banded(
-                op.banded(eps + model.cv(theta, chi_new), dt), -f,
-                overwrite_ab=True, check_finite=False)
+            delta = _newton_solve(op, eps + model.cv(theta, chi_new), dt,
+                                  -f, state.t)
         except LinAlgError as exc:
             raise NumericalError(
                 f"temperature step at t={state.t:.6g}: Newton matrix not "

@@ -349,6 +349,49 @@ def test_cli_verify_refuses_a_frame_temperature(tmp_path, capsys, theta):
         "finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["theta", "chi"])
+def test_cli_verify_refuses_frames_of_other_initial_data(tmp_path, capsys,
+                                                         field):
+    """Frame 0 is the manifest's initial data, bit for bit: a run at bump
+    amplitude 0.3 whose manifest was edited back to 0.2 replays its own
+    records, yet exits 2 naming the field, the first cell and both
+    values."""
+    cfg = write_cfg(tmp_path, f"init.{field}.kind = bump\n"
+                    f"init.{field}.amplitude = 0.3\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = out / "manifest.cfg"
+    text, n = re.subn(rf"(?m)^init\.{field}\.amplitude = .*$",
+                      f"init.{field}.amplitude = 0.2", manifest.read_text())
+    assert n == 1
+    manifest.write_text(text)
+    ran = getattr(build_components(load_config(str(cfg)))[0], f"{field}0")
+    told = getattr(build_components(load_config(str(manifest)))[0],
+                   f"{field}0")
+    cell = int(np.flatnonzero((ran != told).ravel())[0])
+    assert main(["verify", str(out)]) == 2
+    assert f"frame 0 {field} in cell {cell} reads {float(ran.flat[cell])!r}, " \
+        f"the manifest's initial data give {float(told.flat[cell])!r}" \
+        in capsys.readouterr().err
+
+
+def test_cli_run_exits_3_when_cg_stops_short(tmp_path, capsys, monkeypatch):
+    """A 64 x 64 plate solves its Newton systems by CG; a CG that returns
+    without reaching its tolerance fails step 1: exit 3 naming the step,
+    the time and the iterations, and nothing written."""
+    monkeypatch.setattr(stepper, "cg", lambda a, b, **kw: (np.zeros_like(b),
+                                                           23))
+    cfg = tmp_path / "plate.cfg"
+    cfg.write_text("grid.dim = 2\ngrid.lengths = 1.0,1.0\n"
+                   "grid.cells = 64,64\nsolver.dt = 1e-3\n"
+                   "solver.horizon = 0.002\nsolver.rho = 100\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "step 1: temperature step at t=0: CG did not converge in 23 " \
+        "iterations" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _workload_components(name):
     """Components of a benchmark workload at seed 0."""
     spec = importlib.util.spec_from_file_location(

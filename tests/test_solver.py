@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.linalg import solveh_banded
 
 import nlpf.stepper as stepper
 from nlpf.config import build_components, parse_config_text, resolve_config
@@ -589,3 +590,96 @@ def test_hard_start_runs_keep_theta_positive(config):
         "solver.dt": "0.1", "solver.horizon": "1.0", "thermo.alpha": "2"}))
     assert traj.records.size == 10
     assert traj.thetas.min() > 0.0
+
+
+def plate(cells, **overrides):
+    """configs/default.cfg on a unit square of cells x cells, some keys
+    replaced."""
+    return default_physics(**{"grid.dim": "2", "grid.lengths": "1.0,1.0",
+                              "grid.cells": f"{cells},{cells}", **overrides})
+
+
+def first_step(comp, dt):
+    """The arguments of step_theta for a step of size dt from the initial
+    data of ``comp``."""
+    state = State(comp.theta0, comp.chi0, 0.0,
+                  comp.coupling.b_field(comp.chi0))
+    alpha, g = rhs_ell(comp.model, state.theta, state.chi, state.fields.b,
+                       comp.config.rho)
+    chi_new = step_chi(comp.potential, state.chi, alpha, g, dt)
+    op = conduction_operator(comp.grid, comp.model, comp.boundary,
+                             state.theta, state.chi)
+    return comp.model, state, chi_new, state.fields.b, op, dt, comp.config
+
+
+def banded_newton(model, state, chi_new, b_old, op, dt, config):
+    """Reference energy step: Newton with banded Cholesky on ``op.banded``
+    at every iterate, until the update stops moving theta."""
+    base = model.e(state.theta, state.chi) + dt * (
+        phase_source(model, state.chi, chi_new, b_old, dt)
+        + op.robin_load(state.t + dt))
+    theta = state.theta.copy()
+    for _ in range(config.newton_cap):
+        f = model.e(theta, chi_new) + dt * op.apply(theta) - base
+        delta = solveh_banded(op.banded(model.cv(theta, chi_new), dt), -f)
+        theta = theta + delta
+        if np.max(np.abs(delta)) <= 1e-15 * np.max(theta):
+            return theta
+    raise AssertionError("reference Newton did not converge")
+
+
+def counting(monkeypatch, *names):
+    """Wrap the ``nlpf.stepper`` names and count their calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _real=getattr(stepper, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(stepper, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("gamma, theta_gamma, dt", [
+    ("0.0", "1.0", 1e-3), ("100", "10", 1e-3), ("100", "10", 0.1)])
+def test_wide_band_step_matches_banded_newton(gamma, theta_gamma, dt,
+                                              monkeypatch):
+    """On a 64 x 64 plate the Newton systems go to DCT-preconditioned CG,
+    and the step agrees with Newton on banded Cholesky to 1e-12, insulated
+    and with the stiff Robin exchange the preconditioner handles worst."""
+    comp = plate(64, **{"boundary.gamma": gamma,
+                        "boundary.theta_gamma": theta_gamma,
+                        "solver.rho": "100"})
+    args = first_step(comp, dt)
+    calls = counting(monkeypatch, "cg")
+    got = step_theta(*args)
+    want = banded_newton(*args)
+    assert calls["cg"] > 0
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim, cells, solver", [
+    (1, 32, "solveh_banded"), (2, 16, "solveh_banded"),
+    (2, 32, "solveh_banded"), (2, 64, "cg")])
+def test_newton_solver_follows_the_band(dim, cells, solver, monkeypatch):
+    """Grids of band under 48 (1D, 16^2, 32^2) factorise every Newton
+    system; a 64^2 grid calls CG once per Newton iteration, that is once
+    per Jacobian evaluation, and never factorises."""
+    overrides = {"solver.horizon": "0.002", "solver.rho": "100"}
+    comp = plate(cells, **overrides) if dim == 2 \
+        else default_physics(**{"grid.cells": str(cells), **overrides})
+    calls = counting(monkeypatch, "cg", "solveh_banded")
+    jacobians = recording(comp.model, "cv")
+    run(comp)
+    assert calls[solver] == len(jacobians) >= 2
+    assert sum(calls.values()) == calls[solver]
+
+
+def test_cg_that_misses_its_tolerance_fails_the_step(monkeypatch):
+    """A CG that stops short is a failed step: NumericalError naming the
+    step, the time and CG's iteration count."""
+    monkeypatch.setattr(stepper, "cg", lambda a, b, **kw: (np.zeros_like(b),
+                                                           17))
+    with pytest.raises(NumericalError, match=r"^step 1: temperature step at "
+                       r"t=0: CG did not converge in 17 iterations"):
+        run(plate(64, **{"solver.horizon": "0.002", "solver.rho": "100"}))
