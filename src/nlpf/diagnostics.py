@@ -148,7 +148,9 @@ def lower_bound_ode(components, traj, forcing_bound=None):
     R defaults to the bound measured along the trajectory.  An adaptive
     eighth-order Runge-Kutta (DOP853) at relative tolerance 1e-12 chooses its
     steps from the ODE, not from the run's step size, and keeps the
-    integrator error far below the slack.
+    integrator error far below the slack.  It stops at w = 1e-3 min theta,
+    before w^2 turns subnormal, and holds w there: above the solution and
+    below every computed minimum, so the verdict is the whole solution's.
     """
     # scipy.integrate loads scipy.optimize and scipy.special (about 0.25 s);
     # importing it here keeps that off `nlpf run`, which imports this module
@@ -165,11 +167,17 @@ def lower_bound_ode(components, traj, forcing_bound=None):
             model, w, config.rho) * model.c_tilde(w))
 
     rec_t = traj.records["t"]
+    cut = 1e-3 * min(w0, float(np.min(traj.records["min_theta"])))
+
+    def floor(t, w):
+        return w[0] - cut
+    floor.terminal = True
     sol = solve_ivp(f, (0.0, float(rec_t[-1])), [w0], method="DOP853",
-                    t_eval=rec_t, rtol=1e-12, atol=1e-300)
+                    t_eval=rec_t, rtol=1e-12, atol=1e-300, events=floor)
     if not sol.success:
         raise NumericalError(f"lower envelope ODE failed: {sol.message}")
-    env = sol.y[0]
+    env = np.full(rec_t.shape, cut)
+    env[:len(sol.t)] = np.ravel(sol.y)
 
     margins = traj.records["min_theta"] - (1.0 - 1e-6) * env
     return LowerBoundReport(envelope=env,

@@ -8,12 +8,14 @@ are scaled by cell volume so the operator maps a temperature field to a
 rate density.
 
 The operator is held as face data only: one transmissibility per interior
-face and one Robin coefficient per cell, O(M) numbers.  It is applied as a
-flux divergence, and for implicit steps it hands out ``diag(shift) + dt A``
-in the upper band layout of ``scipy.linalg.solveh_banded``.  Equal cell
-volumes make that matrix symmetric; its bandwidth ``Grid.band``, the largest
-neighbour-minus-owner index of a face, is 1 in 1D and ``ny`` in 2D, and the
-stepper solves a wide band by DCT-preconditioned CG (Chan 1988, Strang 1999).
+face and one Robin coefficient per cell (built once, by ``BoundaryData``),
+O(M) numbers.  It is applied as a flux divergence, and for implicit steps it
+hands out ``diag(shift) + dt A`` in the upper band layout of
+``scipy.linalg.solveh_banded``; the stepper builds it once per step at shift
+0 and adds each Newton iterate's shift.  Equal cell volumes make that matrix
+symmetric; its bandwidth ``Grid.band``, the largest neighbour-minus-owner
+index of a face, is 1 in 1D and ``ny`` in 2D, and the stepper solves a wide
+band by DCT-preconditioned CG (Chan 1988, Strang 1999).
 
 Face data of shape ``(T, F)`` make a stack of T operators, one per step of
 a trajectory: fluxes, divergence, Robin load and residual then map a
@@ -148,6 +150,9 @@ class BoundaryData:
         if np.any(self.gamma_arr < 0):
             raise ConfigError("boundary gamma must be nonnegative")
         self.is_insulated = bool(np.all(self.gamma_arr == 0.0))
+        g = self.grid      # robin: sum of gamma_b A_b per cell / volume
+        self.robin = np.bincount(g.bface_owner, self.gamma_arr * g.bface_area,
+                                 g.n_cells) / g.volumes
         if not callable(self.theta_gamma):
             self._theta_gamma_arr = self._exterior(self.theta_gamma)
             self._theta_gamma_arr.flags.writeable = False
@@ -286,18 +291,19 @@ def assemble_diffusion(
     if k_f.ndim not in (1, 2) or k_f.shape[-1] != grid.n_ifaces:
         raise ConfigError(f"face conductivity must have shape ([T,] "
                           f"{grid.n_ifaces}), got {k_f.shape}")
+    # fmin/fmax skip NaN as comparisons do; a one-cell grid has no face
+    lo = np.fmin.reduce(k_f, axis=None, initial=math.inf)
+    hi = np.fmax.reduce(k_f, axis=None, initial=-math.inf)
     if k_bounds is not None:
         k0, k1 = k_bounds
         tol = 1e-12 * max(1.0, abs(k1))
-        if np.any(k_f < k0 - tol) or np.any(k_f > k1 + tol):
+        if lo < k0 - tol or hi > k1 + tol:
             bad = float(k_f.flat[np.argmax(np.abs(k_f - np.clip(k_f, k0, k1)))])
             raise ModelContractError(
                 "k-bounds", f"face conductivity {bad} outside [{k0}, {k1}]")
-    if np.any(k_f <= 0):
+    if lo <= 0:
         raise ModelContractError("k-bounds", "face conductivity must be positive")
 
     trans = k_f * grid.iface_area / grid.iface_dist
-    robin = np.bincount(grid.bface_owner, boundary.gamma_arr * grid.bface_area,
-                        grid.n_cells) / grid.volumes
     return DiffusionOperator(grid=grid, boundary=boundary, trans=trans,
-                             robin=robin)
+                             robin=boundary.robin)

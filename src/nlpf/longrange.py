@@ -199,7 +199,7 @@ class NonlocalCoupling:
     zero at k = 0, so (Kw f)_i = sum_(j != i) w kappa(x_i - x_j) f_j is a
     linear convolution of f with it.  Its spectrum at the zero-padded FFT
     size, and r = Kw 1, are kept next to it: storage is O(M), and applying
-    Kw to any stack of fields costs one rfftn/irfftn pair.
+    Kw to any stack of fields costs one real FFT pair, taken axis by axis.
 
     ``c_b`` is the a priori bound 2 sup|kappa| sup|G'| |Omega| valid for any
     field with values in the declared range.
@@ -218,8 +218,6 @@ class NonlocalCoupling:
         cells = self.grid.cells
         self._fft_shape = tuple(next_fast_len(2 * n - 1, real=True)
                                 for n in cells)
-        self._fft_axes = tuple(range(1, len(cells) + 1))
-        self._keep = (slice(None),) + tuple(slice(0, n) for n in cells)
         # circulant layout: offset k sits at index k mod L on every axis
         padded = np.zeros(self._fft_shape)
         padded[np.ix_(*[np.arange(1 - n, n) % size for n, size in
@@ -231,13 +229,19 @@ class NonlocalCoupling:
         """Kw f for every trailing length-M column of ``f``.
 
         ``adjoint`` applies the transpose, whose spectrum is the conjugate;
-        for an even stencil the two agree to rounding.
+        for an even stencil the two agree to rounding.  The axes go one at a
+        time, as in rfftn/irfftn, and each inverse one is cut to the grid.
         """
-        flat = np.reshape(f, (-1,) + self.grid.cells)
-        spec = self.spectrum.conj() if adjoint else self.spectrum
-        shape, axes = self._fft_shape, self._fft_axes
-        out = np.fft.irfftn(np.fft.rfftn(flat, shape, axes) * spec, shape, axes)
-        return out[self._keep].reshape(np.shape(f))
+        cells, shape = self.grid.cells, self._fft_shape
+        out = np.fft.rfft(np.reshape(f, (-1,) + cells), shape[-1], axis=-1)
+        for a in range(len(cells) - 1, 0, -1):
+            out = np.fft.fft(out, shape[a - 1], axis=a)
+        out = out * (self.spectrum.conj() if adjoint else self.spectrum)
+        for a, n in enumerate(cells[:-1], start=1):
+            out = np.fft.ifft(out, shape[a - 1], axis=a)
+            out = out[(slice(None),) * a + (slice(n),)]
+        out = np.fft.irfft(out, shape[-1], axis=-1)[..., :cells[-1]]
+        return out.reshape(np.shape(f))
 
     def _fields(self, chi: np.ndarray, adjoint: bool = False) -> PairFields:
         """PairFields of one state, or of a stack in chunks written into

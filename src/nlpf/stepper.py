@@ -155,7 +155,10 @@ def lagged_fields(thetas, chis, window, a, b):
 
     The step from state n uses window m = n // J, frozen at state 0 for
     m = 0 and at states (m - 1) J + 1 .. m J otherwise: for the steps
-    a .. b - 1, all of them lie in s .. b - 1."""
+    a .. b - 1, all of them lie in s .. b - 1.  At J = 1 the rows are the
+    states a .. b - 1 themselves: a mean over one row is that row."""
+    if window == 1:
+        return thetas[a:b], chis[a:b]
     s = max(0, a // window - 1) * window
     bar_theta, bar_chi = lag_fields(thetas[s:b], chis[s:b], window)
     row = np.arange(a, b) // window - s // window
@@ -330,13 +333,16 @@ def phase_source(model, chi_old, chi_new, b_old, dt):
     return -np.einsum("...d,...d->...", force, chi_new - chi_old) / dt
 
 
-def _newton_solve(op, shift, dt, rhs, t):
-    """x with (diag(shift) + dt A) x = rhs, A = ``op``; CG's preconditioner
-    is A with the mean diagonal and each axis' mean face coefficient."""
+def _newton_solve(op, band, shift, dt, rhs, t):
+    """x with (diag(shift) + dt A) x = rhs, A = ``op``.  A narrow ``band``,
+    ``op.banded(0.0, dt)``, gets shift on its diagonal row (0.0 + x is x:
+    ``op.banded(shift, dt)`` bit for bit); a wide one, None, goes to CG,
+    preconditioned by A at mean diagonal and per-axis face coefficients."""
     g = op.grid
-    if g.band < _CG_BAND:
-        return solveh_banded(op.banded(shift, dt), rhs, overwrite_ab=True,
-                             check_finite=False)
+    if band is not None:
+        ab = band.copy()
+        ab[-1] += shift
+        return solveh_banded(ab, rhs, overwrite_ab=True, check_finite=False)
     (nx, ny), m, w = g.cells, g.n_cells, op.trans / g.volumes[0]
     lam = [4 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2 for n in (nx, ny)]
     denom = np.mean(shift + dt * op.robin) + dt * (
@@ -385,6 +391,7 @@ def step_theta(model, state, chi_new, b_old, op, dt, config):
         + dt * (source + load)
 
     theta = state.theta.copy()
+    band = op.banded(0.0, dt) if op.grid.band < _CG_BAND else None
 
     def residual(th):
         e = model.e(th, chi_new)
@@ -392,12 +399,12 @@ def step_theta(model, state, chi_new, b_old, op, dt, config):
 
     def at_roundoff(f, th, e):
         size = eps * th + np.abs(e) + dt * op.apply_abs(th) + np.abs(base)
-        return bool(np.all(np.abs(f) <= ROUNDOFF_ULPS * _ULP * size))
+        return bool((np.abs(f) <= ROUNDOFF_ULPS * _ULP * size).all())
 
     f, e = residual(theta)
-    tol = config.newton_tol * max(1.0, float(np.max(np.abs(f))))
+    tol = config.newton_tol * max(1.0, float(np.abs(f).max()))
     for _ in range(config.newton_cap):
-        norm = float(np.max(np.abs(f)))
+        norm = float(np.abs(f).max())
         if not math.isfinite(norm):
             raise NumericalError(
                 f"temperature step at t={state.t:.6g}: residual not finite "
@@ -406,14 +413,14 @@ def step_theta(model, state, chi_new, b_old, op, dt, config):
             return theta
         try:
             # f is finite, and so is the matrix at a finite theta
-            delta = _newton_solve(op, eps + model.cv(theta, chi_new), dt,
-                                  -f, state.t)
+            delta = _newton_solve(op, band, eps + model.cv(theta, chi_new),
+                                  dt, -f, state.t)
         except LinAlgError as exc:
             raise NumericalError(
                 f"temperature step at t={state.t:.6g}: Newton matrix not "
                 f"positive definite ({exc})") from exc
         theta = theta + delta
-        if np.any(theta <= 0.0):
+        if (theta <= 0.0).any():
             raise NumericalError(
                 f"temperature positivity violated at t={t_new:.6g}: min "
                 f"theta' = {float(np.min(theta)):.3e} in cell "
@@ -493,7 +500,7 @@ def run(components: RunComponents):
         dt, b_old = config.step_size(state.t), state.fields.b
         try:
             pair = np.linalg.norm(b_old, axis=-1)
-            if np.any(pair > coupling.c_b * (1 + 1e-9)):
+            if (pair > coupling.c_b * (1 + 1e-9)).any():
                 raise NumericalError(
                     f"pair-interaction bound exceeded at t={state.t:.6g} in "
                     f"cell {int(np.argmax(pair))}: |b| = {pair.max():.3e}")

@@ -46,3 +46,19 @@ def rk4_envelope(model, w0, R, rho, times, dt):
         t = tn
         env[i] = w
     return env
+
+
+def uncut_envelope(model, w0, R, rho, times):
+    """w at each of ``times`` by DOP853 run to the last time, as the
+    envelope was integrated before it stopped at its cut-off: exact, but
+    slow without bound once w^2 turns subnormal."""
+    from scipy.integrate import solve_ivp
+
+    def f(t, w):
+        return -(R * R) * w * w / (4.0 * truncated_mobility(model, w, rho)
+                                   * model.c_tilde(w))
+
+    sol = solve_ivp(f, (0.0, float(times[-1])), [w0], method="DOP853",
+                    t_eval=times, rtol=1e-12, atol=1e-300)
+    assert sol.success
+    return sol.y[0]

@@ -1,7 +1,10 @@
 """Post-hoc verification: budgets, envelopes, calibration, invariants."""
 
 import math
+import time
 from dataclasses import replace
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,18 +16,28 @@ from nlpf.diagnostics import (DEFAULT_CHECKS, calibrate_rho,
                               moser_exponent, regularity_indicator,
                               run_checks, truncation_inactivity,
                               upper_envelope)
+from nlpf.config import build_components, load_config
 from nlpf.convex import IndicatorBox
 from nlpf.errors import ConfigError, ModeError
 from nlpf.geometry import BoundaryData, build_grid
 from nlpf.longrange import ConstantKernel, QuadraticG, build_coupling
-from nlpf.stepper import RunComponents, SolverConfig, run
+from nlpf.stepper import (RunComponents, SolverConfig, Trajectory, run,
+                          replay_records)
 from nlpf.thermo import build_model
 
 from conftest import two_phase_components
-from ode_oracle import closed_form_envelope, rk4_envelope
+from ode_oracle import closed_form_envelope, rk4_envelope, uncut_envelope
 
 
 UNIT_SAMPLE = IndicatorBox([0.0], [1.0]).domain_sample(64)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@cache
+def config_run(name):
+    """A shipped config and its run, shared by the tests that read it."""
+    comp, _ = build_components(load_config(CONFIGS / name))
+    return comp, run(comp)
 
 
 def equilibrium_components():
@@ -107,6 +120,64 @@ def test_lower_bound_matches_rk4_oracle_alpha2():
                        traj.records["t"], comp.config.dt)
     assert ref[-1] < 0.13 * rep.w0
     assert np.allclose(rep.envelope, ref, rtol=1e-9, atol=0.0)
+
+
+def test_lower_envelope_ends_in_bounded_time():
+    """A forcing bound of 100 takes the uncut envelope of the default.cfg
+    run into the subnormal range, where it used to integrate for minutes;
+    it now stops at 1e-3 of the smallest computed minimum, holds there and
+    gives its verdict within a second."""
+    comp, traj = config_run("default.cfg")
+    start = time.monotonic()
+    rep = lower_bound_ode(comp, traj, forcing_bound=100.0)
+    assert time.monotonic() - start < 1.0
+    cut = 1e-3 * min(rep.w0, float(np.min(traj.records["min_theta"])))
+    held = rep.envelope == cut
+    assert held[-1] and np.all(held[np.argmax(held):])
+    assert rep.holds
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+def test_lower_envelope_cut_keeps_the_envelope(name):
+    """On every shipped config, at the measured forcing bound and at one
+    that ends the uncut envelope at 1e-6 of w0, the envelope is the uncut
+    one to 1e-12 wherever that lies above the cut-off, the cut-off itself
+    below it, and the verdict is the same."""
+    comp, traj = config_run(name)
+    model, rho, times = comp.model, comp.config.rho, traj.records["t"]
+    # every shipped model has alpha = 1, where w decays as
+    # w0 exp(-R^2 t / (4 mu0)) (see closed_form_envelope)
+    for R in (None, 2.0 * math.sqrt(model.mu0 * math.log(1e6) / times[-1])):
+        rep = lower_bound_ode(comp, traj, forcing_bound=R)
+        ref = uncut_envelope(model, rep.w0, rep.measured_R, rho, times)
+        cut = 1e-3 * min(rep.w0, float(np.min(traj.records["min_theta"])))
+        above = ref > cut
+        assert np.all(np.abs(rep.envelope[above] - ref[above])
+                      <= 1e-12 * ref[above])
+        assert np.all(rep.envelope[~above] == cut)
+        margins = traj.records["min_theta"] - (1.0 - 1e-6) * ref
+        assert rep.holds == bool(np.min(margins) >= 0.0)
+    assert not above[-1]
+
+
+def test_chi_tampered_trajectory_gets_its_verdict():
+    """Frame 500 of the default.cfg run with chi lowered by 0.1 in cell 10,
+    its records replayed: the measured forcing bound is about 100, the
+    lower envelope ends in bounded time with PASS, and energy, entropy and
+    selection FAIL."""
+    comp, traj = config_run("default.cfg")
+    chis = traj.chis.copy()
+    chis[500, 10, 0] -= 0.1
+    tampered = Trajectory(traj.times, traj.thetas, chis,
+                          replay_records(comp, traj.thetas, chis))
+    start = time.monotonic()
+    outcomes = run_checks(comp, tampered, DEFAULT_CHECKS)
+    assert time.monotonic() - start < 5.0
+    assert {oc.name: oc.passed for oc in outcomes} == {
+        "energy": False, "entropy": False, "selection": False,
+        "pairing": True, "lower": True}
+    assert measured_forcing_bound(comp, tampered) == pytest.approx(100.15,
+                                                                   abs=0.01)
 
 
 def test_measured_forcing_bound_positive(short_run):

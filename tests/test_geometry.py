@@ -210,3 +210,38 @@ def test_operator_holds_face_data_only():
         else:
             assert value is g or value is op.boundary
     assert held == 8 * (g.n_cells + g.n_ifaces)
+
+
+@pytest.mark.parametrize("dim, cells", [(1, [1]), (1, [32]), (2, [5, 3]),
+                                        (2, [16, 16])])
+def test_robin_coefficient_is_built_once_per_boundary(dim, cells):
+    """``BoundaryData.robin`` is the per-cell Robin coefficient that each
+    operator used to bincount for itself, bit for bit, and every operator
+    on that boundary holds it."""
+    g = build_grid(dim, [1.0] * dim, cells)
+    gamma = np.random.default_rng(dim).random(g.n_bfaces)
+    bnd = BoundaryData(g, gamma, 1.0)
+    want = np.bincount(g.bface_owner, bnd.gamma_arr * g.bface_area,
+                       g.n_cells) / g.volumes
+    assert np.array_equal(bnd.robin, want)
+    assert assemble_diffusion(g, np.ones(g.n_ifaces), bnd).robin is bnd.robin
+
+
+@pytest.mark.parametrize("k_f", [[1.0, np.nan, 3.0], [np.nan, 0.2, 1.0],
+                                 [0.5, np.nan, -1.0], [1.0, np.nan, 1.5]])
+def test_k_bounds_check_skips_nan_as_comparisons_do(k_f):
+    """The bound check is one min and one max that skip NaN, so it raises
+    exactly where the elementwise comparisons it replaced raised."""
+    g = build_grid(1, [1.0], [4])
+    bnd = BoundaryData(g, 0.0, 1.0)
+    k_f = np.asarray(k_f)
+    k0, k1 = 0.5, 2.0
+    tol = 1e-12 * k1
+    raised = bool(np.any(k_f < k0 - tol) or np.any(k_f > k1 + tol)
+                  or np.any(k_f <= 0))
+    try:
+        assemble_diffusion(g, k_f, bnd, (k0, k1))
+    except ModelContractError:
+        assert raised
+    else:
+        assert not raised

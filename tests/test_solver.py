@@ -95,6 +95,20 @@ def test_lag_fields_matches_sequential_replay(mode, window, steps, seed):
         assert np.array_equal(ch[n // J], want_ch)
 
 
+@pytest.mark.parametrize("a, b", [(0, 1), (0, 9), (1, 2), (3, 9), (8, 9)])
+def test_lagged_fields_at_window_one_are_the_states(a, b):
+    """At a window of one, ``lagged_fields`` hands out states a .. b - 1
+    themselves, bit for bit the rows that the reshape and mean of
+    ``lag_fields`` give."""
+    rng = np.random.default_rng(a + 10 * b)
+    thetas, chis = 0.5 + rng.random((10, 7)), rng.random((10, 7, 2))
+    s = max(0, a - 1)
+    bar_theta, bar_chi = lag_fields(thetas[s:b], chis[s:b], 1)
+    th, ch = lagged_fields(thetas, chis, 1, a, b)
+    assert np.array_equal(th, bar_theta[np.arange(a, b) - s])
+    assert np.array_equal(ch, bar_chi[np.arange(a, b) - s])
+
+
 def test_bound_c_ell_oracle():
     class Stub:
         C_sigma = 0.0
@@ -683,3 +697,27 @@ def test_cg_that_misses_its_tolerance_fails_the_step(monkeypatch):
     with pytest.raises(NumericalError, match=r"^step 1: temperature step at "
                        r"t=0: CG did not converge in 17 iterations"):
         run(plate(64, **{"solver.horizon": "0.002", "solver.rho": "100"}))
+
+
+@pytest.mark.parametrize("dim, cells, gamma", [(1, 1, "1.0"), (1, 32, "0.0"),
+                                               (1, 256, "100"),
+                                               (2, 16, "100")])
+def test_newton_band_built_once_is_banded_bit_for_bit(dim, cells, gamma):
+    """``step_theta`` builds ``op.banded(0.0, dt)`` once and adds each
+    iterate's shift to its diagonal row: the solve is that of
+    ``op.banded(shift, dt)``, bit for bit, and the cached band is left
+    as it was."""
+    overrides = {"boundary.gamma": gamma, "solver.rho": "100"}
+    comp = plate(cells, **overrides) if dim == 2 else default_physics(
+        **{"grid.cells": str(cells), **overrides})
+    model, state, chi_new, _, op, dt, config = first_step(comp, 1e-3)
+    rng = np.random.default_rng(cells)
+    shift = model.cv(state.theta * (1 + 0.1 * rng.random(cells ** dim)),
+                     chi_new)
+    rhs = rng.normal(size=cells ** dim)
+    band = op.banded(0.0, dt)
+    kept = band.copy()
+    got = stepper._newton_solve(op, band, shift, dt, rhs, 0.0)
+    want = solveh_banded(op.banded(shift, dt), rhs, check_finite=False)
+    assert np.array_equal(got, want)
+    assert np.array_equal(band, kept)
