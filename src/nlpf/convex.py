@@ -32,11 +32,12 @@ class IndicatorBox:
         self.lo, self.hi = lo, hi
         self.d = lo.shape[0]
         self._tol = 1e-12 * max(1.0, float(np.max(np.abs(np.concatenate([lo, hi])))))
+        # the membership bounds, computed once: run tests every new state
+        self._lo_tol, self._hi_tol = lo - self._tol, hi + self._tol
 
     def contains(self, x) -> np.ndarray:
         x = np.atleast_2d(x)
-        return np.all((x >= self.lo - self._tol) & (x <= self.hi + self._tol),
-                      axis=-1)
+        return ((x >= self._lo_tol) & (x <= self._hi_tol)).all(axis=-1)
 
     def prox(self, z) -> np.ndarray:
         z = np.atleast_2d(z)

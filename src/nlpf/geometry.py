@@ -11,11 +11,13 @@ The operator is held as face data only: one transmissibility per interior
 face and one Robin coefficient per cell (built once, by ``BoundaryData``),
 O(M) numbers.  It is applied as a flux divergence, and for implicit steps it
 hands out ``diag(shift) + dt A`` in the upper band layout of
-``scipy.linalg.solveh_banded``; the stepper builds it once per step at shift
-0 and adds each Newton iterate's shift.  Equal cell volumes make that matrix
-symmetric; its bandwidth ``Grid.band``, the largest neighbour-minus-owner
-index of a face, is 1 in 1D and ``ny`` in 2D, and the stepper solves a wide
-band by DCT-preconditioned CG (Chan 1988, Strang 1999).
+``scipy.linalg.solveh_banded``, of bandwidth ``Grid.band`` (the largest
+neighbour-minus-owner index of a face); equal cell volumes make that matrix
+symmetric.  The stepper uses the band in 1D only, where it is tridiagonal,
+building it once per step at shift 0 and adding each Newton iterate's
+shift.  In 2D it applies the Newton matrix on the ``(nx, ny)`` view of the
+cells: ``Grid.faces_by_axis`` and ``Grid.sides_by_axis`` give face and
+boundary-face data that view's shape, axis by axis.
 
 Face data of shape ``(T, F)`` make a stack of T operators, one per step of
 a trajectory: fluxes, divergence, Robin load and residual then map a
@@ -65,6 +67,24 @@ class Grid:
     @property
     def domain_volume(self) -> float:
         return float(np.prod(self.lengths))
+
+    def faces_by_axis(self, per_face: np.ndarray) -> list[np.ndarray]:
+        """Interior-face values (F,) as one view per axis, shaped like that
+        axis' faces: the cell shape, one shorter along the axis."""
+        return _split(per_face, [self.cells[:a] + (self.cells[a] - 1,)
+                                 + self.cells[a + 1:]
+                                 for a in range(self.dim)])
+
+    def sides_by_axis(self, per_bface: np.ndarray) -> list[np.ndarray]:
+        """Boundary-face values (Fb,) as views of the low and the high side
+        of each axis in turn, each shaped like the cells without that axis."""
+        return _split(per_bface, [self.cells[:a] + self.cells[a + 1:]
+                                  for a in range(self.dim) for _ in "lh"])
+
+
+def _split(values: np.ndarray, shapes) -> list[np.ndarray]:
+    ends = np.cumsum([math.prod(s) for s in shapes])[:-1]
+    return [v.reshape(s) for v, s in zip(np.split(values, ends), shapes)]
 
 
 def build_grid(dim: int, lengths: Sequence[float], cells: Sequence[int]) -> Grid:

@@ -15,11 +15,14 @@ and then solves the nonlinear energy balance
 by plain Newton, undamped because the map is convex (see step_theta).  phi
 is the indicator of the constraint set, zero on every admissible state, so
 it has no term here; each new phase field is checked to lie in the set.
-Each Newton matrix diag(eps + c_V) + dt A is symmetric positive definite and
-banded: Cholesky, O(M u^2) for band u, solves a narrow band, and CG, O(M log M)
-per iteration through the DCT-II (T. F. Chan, SIAM J. Sci. Stat. Comput. 9
-(1988) 766; G. Strang, SIAM Review 41 (1999) 135), a wide one.  Newton stops
-at its relative tolerance or at the round-off floor of the residual.
+Each Newton matrix diag(eps + c_V) + dt A is symmetric positive definite.  In
+1D it is tridiagonal and banded Cholesky solves it, O(M).  In 2D CG solves
+it, applying the matrix on the (nx, ny) view of the cells, preconditioned by
+fast diagonalisation (R. E. Lynch, J. R. Rice and D. H. Thomas, Numer. Math.
+6 (1964) 185) of a separable operator that keeps each side's Robin
+exchange: O(M n) per iteration on an n-cell axis, or O(M log n) through the
+FFT's DCT-II on a long insulated one.  Newton stops at its relative
+tolerance or at the round-off floor of the residual.
 With gamma = 0 the volume-weighted row sums of the diffusion map vanish, so
 the scheme conserves the discrete total energy up to the Taylor remainders of
 the lam and pair-interaction difference quotients, which are O(dt) overall.
@@ -31,8 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dctn, idctn
-from scipy.linalg import LinAlgError, solveh_banded
+from scipy.fft import dct, idct
+from scipy.linalg import LinAlgError, eigh_tridiagonal, solveh_banded
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import ConfigError, ModeError, NumericalError
@@ -58,10 +61,12 @@ _REPLAY_CELLS = 1 << 16
 # Newton's round-off floor, in units of the double-precision epsilon
 ROUNDOFF_ULPS = 4.0
 _ULP = float(np.finfo(float).eps)
-# Newton solves of band 48 and up go to CG (relative residual 1e-13, at most
-# 1000 iterations).  Banded against CG, least of 40 solves (2 vCPU, 1 thread):
-# band 40 0.74/0.94 ms, 44 1.33/1.12, 48 1.79/1.12, 64 4.54/1.84, 128 37/6.6.
-_CG_BAND, _CG_RTOL, _CG_CAP = 48, 1e-13, 1000
+# 2D Newton systems go to CG: relative residual 1e-13, at most 1000 iterations
+_CG_RTOL, _CG_CAP = 1e-13, 1000
+# An insulated axis of more cells than this is transformed by the FFT's
+# DCT-II, a shorter one by its dense basis, whose four products per
+# preconditioner application cost O(n^3) (measurements in CHANGES.md)
+_DENSE_AXIS = 112
 
 
 @dataclass
@@ -333,33 +338,122 @@ def phase_source(model, chi_old, chi_new, b_old, dt):
     return -np.einsum("...d,...d->...", force, chi_new - chi_old) / dt
 
 
-def _newton_solve(op, band, shift, dt, rhs, t):
-    """x with (diag(shift) + dt A) x = rhs, A = ``op``.  A narrow ``band``,
-    ``op.banded(0.0, dt)``, gets shift on its diagonal row (0.0 + x is x:
-    ``op.banded(shift, dt)`` bit for bit); a wide one, None, goes to CG,
-    preconditioned by A at mean diagonal and per-axis face coefficients."""
-    g = op.grid
-    if band is not None:
-        ab = band.copy()
+class TensorPreconditioner:
+    """The 2D Newton systems of one run and their fast-diagonalisation
+    preconditioner (R. E. Lynch, J. R. Rice and D. H. Thomas, Numer. Math.
+    6 (1964) 185).
+
+    The system diag(shift) + dt A is preconditioned by the separable
+    c I + dt (T_x (+) T_y), c the mean shift.  T_a is the axis' mean face
+    coefficient times the 1D Neumann Laplacian, plus the mean Robin
+    coefficient of each of the axis' two sides on its end cells, so the
+    preconditioner is the system itself for a uniform shift, a constant
+    conductivity and a uniform gamma per side.  An insulated axis is
+    diagonalised by the DCT-II whatever the conductivity, so its basis is
+    built here, once per run: a dense matrix up to ``_DENSE_AXIS`` cells,
+    the FFT above.  A Robin axis' basis depends on the conductivity and is
+    built by ``eigh_tridiagonal`` once per conduction operator.
+    """
+
+    def __init__(self, grid, boundary):
+        self.grid = grid
+        robin = boundary.gamma_arr * grid.bface_area / grid.volumes[0]
+        sides = [s.mean() for s in grid.sides_by_axis(robin)]
+        self._ends = list(zip(sides[::2], sides[1::2]))
+        self._dct = [dct(np.eye(n), norm="ortho", axis=0).T
+                     if n <= _DENSE_AXIS and not any(ends) else None
+                     for n, ends in zip(grid.cells, self._ends)]
+        self._op = self._axes = None
+
+    def system(self, op, dt):
+        """What ``_newton_solve`` needs of a step with operator ``op``, on
+        the (nx, ny) view of the cells: the face coefficients of dt A, dt
+        times the Robin coefficient, the eigenvalues of dt (T_x (+) T_y),
+        and the axis bases, whose columns are the eigenvectors (None: the
+        FFT's DCT-II)."""
+        g = self.grid
+        wx, wy = g.faces_by_axis(op.trans * (dt / g.volumes[0]))
+        if op is not self._op:
+            faces = g.faces_by_axis(op.trans / g.volumes[0])
+            self._op, self._axes = op, [
+                _axis(n, f.sum() / max(1, f.size), ends, q)
+                for n, f, ends, q in zip(g.cells, faces, self._ends,
+                                         self._dct)]
+        (lx, qx), (ly, qy) = self._axes
+        return wx, wy, dt * op.robin.reshape(g.cells), \
+            dt * (lx[:, None] + ly), (qx, qy)
+
+
+def _axis(n, w, ends, dct_basis):
+    """Eigenpairs of w L + diag(ends[0], 0, ..., 0, ends[1]), L the
+    Neumann Laplacian of n cells; an insulated axis' are the DCT-II's."""
+    if not any(ends):
+        return w * 4 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2, dct_basis
+    diag = np.full(n, 2 * w)
+    diag[0] += ends[0] - w
+    diag[-1] += ends[1] - w
+    return eigh_tridiagonal(diag, np.full(n - 1, -w))
+
+
+def _to_basis(y, q, axis):
+    """Coefficients of y along ``axis`` in the basis q (None: DCT-II)."""
+    if q is None:
+        return dct(y, norm="ortho", axis=axis)
+    return q.T @ y if axis == 0 else y @ q
+
+
+def _from_basis(y, q, axis):
+    if q is None:
+        return idct(y, norm="ortho", axis=axis)
+    return q @ y if axis == 0 else y @ q.T
+
+
+def _newton_solve(op, system, shift, dt, rhs, t):
+    """x with (diag(shift) + dt A) x = rhs, A = ``op``, from the ``system``
+    step_theta builds once per call.  In 1D that is the band
+    ``op.banded(0.0, dt)``; its copy gets shift on its diagonal row (0.0 + x
+    is x: ``op.banded(shift, dt)`` bit for bit) for ``solveh_banded``.  In
+    2D it is ``TensorPreconditioner.system``: CG applies the matrix by
+    slicing the (nx, ny) view along each axis and is preconditioned by
+    fast diagonalisation.  A CG that stops short raises NumericalError
+    naming the cell of the largest residual."""
+    if op.grid.dim == 1:
+        ab = system.copy()
         ab[-1] += shift
         return solveh_banded(ab, rhs, overwrite_ab=True, check_finite=False)
-    (nx, ny), m, w = g.cells, g.n_cells, op.trans / g.volumes[0]
-    lam = [4 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2 for n in (nx, ny)]
-    denom = np.mean(shift + dt * op.robin) + dt * (
-        np.mean(w[:(nx - 1) * ny]) * lam[0][:, None]
-        + np.mean(w[(nx - 1) * ny:]) * lam[1])
-    precond = LinearOperator((m, m), dtype=float, matvec=lambda r: idctn(
-        dctn(r.reshape(nx, ny), norm="ortho") / denom, norm="ortho").ravel())
-    matrix = LinearOperator((m, m), dtype=float,
-                            matvec=lambda v: shift * v + dt * op.apply(v))
-    x, info = cg(matrix, rhs, rtol=_CG_RTOL, maxiter=_CG_CAP, M=precond)
+    wx, wy, robin, lam, (qx, qy) = system
+    cells, m = op.grid.cells, op.grid.n_cells
+    diag = shift.reshape(cells) + robin
+    denom = lam + shift.mean()
+
+    def matvec(v):
+        v = v.reshape(cells)
+        out = diag * v
+        flux = wx * (v[:-1] - v[1:])
+        out[:-1] += flux
+        out[1:] -= flux
+        flux = wy * (v[:, :-1] - v[:, 1:])
+        out[:, :-1] += flux
+        out[:, 1:] -= flux
+        return out.reshape(-1)
+
+    def precond(r):
+        y = _to_basis(_to_basis(r.reshape(cells), qx, 0), qy, 1) / denom
+        return _from_basis(_from_basis(y, qx, 0), qy, 1).reshape(-1)
+
+    x, info = cg(LinearOperator((m, m), dtype=float, matvec=matvec), rhs,
+                 rtol=_CG_RTOL, maxiter=_CG_CAP,
+                 M=LinearOperator((m, m), dtype=float, matvec=precond))
     if info:
+        miss = np.abs(rhs - matvec(x))
+        k = int(np.argmax(miss))
         raise NumericalError(f"temperature step at t={t:.6g}: CG did not "
-                             f"converge in {info} iterations")
+                             f"converge in {info} iterations; residual "
+                             f"{miss[k]:.3e} in cell {k}")
     return x
 
 
-def step_theta(model, state, chi_new, b_old, op, dt, config):
+def step_theta(model, state, chi_new, b_old, op, dt, config, plate=None):
     """Backward-Euler energy step with diffusion operator ``op``; returns theta'.
 
     Plain Newton, from theta > 0, on the residual
@@ -374,11 +468,14 @@ def step_theta(model, state, chi_new, b_old, op, dt, config):
     when every cell's residual is within ``ROUNDOFF_ULPS`` ulps of the terms
     that cancel in it: below that floor the residual is rounding noise that
     no step can lower (Kelley, Iterative Methods for Linear and Nonlinear
-    Equations, SIAM 1995, section 5).  Newton systems of band ``_CG_BAND``
-    or more go to DCT-preconditioned CG (Chan 1988, Strang 1999).
+    Equations, SIAM 1995, section 5).  A 1D step factorises its band, built
+    here once; a 2D step hands its systems to CG on the grid view built
+    here once, preconditioned by ``plate``, the run's
+    ``TensorPreconditioner`` (a fresh one when None).
 
     Raises NumericalError when the residual is not finite (naming the first
-    such cell), when the Newton solve fails, when an iterate is nonpositive
+    such cell), when the Newton solve fails (CG naming the cell of its
+    largest residual), when an iterate is nonpositive
     (naming its coldest cell), or when Newton reaches ``newton_cap`` (naming
     the cell of the largest residual).
     """
@@ -391,7 +488,11 @@ def step_theta(model, state, chi_new, b_old, op, dt, config):
         + dt * (source + load)
 
     theta = state.theta.copy()
-    band = op.banded(0.0, dt) if op.grid.band < _CG_BAND else None
+    if op.grid.dim == 1:
+        system = op.banded(0.0, dt)
+    else:
+        plate = plate or TensorPreconditioner(op.grid, op.boundary)
+        system = plate.system(op, dt)
 
     def residual(th):
         e = model.e(th, chi_new)
@@ -413,7 +514,7 @@ def step_theta(model, state, chi_new, b_old, op, dt, config):
             return theta
         try:
             # f is finite, and so is the matrix at a finite theta
-            delta = _newton_solve(op, band, eps + model.cv(theta, chi_new),
+            delta = _newton_solve(op, system, eps + model.cv(theta, chi_new),
                                   dt, -f, state.t)
         except LinAlgError as exc:
             raise NumericalError(
@@ -491,6 +592,8 @@ def run(components: RunComponents):
     records = np.empty(n_steps, dtype=_RECORD_DTYPE)
     thetas[0], chis[0], fields[0] = theta0, chi0, state.fields
     a = 0      # the first state of the open chunk, fields[0]
+    # the 2D preconditioner's bases, kept for this run only
+    plate = TensorPreconditioner(grid, boundary) if grid.dim == 2 else None
 
     for n in range(1, n_steps + 1):
         if (n - 1) % window == 0:
@@ -513,7 +616,7 @@ def run(components: RunComponents):
                     f"phase field left the potential domain at "
                     f"t={state.t + dt:.6g} in cell {int(outside[0])}")
             theta_new = step_theta(model, state, chi_new, b_old, op, dt,
-                                   config)
+                                   config, plate)
         except NumericalError as exc:
             raise NumericalError(f"step {n}: {exc}") from exc
         # each state carries its nonlocal fields, so each is convolved once

@@ -1,9 +1,9 @@
 """Assembled sparse matrix of the heat operator, kept as a test reference.
 
 The solver applies the two-point flux operator from its face data and
-factorises it in band form; this module assembles the same operator as a
-CSR matrix entry by entry, so tests can compare both against
-``scipy.sparse`` products and ``spsolve``.
+solves its Newton systems in band form (1D) or by CG on the grid (2D); this
+module assembles the same operator as a CSR matrix entry by entry, so tests
+can compare both against ``scipy.sparse`` products and ``spsolve``.
 """
 
 import numpy as np

@@ -19,6 +19,25 @@ def test_box_prox_is_clip():
     assert np.array_equal(out, [[1.0, 0.0], [0.4, 0.9]])
 
 
+@pytest.mark.parametrize("lo, hi", [([0.0], [1.0]), ([-0.5, 2.0], [3.0, 7.5]),
+                                    ([-2e3], [-1e3])])
+def test_box_contains_matches_the_bounds_at_their_tolerance(lo, hi):
+    """``contains`` with its bounds computed once gives the verdicts of
+    ``all((x >= lo - tol) & (x <= hi + tol))``, bit for bit, at and one
+    ulp either side of lo - tol and hi + tol, on single points and rows."""
+    box = IndicatorBox(np.array(lo), np.array(hi))
+    lo_t, hi_t = box.lo - box._tol, box.hi + box._tol
+    edges = [lo_t, hi_t, box.lo, box.hi]
+    values = np.stack([f(e, v) for e in edges for v in (-np.inf, np.inf)
+                       for f in (np.nextafter, lambda e, v: e)])
+    x = np.concatenate([values, values[::-1], np.roll(values, 1, axis=-1)])
+    want = np.all((x >= lo_t) & (x <= hi_t), axis=-1)
+    assert want.any() and not want.all()
+    assert np.array_equal(box.contains(x), want)
+    for row, verdict in zip(x, want):
+        assert box.contains(row).tolist() == [verdict]
+
+
 def test_ball_prox_is_radial_projection():
     ball = IndicatorBall(2, 0.5)
     out = ball.prox(np.array([[3.0, 4.0]]))

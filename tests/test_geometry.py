@@ -9,6 +9,7 @@ from scipy.linalg import solveh_banded
 from scipy.sparse.linalg import spsolve
 
 from csr_oracle import assemble_matrix
+import nlpf.stepper as stepper
 from nlpf.errors import ConfigError, ModelContractError
 from nlpf.geometry import (BoundaryData, assemble_diffusion, build_grid,
                            harmonic_face_conductivity)
@@ -162,9 +163,10 @@ ORACLE_GRIDS = [(1, [1.0], [1]), (1, [1.0], [2]), (1, [1.0], [32]),
                          ids=["x".join(map(str, c)) for _, _, c in ORACLE_GRIDS])
 def test_operator_matches_csr_oracle(dim, lengths, cells, gamma,
                                      theta_gamma):
-    """The face-data operator and its banded Newton solve agree with the
-    assembled CSR matrix and ``spsolve`` on every grid shape, and a stack
-    of operators is the row-by-row operators bit for bit."""
+    """The face-data operator, its banded Newton solve and, on a plate,
+    the stepper's CG solve on the grid view agree with the assembled CSR
+    matrix and ``spsolve`` on every grid shape, and a stack of operators is
+    the row-by-row operators bit for bit."""
     g = build_grid(dim, lengths, cells)
     rng = np.random.default_rng(11)
     bnd = BoundaryData(g, gamma * (0.5 + rng.random(g.n_bfaces)), theta_gamma)
@@ -183,6 +185,10 @@ def test_operator_matches_csr_oracle(dim, lengths, cells, gamma,
     want = spsolve(sp.csc_matrix(sp.diags(shift) + dt * mat), rhs)
     got = solveh_banded(op.banded(shift, dt), rhs)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    if dim == 2:
+        system = stepper.TensorPreconditioner(g, bnd).system(op, dt)
+        got = stepper._newton_solve(op, system, shift, dt, rhs, 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     k_cells = 0.6 + rng.random((3, g.n_cells))
     stack = assemble_diffusion(g, harmonic_face_conductivity(g, k_cells), bnd,

@@ -10,16 +10,18 @@ from unittest import mock
 import hypothesis
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.linalg import solveh_banded
+from scipy.sparse.linalg import spsolve
 
 import nlpf.stepper as stepper
 from nlpf.config import build_components, parse_config_text, resolve_config
 from nlpf.convex import IndicatorBox
 from nlpf.errors import ConfigError, ModeError, NumericalError
-from nlpf.geometry import BoundaryData, build_grid
+from nlpf.geometry import BoundaryData, assemble_diffusion, build_grid
 from nlpf.longrange import NonlocalCoupling, PairFields
 from nlpf.stepper import (SolverConfig, State, bound_C_ell, budget_totals,
                           cell_budget, conduction_operator, kirchhoff,
@@ -29,6 +31,7 @@ from nlpf.stepper import (SolverConfig, State, bound_C_ell, budget_totals,
 from nlpf.thermo import build_model
 
 from conftest import two_phase_components
+from csr_oracle import assemble_matrix
 
 
 def test_solver_config_validation():
@@ -626,16 +629,18 @@ def first_step(comp, dt):
     return comp.model, state, chi_new, state.fields.b, op, dt, comp.config
 
 
-def banded_newton(model, state, chi_new, b_old, op, dt, config):
-    """Reference energy step: Newton with banded Cholesky on ``op.banded``
-    at every iterate, until the update stops moving theta."""
+def reference_newton(model, state, chi_new, b_old, op, dt, config):
+    """Reference energy step: Newton with ``spsolve`` on the assembled CSR
+    matrix at every iterate, until the update stops moving theta."""
     base = model.e(state.theta, state.chi) + dt * (
         phase_source(model, state.chi, chi_new, b_old, dt)
         + op.robin_load(state.t + dt))
     theta = state.theta.copy()
+    mat = assemble_matrix(op)
     for _ in range(config.newton_cap):
         f = model.e(theta, chi_new) + dt * op.apply(theta) - base
-        delta = solveh_banded(op.banded(model.cv(theta, chi_new), dt), -f)
+        delta = spsolve(sp.csc_matrix(
+            sp.diags(model.cv(theta, chi_new)) + dt * mat), -f)
         theta = theta + delta
         if np.max(np.abs(delta)) <= 1e-15 * np.max(theta):
             return theta
@@ -654,31 +659,46 @@ def counting(monkeypatch, *names):
     return calls
 
 
+def cg_iterations(monkeypatch):
+    """Wrap ``nlpf.stepper.cg``; returns the list of its iteration counts,
+    one per call."""
+    counts, real = [], stepper.cg
+
+    def counted(*args, **kwargs):
+        counts.append(0)
+        return real(*args, callback=lambda x: counts.__setitem__(
+            -1, counts[-1] + 1), **kwargs)
+
+    monkeypatch.setattr(stepper, "cg", counted)
+    return counts
+
+
 @pytest.mark.parametrize("gamma, theta_gamma, dt", [
     ("0.0", "1.0", 1e-3), ("100", "10", 1e-3), ("100", "10", 0.1)])
 def test_wide_band_step_matches_banded_newton(gamma, theta_gamma, dt,
                                               monkeypatch):
-    """On a 64 x 64 plate the Newton systems go to DCT-preconditioned CG,
-    and the step agrees with Newton on banded Cholesky to 1e-12, insulated
-    and with the stiff Robin exchange the preconditioner handles worst."""
+    """On a 64 x 64 plate the Newton systems go to CG, and the step agrees
+    with Newton on ``spsolve`` of the assembled matrix to 1e-12, insulated
+    and with stiff Robin exchange."""
     comp = plate(64, **{"boundary.gamma": gamma,
                         "boundary.theta_gamma": theta_gamma,
                         "solver.rho": "100"})
     args = first_step(comp, dt)
     calls = counting(monkeypatch, "cg")
     got = step_theta(*args)
-    want = banded_newton(*args)
+    want = reference_newton(*args)
     assert calls["cg"] > 0
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("dim, cells, solver", [
-    (1, 32, "solveh_banded"), (2, 16, "solveh_banded"),
-    (2, 32, "solveh_banded"), (2, 64, "cg")])
+    (1, 32, "solveh_banded"), (2, 16, "cg"), (2, 32, "cg"), (2, 64, "cg"),
+    (2, 128, "cg")])
 def test_newton_solver_follows_the_band(dim, cells, solver, monkeypatch):
-    """Grids of band under 48 (1D, 16^2, 32^2) factorise every Newton
-    system; a 64^2 grid calls CG once per Newton iteration, that is once
-    per Jacobian evaluation, and never factorises."""
+    """A 1D bar factorises every Newton system; a plate, with dense axis
+    bases (16^2 to 64^2) or the FFT's DCT-II (128^2), calls CG once per
+    Newton iteration, that is once per Jacobian evaluation, and never
+    factorises."""
     overrides = {"solver.horizon": "0.002", "solver.rho": "100"}
     comp = plate(cells, **overrides) if dim == 2 \
         else default_physics(**{"grid.cells": str(cells), **overrides})
@@ -689,27 +709,93 @@ def test_newton_solver_follows_the_band(dim, cells, solver, monkeypatch):
     assert sum(calls.values()) == calls[solver]
 
 
+@pytest.mark.parametrize("dt", [1e-3, 0.1])
+@pytest.mark.parametrize("cells", [(48, 48), (64, 64), (128, 128), (96, 48)],
+                         ids=lambda c: "x".join(map(str, c)))
+def test_robin_plate_cg_iterations_stay_few(cells, dt, monkeypatch):
+    """With stiff Robin exchange (gamma 100, theta_Gamma 10) the
+    preconditioner carries each side's Robin coefficient on its end cells:
+    CG needs at most 13 iterations per Newton solve over three steps
+    (the DCT preconditioner of the evenly spread Robin term needed 28 to
+    50)."""
+    comp = plate(cells[0], **{"grid.cells": f"{cells[0]},{cells[1]}",
+                              "boundary.gamma": "100",
+                              "boundary.theta_gamma": "10",
+                              "solver.rho": "100", "solver.dt": str(dt),
+                              "solver.horizon": str(3 * dt)})
+    counts = cg_iterations(monkeypatch)
+    run(comp)
+    assert len(counts) >= 3
+    assert max(counts) <= 13
+
+
+@pytest.mark.parametrize("gamma, lag, bases", [
+    ("0.0", {}, 0), ("100", {}, 8),
+    ("100", {"solver.lag_mode": "interval_average",
+             "solver.lag_window": "2"}, 4)])
+def test_robin_axis_bases_are_built_once_per_operator(gamma, lag, bases,
+                                                      monkeypatch):
+    """Over four steps of a 32^2 plate, ``eigh_tridiagonal`` runs once per
+    Robin axis and conduction operator (one operator per lag window), never
+    per Newton solve, and never on an insulated plate."""
+    comp = plate(32, **{"boundary.gamma": gamma, "solver.rho": "100",
+                        "solver.horizon": "0.004", **lag})
+    calls = counting(monkeypatch, "cg", "eigh_tridiagonal")
+    run(comp)
+    assert calls["eigh_tridiagonal"] == bases < calls["cg"]
+
+
+@pytest.mark.parametrize("cells, lengths, side_gamma", [
+    ((24, 40), (1.0, 2.0), (5.0, 50.0, 0.0, 0.0)),
+    ((30, 20), (1.5, 1.0), (1.0, 2.0, 3.0, 4.0)),
+    ((16, 128), (1.0, 1.0), (0.0, 0.0, 0.0, 0.0))],
+    ids=["robin-x", "robin-xy", "insulated-fft"])
+def test_tensor_preconditioner_is_exact_on_separable_plates(
+        cells, lengths, side_gamma, monkeypatch):
+    """A constant conductivity, a uniform gamma per side and a uniform
+    shift make the system separable: the preconditioner is its inverse and
+    CG stops after one iteration, at the ``spsolve`` solution."""
+    g = build_grid(2, lengths, cells)
+    gamma = np.concatenate([np.full(side.size, value) for side, value in
+                            zip(g.sides_by_axis(np.zeros(g.n_bfaces)),
+                                side_gamma)])
+    bnd = BoundaryData(g, gamma, 2.0)
+    op = assemble_diffusion(g, np.full(g.n_ifaces, 1.3), bnd, (0.5, 2.0))
+    shift, dt = np.full(g.n_cells, 0.7), 1e-3
+    rhs = np.random.default_rng(5).standard_normal(g.n_cells)
+    counts = cg_iterations(monkeypatch)
+    system = stepper.TensorPreconditioner(g, bnd).system(op, dt)
+    got = stepper._newton_solve(op, system, shift, dt, rhs, 0.0)
+    want = spsolve(sp.csc_matrix(sp.diags(shift) + dt * assemble_matrix(op)),
+                   rhs)
+    assert counts == [1]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_cg_that_misses_its_tolerance_fails_the_step(monkeypatch):
     """A CG that stops short is a failed step: NumericalError naming the
-    step, the time and CG's iteration count."""
-    monkeypatch.setattr(stepper, "cg", lambda a, b, **kw: (np.zeros_like(b),
-                                                           17))
+    step, the time, CG's iteration count and the cell of the largest
+    residual of the returned solution (here 0, so the largest |rhs|)."""
+    rhs = []
+    monkeypatch.setattr(stepper, "cg", lambda a, b, **kw: (
+        rhs.append(b) or np.zeros_like(b), 17))
     with pytest.raises(NumericalError, match=r"^step 1: temperature step at "
-                       r"t=0: CG did not converge in 17 iterations"):
+                       r"t=0: CG did not converge in 17 iterations") as exc:
         run(plate(64, **{"solver.horizon": "0.002", "solver.rho": "100"}))
+    k = int(np.argmax(np.abs(rhs[0])))
+    assert str(exc.value).endswith(
+        f"; residual {abs(rhs[0][k]):.3e} in cell {k}")
 
 
 @pytest.mark.parametrize("dim, cells, gamma", [(1, 1, "1.0"), (1, 32, "0.0"),
-                                               (1, 256, "100"),
-                                               (2, 16, "100")])
+                                               (1, 256, "100")])
 def test_newton_band_built_once_is_banded_bit_for_bit(dim, cells, gamma):
-    """``step_theta`` builds ``op.banded(0.0, dt)`` once and adds each
-    iterate's shift to its diagonal row: the solve is that of
+    """In 1D ``step_theta`` builds ``op.banded(0.0, dt)`` once and adds
+    each iterate's shift to its diagonal row: the solve is that of
     ``op.banded(shift, dt)``, bit for bit, and the cached band is left
     as it was."""
-    overrides = {"boundary.gamma": gamma, "solver.rho": "100"}
-    comp = plate(cells, **overrides) if dim == 2 else default_physics(
-        **{"grid.cells": str(cells), **overrides})
+    comp = default_physics(**{"grid.cells": str(cells),
+                              "boundary.gamma": gamma, "solver.rho": "100"})
     model, state, chi_new, _, op, dt, config = first_step(comp, 1e-3)
     rng = np.random.default_rng(cells)
     shift = model.cv(state.theta * (1 + 0.1 * rng.random(cells ** dim)),
