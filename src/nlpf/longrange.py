@@ -138,10 +138,11 @@ def _pair_expansion(degree: int, d: int):
 
     over q + |alpha| <= m, with p = m - q - |alpha| and
     C = m! / (p! q! alpha!) (-2)^|alpha|; the same sum with an extra factor
-    chi_j,e convolves a^q chi^(alpha + e) instead.  Returns the right-hand
-    monomials (q, alpha) to convolve, the constant one first, and per m the
-    terms (C, p, alpha, column of a^q chi^alpha, columns of
-    a^q chi^(alpha + e) for e < d, or None at m = degree).
+    chi_j,e convolves a^q chi^(alpha + e) instead.  Returns the monomials
+    (q, alpha) to convolve, the constant one first, and per m the terms
+    (C, column of the left factor a^p chi^alpha, column of a^q chi^alpha,
+    columns of a^q chi^(alpha + e) for e < d, or None at m = degree): every
+    left factor is itself one of the monomials, as p + |alpha| <= degree.
     """
     monos = [(q, alpha) for q in range(degree + 1)
              for alpha in _multi_indices(degree - q, d)]
@@ -160,7 +161,8 @@ def _pair_expansion(degree: int, d: int):
                 vcols = None if m == degree else tuple(
                     index[(q, tuple(x + y for x, y in zip(alpha, u)))]
                     for u in units)
-                row.append((coef, p, alpha, index[(q, alpha)], vcols))
+                row.append((coef, index[(p, alpha)], index[(q, alpha)],
+                            vcols))
         terms.append(tuple(row))
     return tuple(monos), tuple(terms)
 
@@ -286,34 +288,30 @@ class NonlocalCoupling:
         coeffs = self.G.coeffs
         monos, terms = _pair_expansion(coeffs.size, x.shape[-2])
 
-        def mono(q, alpha):
-            out = a ** q if q else 1.0
+        # the table of monomials, built once: the left factors of the
+        # terms, and the columns of one batched convolution
+        cols = np.empty(a.shape[:-1] + (len(monos), a.shape[-1]))
+        for i, (q, alpha) in enumerate(monos):
+            cols[..., i, :] = a ** q
             for e, k in enumerate(alpha):
                 if k:
-                    out = out * x[..., e, :] ** k
-            return out
-
-        # every right-hand monomial in one batched convolution
-        cols = np.empty(a.shape[:-1] + (len(monos), a.shape[-1]))
-        for i, mn in enumerate(monos):
-            cols[..., i, :] = mono(*mn)
+                    cols[..., i, :] *= x[..., e, :] ** k
         conv = self.apply(cols, adjoint)
 
         S, V = [], []      # sum_j W |z|^(2m) and sum_j W |z|^(2m) chi_j
         for row in terms:
             s = v = 0.0
-            for coef, p, alpha, col, vcols in row:
-                left = coef * mono(p, alpha)
+            for coef, lcol, col, vcols in row:
+                left = coef * cols[..., lcol, :]
                 s = s + left * conv[..., col, :]
                 if vcols is not None:
-                    v = v + (left if np.ndim(left) == 0 else
-                             left[..., None, :]) * conv[..., vcols, :]
+                    v = v + left[..., None, :] * conv[..., vcols, :]
             S.append(s)
             V.append(v)
         B = sum(c * S[k] for k, c in enumerate(coeffs, start=1))
         b = sum(4.0 * k * c * (x * S[k - 1][..., None, :] - V[k - 1])
                 for k, c in enumerate(coeffs, start=1))
-        kchi = conv[..., terms[0][0][4], :]    # the columns of chi itself
+        kchi = conv[..., terms[0][0][3], :]    # the columns of chi itself
         return PairFields(shift=shift, b=np.swapaxes(b, -1, -2), B=B,
                           kchi=np.swapaxes(kchi, -1, -2))
 

@@ -12,7 +12,9 @@ and then solves the nonlinear energy balance
     [eps th' + e(th',chi') - eps th - e(th,chi)]/dt - div(k grad th') + Robin
         = -(lam'(chi') + b[chi]) . (chi'-chi)/dt
 
-by plain Newton, undamped because the map is convex (see step_theta).  phi
+by plain Newton, undamped because the map is convex (see step_theta), from
+the predictor th_n (th_n/th_(n-1))^r that run extrapolates from the two
+latest states, r = dt_n/dt_(n-1) (step 1 starts from th_0).  phi
 is the indicator of the constraint set, zero on every admissible state, so
 it has no term here; each new phase field is checked to lie in the set.
 Each Newton matrix diag(eps + c_V) + dt A is symmetric positive definite.  In
@@ -453,31 +455,35 @@ def _newton_solve(op, system, shift, dt, rhs, t):
     return x
 
 
-def step_theta(model, state, chi_new, b_old, op, dt, config, plate=None):
+def step_theta(model, state, chi_new, b_old, op, dt, config, plate=None,
+               start=None):
     """Backward-Euler energy step with diffusion operator ``op``; returns theta'.
 
-    Plain Newton, from theta > 0, on the residual
-    F(th) = eps th + e(th, chi') + dt A th - base.  c_V = de/dth is positive
-    and increasing on th > 0, so F is convex there and its Jacobian
-    diag(eps + c_V) + dt A is an M-matrix.  If a positive root exists, the
-    first iterate lies at or above it and the later ones fall monotonically
-    to it (Ortega and Rheinboldt, Iterative Solution of Nonlinear Equations
-    in Several Variables, 1970, section 13.3): no step needs damping, and a
-    nonpositive iterate means that no positive root exists.  Newton stops
-    when the residual falls below ``newton_tol`` relative to its start, or
-    when every cell's residual is within ``ROUNDOFF_ULPS`` ulps of the terms
-    that cancel in it: below that floor the residual is rounding noise that
-    no step can lower (Kelley, Iterative Methods for Linear and Nonlinear
-    Equations, SIAM 1995, section 5).  A 1D step factorises its band, built
-    here once; a 2D step hands its systems to CG on the grid view built
-    here once, preconditioned by ``plate``, the run's
-    ``TensorPreconditioner`` (a fresh one when None).
+    Plain Newton on the residual F(th) = eps th + e(th, chi') + dt A th -
+    base, from ``start`` (run's predictor; the step's first temperature
+    when None).  c_V = de/dth is positive and increasing on th > 0, so F is
+    convex there and its Jacobian diag(eps + c_V) + dt A is an M-matrix.
+    If a positive root exists, the first iterate from any positive start
+    lies at or above it and the later ones fall monotonically to it (Ortega
+    and Rheinboldt, Iterative Solution of Nonlinear Equations in Several
+    Variables, 1970, section 13.3): a positive start needs no fallback, no
+    step needs damping, and a nonpositive iterate means that no positive
+    root exists.  Newton stops when the residual falls below ``newton_tol``
+    times max(1, |F(start)|), or when every cell's residual is within
+    ``ROUNDOFF_ULPS`` ulps of the terms that cancel in it: below that floor
+    the residual is rounding noise that no step can lower (Kelley,
+    Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
+    section 5).  A 1D step factorises its band, built here once; a 2D step
+    hands its systems to CG on the grid view built here once,
+    preconditioned by ``plate``, the run's ``TensorPreconditioner`` (a
+    fresh one when None).
 
     Raises NumericalError when the residual is not finite (naming the first
     such cell), when the Newton solve fails (CG naming the cell of its
     largest residual), when an iterate is nonpositive
-    (naming its coldest cell), or when Newton reaches ``newton_cap`` (naming
-    the cell of the largest residual).
+    (naming its coldest cell), or when the iterate of the ``newton_cap``-th
+    solve still misses the stop rule (naming the cell of the largest
+    residual).
     """
     t_new = state.t + dt
     load = op.robin_load(t_new)
@@ -487,7 +493,7 @@ def step_theta(model, state, chi_new, b_old, op, dt, config, plate=None):
     base = eps * state.theta + model.e(state.theta, state.chi) \
         + dt * (source + load)
 
-    theta = state.theta.copy()
+    theta = state.theta.copy() if start is None else start
     if op.grid.dim == 1:
         system = op.banded(0.0, dt)
     else:
@@ -504,7 +510,7 @@ def step_theta(model, state, chi_new, b_old, op, dt, config, plate=None):
 
     f, e = residual(theta)
     tol = config.newton_tol * max(1.0, float(np.abs(f).max()))
-    for _ in range(config.newton_cap):
+    for solves in range(config.newton_cap + 1):
         norm = float(np.abs(f).max())
         if not math.isfinite(norm):
             raise NumericalError(
@@ -512,6 +518,8 @@ def step_theta(model, state, chi_new, b_old, op, dt, config, plate=None):
                 f"in cell {int(np.flatnonzero(~np.isfinite(f))[0])}")
         if norm <= tol or at_roundoff(f, theta, e):
             return theta
+        if solves == config.newton_cap:
+            break
         try:
             # f is finite, and so is the matrix at a finite theta
             delta = _newton_solve(op, system, eps + model.cv(theta, chi_new),
@@ -594,6 +602,7 @@ def run(components: RunComponents):
     a = 0      # the first state of the open chunk, fields[0]
     # the 2D preconditioner's bases, kept for this run only
     plate = TensorPreconditioner(grid, boundary) if grid.dim == 2 else None
+    start = None   # step 1 has no history: Newton starts from theta_0
 
     for n in range(1, n_steps + 1):
         if (n - 1) % window == 0:
@@ -601,6 +610,11 @@ def run(components: RunComponents):
             op = conduction_operator(grid, model, boundary,
                                      *(v[0] for v in bar))
         dt, b_old = config.step_size(state.t), state.fields.b
+        if n > 1:
+            # Newton's start: theta_n (theta_n / theta_(n-1))^r, r the ratio
+            # of the two step sizes, positive by construction (step_theta)
+            r = dt / config.step_size(times[n - 2])
+            start = state.theta * (state.theta / thetas[n - 2]) ** r
         try:
             pair = np.linalg.norm(b_old, axis=-1)
             if (pair > coupling.c_b * (1 + 1e-9)).any():
@@ -616,7 +630,7 @@ def run(components: RunComponents):
                     f"phase field left the potential domain at "
                     f"t={state.t + dt:.6g} in cell {int(outside[0])}")
             theta_new = step_theta(model, state, chi_new, b_old, op, dt,
-                                   config, plate)
+                                   config, plate, start)
         except NumericalError as exc:
             raise NumericalError(f"step {n}: {exc}") from exc
         # each state carries its nonlocal fields, so each is convolved once

@@ -449,6 +449,35 @@ def test_cli_run_failed_step_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_newton_cap_judges_its_last_iterate(tmp_path, capsys,
+                                                monkeypatch):
+    """The iterate of the last solve that solver.newton_cap allows is judged
+    by Newton's stop rule: on configs/default.cfg a cap equal to step 1's
+    solve count runs every step (exit 0), and one lower exits 3 at step 1."""
+    text = (CONFIGS / "default.cfg").read_text()
+    first = tmp_path / "first.cfg"
+    first.write_text(text.replace("solver.horizon = 1.0",
+                                  "solver.horizon = 1e-3"))
+    real, solves = stepper.solveh_banded, []
+
+    def counted(*args, **kwargs):
+        solves.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, "solveh_banded", counted)
+    run(build_components(load_config(str(first)))[0])
+    monkeypatch.undo()
+    need = len(solves)
+    assert need >= 2
+    for cap, code in ((need, 0), (need - 1, 3)):
+        cfg = tmp_path / f"cap{cap}.cfg"
+        cfg.write_text(text + f"solver.newton_cap = {cap}\n")
+        out = tmp_path / f"cap{cap}"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == code
+    assert (f"step 1: temperature step exceeded {need - 1} Newton "
+            f"iterations") in capsys.readouterr().err
+
+
 def run_stored_at_cadence_2(tmp_path, extra="", name="out"):
     """A run whose manifest reads output.cadence = 2, as one written while
     output could still be thinned would."""

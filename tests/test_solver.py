@@ -619,8 +619,13 @@ def plate(cells, **overrides):
 def first_step(comp, dt):
     """The arguments of step_theta for a step of size dt from the initial
     data of ``comp``."""
-    state = State(comp.theta0, comp.chi0, 0.0,
-                  comp.coupling.b_field(comp.chi0))
+    return step_from(comp, comp.theta0, comp.chi0, 0.0, dt)
+
+
+def step_from(comp, theta, chi, t, dt):
+    """The arguments of step_theta for a step of size dt from the state
+    (theta, chi) at time t of ``comp``, the conductivity frozen there."""
+    state = State(theta, chi, t, comp.coupling.b_field(chi))
     alpha, g = rhs_ell(comp.model, state.theta, state.chi, state.fields.b,
                        comp.config.rho)
     chi_new = step_chi(comp.potential, state.chi, alpha, g, dt)
@@ -689,6 +694,78 @@ def test_wide_band_step_matches_banded_newton(gamma, theta_gamma, dt,
     want = reference_newton(*args)
     assert calls["cg"] > 0
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_predictor_start_saves_newton_solves(monkeypatch):
+    """Each step after the first starts Newton from the predictor
+    extrapolated from the two latest states: configs/default.cfg takes at
+    most 1200 banded solves in its 1000 steps (2022 from theta_n)."""
+    calls = counting(monkeypatch, "solveh_banded")
+    run(default_physics())
+    assert calls["solveh_banded"] <= 1200
+
+
+@pytest.mark.parametrize("config", ["default.cfg", "simplex_plate.cfg"])
+def test_first_step_is_the_plain_step(config, monkeypatch):
+    """Step 1 has no history: run hands step_theta no start, and frame 1 is
+    bit for bit a plain step_theta step from theta_0; step 2 gets one."""
+    comp = default_physics(config, **{"solver.horizon": "0.002"})
+    real, starts = stepper.step_theta, []
+
+    def recorded(*args):
+        starts.append(args[8])
+        return real(*args)
+
+    monkeypatch.setattr(stepper, "step_theta", recorded)
+    traj = run(comp)
+    assert starts[0] is None and starts[1] is not None
+    plain = real(*first_step(comp, comp.config.dt), start=None)
+    assert np.array_equal(traj.thetas[1], plain)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: default_physics(),
+    lambda: plate(64, **{"boundary.gamma": "100",
+                         "boundary.theta_gamma": "10", "solver.rho": "100"})],
+    ids=["bar-32", "robin-plate-64"])
+def test_predictor_start_finds_the_reference_root(make):
+    """From the predictor theta_1^2 / theta_0, the second step agrees with
+    Newton on ``spsolve`` of the assembled matrix from theta_1 to 1e-12,
+    on the default bar and on a 64 x 64 plate with stiff Robin exchange."""
+    comp = make()
+    dt = comp.config.dt
+    traj = run(dataclasses.replace(
+        comp, config=dataclasses.replace(comp.config, horizon=dt)))
+    (theta0, theta1), chi1 = traj.thetas, traj.chis[1]
+    args = step_from(comp, theta1, chi1, traj.times[1], dt)
+    got = step_theta(*args, start=theta1 * (theta1 / theta0))
+    want = reference_newton(*args)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_predictor_start_stays_positive_where_a_cell_halves(monkeypatch):
+    """Where a cell's temperature halves in a step, linear extrapolation
+    would start the next Newton at 0 there; the predictor starts it at half
+    again, positive, and the step converges to the reference root."""
+    comp = default_physics(**{"solver.horizon": "0.002"})
+    real, calls = stepper.step_theta, []
+
+    def halving(*args):
+        calls.append(args)
+        if len(calls) == 1:       # step 1 halves the temperature of cell 5
+            theta = args[1].theta.copy()
+            theta[5] /= 2
+            return theta
+        return real(*args)
+
+    monkeypatch.setattr(stepper, "step_theta", halving)
+    traj = run(comp)
+    theta0, theta1 = traj.thetas[:2]
+    assert 2 * theta1[5] - theta0[5] == 0.0
+    start = calls[1][8]
+    assert start[5] == theta1[5] / 2 and (start > 0).all()
+    want = reference_newton(*calls[1][:7])
+    assert np.max(np.abs(traj.thetas[2] - want)) <= 1e-12 * np.max(want)
 
 
 @pytest.mark.parametrize("dim, cells, solver", [
