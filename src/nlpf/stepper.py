@@ -23,8 +23,9 @@ it, applying the matrix on the (nx, ny) view of the cells, preconditioned by
 fast diagonalisation (R. E. Lynch, J. R. Rice and D. H. Thomas, Numer. Math.
 6 (1964) 185) of a separable operator that keeps each side's Robin
 exchange: O(M n) per iteration on an n-cell axis, or O(M log n) through the
-FFT's DCT-II on a long insulated one.  Newton stops at its relative
-tolerance or at the round-off floor of the residual.
+FFT's DCT-II on a long insulated one.  Newton is inexact in 2D: CG is
+asked only for the accuracy Newton can use (see step_theta).  Newton stops
+at its relative tolerance or at the round-off floor of the residual.
 With gamma = 0 the volume-weighted row sums of the diffusion map vanish, so
 the scheme conserves the discrete total energy up to the Taylor remainders of
 the lam and pair-interaction difference quotients, which are O(dt) overall.
@@ -410,15 +411,17 @@ def _from_basis(y, q, axis):
     return q @ y if axis == 0 else y @ q.T
 
 
-def _newton_solve(op, system, shift, dt, rhs, t):
+def _newton_solve(op, system, shift, dt, rhs, t, atol=0.0):
     """x with (diag(shift) + dt A) x = rhs, A = ``op``, from the ``system``
     step_theta builds once per call.  In 1D that is the band
     ``op.banded(0.0, dt)``; its copy gets shift on its diagonal row (0.0 + x
-    is x: ``op.banded(shift, dt)`` bit for bit) for ``solveh_banded``.  In
-    2D it is ``TensorPreconditioner.system``: CG applies the matrix by
-    slicing the (nx, ny) view along each axis and is preconditioned by
-    fast diagonalisation.  A CG that stops short raises NumericalError
-    naming the cell of the largest residual."""
+    is x: ``op.banded(shift, dt)`` bit for bit) for ``solveh_banded``, which
+    is exact and ignores ``atol``.  In 2D it is
+    ``TensorPreconditioner.system``: CG applies the matrix by slicing the
+    (nx, ny) view along each axis and is preconditioned by fast
+    diagonalisation; it stops once |rhs - (diag(shift) + dt A) x|_2 is
+    below max(_CG_RTOL |rhs|_2, atol).  A CG that stops short raises
+    NumericalError naming the cell of the largest residual."""
     if op.grid.dim == 1:
         ab = system.copy()
         ab[-1] += shift
@@ -444,7 +447,7 @@ def _newton_solve(op, system, shift, dt, rhs, t):
         return _from_basis(_from_basis(y, qx, 0), qy, 1).reshape(-1)
 
     x, info = cg(LinearOperator((m, m), dtype=float, matvec=matvec), rhs,
-                 rtol=_CG_RTOL, maxiter=_CG_CAP,
+                 rtol=_CG_RTOL, atol=atol, maxiter=_CG_CAP,
                  M=LinearOperator((m, m), dtype=float, matvec=precond))
     if info:
         miss = np.abs(rhs - matvec(x))
@@ -476,7 +479,16 @@ def step_theta(model, state, chi_new, b_old, op, dt, config, plate=None,
     section 5).  A 1D step factorises its band, built here once; a 2D step
     hands its systems to CG on the grid view built here once,
     preconditioned by ``plate``, the run's ``TensorPreconditioner`` (a
-    fresh one when None).
+    fresh one when None).  That Newton is inexact (Dembo, Eisenstat and
+    Steihaug, SIAM J. Numer. Anal. 19 (1982) 400; Eisenstat and Walker,
+    SIAM J. Sci. Comput. 17 (1996) 16): CG may stop once its residual r
+    has |r|_2 <= max(tol / 10, 0.01 |F|^2 / scale), scale = max(1,
+    |F(start)|) and tol = newton_tol scale the stop rule's numbers, 1/100
+    of what the quadratic term leaves, so convergence stays quadratic.  J
+    is an M-matrix diagonally dominant by min(eps + c_V), so the inexact
+    iterate lies within |r| / min(eps + c_V) of the exact Newton iterate:
+    the monotone argument holds up to that, and positivity is still
+    checked on every iterate.
 
     Raises NumericalError when the residual is not finite (naming the first
     such cell), when the Newton solve fails (CG naming the cell of its
@@ -509,7 +521,8 @@ def step_theta(model, state, chi_new, b_old, op, dt, config, plate=None,
         return bool((np.abs(f) <= ROUNDOFF_ULPS * _ULP * size).all())
 
     f, e = residual(theta)
-    tol = config.newton_tol * max(1.0, float(np.abs(f).max()))
+    scale = max(1.0, float(np.abs(f).max()))
+    tol = config.newton_tol * scale
     for solves in range(config.newton_cap + 1):
         norm = float(np.abs(f).max())
         if not math.isfinite(norm):
@@ -523,7 +536,8 @@ def step_theta(model, state, chi_new, b_old, op, dt, config, plate=None,
         try:
             # f is finite, and so is the matrix at a finite theta
             delta = _newton_solve(op, system, eps + model.cv(theta, chi_new),
-                                  dt, -f, state.t)
+                                  dt, -f, state.t,
+                                  max(tol / 10, 0.01 * norm * norm / scale))
         except LinAlgError as exc:
             raise NumericalError(
                 f"temperature step at t={state.t:.6g}: Newton matrix not "

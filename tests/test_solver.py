@@ -21,7 +21,8 @@ import nlpf.stepper as stepper
 from nlpf.config import build_components, parse_config_text, resolve_config
 from nlpf.convex import IndicatorBox
 from nlpf.errors import ConfigError, ModeError, NumericalError
-from nlpf.geometry import BoundaryData, assemble_diffusion, build_grid
+from nlpf.geometry import (BoundaryData, assemble_diffusion, build_grid,
+                           harmonic_face_conductivity)
 from nlpf.longrange import NonlocalCoupling, PairFields
 from nlpf.stepper import (SolverConfig, State, bound_C_ell, budget_totals,
                           cell_budget, conduction_operator, kirchhoff,
@@ -794,16 +795,76 @@ def test_robin_plate_cg_iterations_stay_few(cells, dt, monkeypatch):
     preconditioner carries each side's Robin coefficient on its end cells:
     CG needs at most 13 iterations per Newton solve over three steps
     (the DCT preconditioner of the evenly spread Robin term needed 28 to
-    50)."""
+    50).  The run asks CG for less than full accuracy, so each Newton
+    system it solved is captured and solved again at the full tolerance,
+    without a target; those solves are counted."""
     comp = plate(cells[0], **{"grid.cells": f"{cells[0]},{cells[1]}",
                               "boundary.gamma": "100",
                               "boundary.theta_gamma": "10",
                               "solver.rho": "100", "solver.dt": str(dt),
                               "solver.horizon": str(3 * dt)})
-    counts = cg_iterations(monkeypatch)
+    real, systems = stepper._newton_solve, []
+
+    def captured(*args):
+        systems.append(args[:6])
+        return real(*args)
+
+    monkeypatch.setattr(stepper, "_newton_solve", captured)
     run(comp)
-    assert len(counts) >= 3
+    counts = cg_iterations(monkeypatch)
+    for args in systems:
+        real(*args)
+    assert len(counts) == len(systems) >= 3
     assert max(counts) <= 13
+
+
+@pytest.mark.parametrize("make, solves, most", [
+    (lambda: plate(64, **{"solver.horizon": "0.004"}), 12, 0.7 * 98),
+    (lambda: default_physics("simplex_plate.cfg", **{
+        "grid.cells": "32,32", "boundary.gamma": "100",
+        "boundary.theta_gamma": "10"}), 64, 0.6 * 698)],
+    ids=["default-plate-64", "robin-plate-32"])
+def test_inexact_newton_halves_cg_work(make, solves, most, monkeypatch):
+    """Each 2D Newton solve asks CG only for the accuracy Newton can use:
+    the Newton solves stay as many as with exact solves (12 on four steps
+    of the 64^2 default plate, 64 on the 20 steps of the 32^2 plate with
+    gamma 100, theta_Gamma 10), and CG takes at most 0.7 and 0.6 times the
+    98 and 698 iterations it took at the full tolerance."""
+    counts = cg_iterations(monkeypatch)
+    run(make())
+    assert len(counts) == solves
+    assert sum(counts) <= most
+
+
+@pytest.mark.parametrize("target", [1e-2, 1e-6, 0.0])
+def test_newton_solve_meets_its_target(target, monkeypatch):
+    """On a 2D plate with random per-face gamma and cell conductivity,
+    ``_newton_solve(..., atol=a)`` returns x with |rhs - J x|_2 at most
+    max(1e-13 |rhs|_2, a), J = diag(shift) + dt A assembled as CSR; a
+    looser target takes fewer CG iterations.  Without a target the solve
+    is bit for bit scipy's ``cg`` at rtol 1e-13 and no atol."""
+    g = build_grid(2, (1.0, 1.5), (12, 20))
+    rng = np.random.default_rng(3)
+    bnd = BoundaryData(g, 100.0 * (0.5 + rng.random(g.n_bfaces)), 10.0)
+    op = assemble_diffusion(g, harmonic_face_conductivity(
+        g, 0.6 + rng.random(g.n_cells)), bnd, (0.5, 2.0))
+    shift, dt = 0.6 + 0.5 * rng.random(g.n_cells), 1e-3
+    rhs = rng.standard_normal(g.n_cells)
+    jac = sp.diags(shift) + dt * assemble_matrix(op)
+    system = stepper.TensorPreconditioner(g, bnd).system(op, dt)
+    real, calls = stepper.cg, []
+    monkeypatch.setattr(stepper, "cg", lambda *a, **kw: (
+        calls.append((a, kw)) or real(*a, **kw)))
+    counts = cg_iterations(monkeypatch)
+    size = np.linalg.norm(rhs)
+    got = stepper._newton_solve(op, system, shift, dt, rhs, 0.0,
+                                atol=target * size)
+    assert np.linalg.norm(rhs - jac @ got) <= max(1e-13, target) * size
+    plain = stepper._newton_solve(op, system, shift, dt, rhs, 0.0)
+    assert counts[0] < counts[1] if target else counts[0] == counts[1]
+    a, kw = calls[1]
+    today = {k: v for k, v in kw.items() if k not in ("atol", "callback")}
+    assert np.array_equal(plain, real(*a, **today)[0])
 
 
 @pytest.mark.parametrize("gamma, lag, bases", [
