@@ -4,14 +4,20 @@ The pair energy density is B(x) = integral of kappa(x,y) G(chi(x)-chi(y)) dy
 and its variational partner b(x) = 2 integral of kappa(x,y) G'(chi(x)-chi(y)) dy,
 discretized by midpoint quadrature on the uniform grid.  Every built-in kernel
 depends on x - y only, so the quadrature matrix W_ij = w kappa(x_i - x_j) is
-Toeplitz (block-Toeplitz in 2D).  It is never formed: its generating stencil
-on the (2n-1)^N cell offsets is applied by zero-padded FFT convolution, in
-O(M log M) time and O(M) memory.  G is a polynomial in |z|^2, and expanding
-|chi_i - chi_j|^2 = |chi_i|^2 + |chi_j|^2 - 2 chi_i . chi_j turns b and B into
-sums of monomials of chi_i times convolved monomials of chi_j, so one batched
-convolution per state gives both.  Evenness of the stencil and of G give the
-exact pairing identity sum_i w_i b_i . chid_i = d/dt sum_i w_i B_i, which is
-what makes the coupled scheme conserve energy on insulated runs.
+Toeplitz (block-Toeplitz in 2D).  It is never formed; `build_coupling`
+picks once how to apply it.  A kernel that is a product of per-axis profiles
+(Gaussian, constant) makes it T_0 (x) T_1 less its diagonal s_0 = w kappa(0),
+with T_a symmetric Toeplitz (Kamm and Nagy, SIAM J. Matrix Anal. Appl. 22
+(2000) 155).  Where these factors hold fewer numbers than the stencil below,
+on every square plate of 2 x 2 cells or more and on no 1D grid, a field F on
+the (n_0, n_1) view maps to T_0 F T_1^T - s_0 F.  Otherwise the generating
+stencil on the (2n-1)^N cell offsets is applied by zero-padded FFT
+convolution.  Either way storage is O(M).  G is a polynomial in |z|^2, and
+expanding |chi_i - chi_j|^2 = |chi_i|^2 + |chi_j|^2 - 2 chi_i . chi_j turns b
+and B into sums of monomials of chi_i times convolved monomials of chi_j, so
+one batched product per state gives both.  The matrix's symmetry and G's
+evenness give the exact pairing identity sum_i w_i b_i . chid_i = d/dt sum_i
+w_i B_i, which makes the coupled scheme conserve energy on insulated runs.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 from scipy import integrate
 from scipy.fft import next_fast_len
 
@@ -69,6 +76,10 @@ class ConstantKernel:
     def sup(self) -> float:
         return self.value
 
+    def profile(self, t: np.ndarray) -> np.ndarray:
+        """Per-axis factor: kappa(x, y) = kappa(0) prod_a profile(x_a - y_a)."""
+        return np.ones_like(t)
+
 
 class GaussianKernel:
     """kappa(x,y) = amplitude * exp(-|x-y|^2 / width^2)."""
@@ -85,6 +96,10 @@ class GaussianKernel:
 
     def sup(self) -> float:
         return self.amplitude
+
+    def profile(self, t: np.ndarray) -> np.ndarray:
+        """Per-axis factor: kappa(x, y) = kappa(0) prod_a profile(x_a - y_a)."""
+        return np.exp(-np.square(t) / self.width ** 2)
 
 
 class ScaledTopHat:
@@ -113,8 +128,9 @@ class ScaledTopHat:
 # ---------------------------------------------------------------------------
 # assembled coupling
 
-# padded FFT points of all convolved columns per chunk when a stack of fields
-# is evaluated: a long trajectory goes through in chunks that stay in cache
+# points of all columns in apply's work arrays (padded FFT points, or cells)
+# per chunk of a stack of fields: a long trajectory goes through in chunks
+# that stay in cache
 _STACK_POINTS = 1 << 14
 
 
@@ -195,47 +211,60 @@ class PairFields:
 
 @dataclass
 class NonlocalCoupling:
-    """Kernel quadrature as a convolution stencil, with pair term G.
+    """Kernel quadrature matrix Kw, applied one of two ways, with pair term G.
 
     ``stencil`` holds w kappa(x_k - x_0) on the (2n-1)^N cell offsets k,
     zero at k = 0, so (Kw f)_i = sum_(j != i) w kappa(x_i - x_j) f_j is a
     linear convolution of f with it.  Its spectrum at the zero-padded FFT
-    size, and r = Kw 1, are kept next to it: storage is O(M), and applying
-    Kw to any stack of fields costs one real FFT pair, taken axis by axis.
+    size is kept next to it; applying Kw costs one real FFT pair, axis by
+    axis.  A separable kernel on a plate gets Toeplitz factors ``t0`` and
+    ``t1`` instead, T_0 scaled by w kappa(0), and Kw = T_0 (x) T_1 less its
+    diagonal T_0[0, 0] T_1[0, 0].  r = Kw 1 is kept too; storage is O(M).
 
     ``c_b`` is the a priori bound 2 sup|kappa| sup|G'| |Omega| valid for any
     field with values in the declared range.
     """
 
     grid: Grid
-    stencil: np.ndarray      # (2n_1 - 1, ..., 2n_N - 1), even by construction
     w: np.ndarray            # (M,) quadrature weights (cell volumes)
     G: object
     range_radius: float
     c_b: float
-    spectrum: np.ndarray = field(init=False, repr=False)
+    stencil: np.ndarray | None = None    # (2n_1 - 1, ..., 2n_N - 1), even
+    t0: np.ndarray | None = None         # (n_0, n_0), symmetric
+    t1: np.ndarray | None = None         # (n_1, n_1), symmetric
+    spectrum: np.ndarray | None = field(init=False, repr=False, default=None)
     r: np.ndarray = field(init=False, repr=False)   # (M,) Kw 1
 
     def __post_init__(self):
         cells = self.grid.cells
-        self._fft_shape = tuple(next_fast_len(2 * n - 1, real=True)
-                                for n in cells)
-        # circulant layout: offset k sits at index k mod L on every axis
-        padded = np.zeros(self._fft_shape)
-        padded[np.ix_(*[np.arange(1 - n, n) % size for n, size in
-                        zip(cells, self._fft_shape)])] = self.stencil
-        self.spectrum = np.fft.rfftn(padded)
+        self._column_points = self.grid.n_cells
+        if self.stencil is not None:
+            self._fft_shape = tuple(next_fast_len(2 * n - 1, real=True)
+                                    for n in cells)
+            # circulant layout: offset k sits at index k mod L on every axis
+            padded = np.zeros(self._fft_shape)
+            padded[np.ix_(*[np.arange(1 - n, n) % size for n, size in
+                            zip(cells, self._fft_shape)])] = self.stencil
+            self.spectrum = np.fft.rfftn(padded)
+            self._column_points = math.prod(self._fft_shape)
         self.r = self.apply(np.ones(self.grid.n_cells))
 
     def apply(self, f: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """Kw f for every trailing length-M column of ``f``.
 
-        ``adjoint`` applies the transpose, whose spectrum is the conjugate;
-        for an even stencil the two agree to rounding.  The axes go one at a
-        time, as in rfftn/irfftn, and each inverse one is cut to the grid.
+        ``adjoint`` applies the transpose, equal to rounding for symmetric
+        factors or an even stencil.  FFT axes go one at a time, as in
+        rfftn/irfftn, and each inverse one is cut to the grid.
         """
-        cells, shape = self.grid.cells, self._fft_shape
-        out = np.fft.rfft(np.reshape(f, (-1,) + cells), shape[-1], axis=-1)
+        cells = self.grid.cells
+        view = np.reshape(f, (-1,) + cells)
+        if self.stencil is None:
+            t0, t1 = (self.t0.T, self.t1.T) if adjoint else (self.t0, self.t1)
+            out = t0 @ view @ t1.T - self.t0[0, 0] * self.t1[0, 0] * view
+            return out.reshape(np.shape(f))
+        shape = self._fft_shape
+        out = np.fft.rfft(view, shape[-1], axis=-1)
         for a in range(len(cells) - 1, 0, -1):
             out = np.fft.fft(out, shape[a - 1], axis=a)
         out = out * (self.spectrum.conj() if adjoint else self.spectrum)
@@ -254,7 +283,7 @@ class NonlocalCoupling:
         c, d = self.G.coeffs, chi.shape[-1]
         cols = d + 1 if c.size == 1 and not adjoint \
             else len(_pair_expansion(c.size, d)[0])
-        n = max(1, _STACK_POINTS // (cols * math.prod(self._fft_shape)))
+        n = max(1, _STACK_POINTS // (cols * self._column_points))
         for s in range(0, max(1, len(chi)), n):
             part = self._convolve(chi[s:s + n], adjoint)
             if s == 0:
@@ -359,30 +388,40 @@ class NonlocalCoupling:
 
 
 def build_coupling(grid: Grid, kernel, G, range_radius: float) -> NonlocalCoupling:
-    """Evaluate a translation-invariant kernel on the cell-offset stencil.
+    """Evaluate a translation-invariant kernel on the cell offsets.
 
     Offsets along each axis are the centre differences x_k - x_0, k < n,
     mirrored to negative k, so the stencil is even by construction and ties
-    on a support boundary fall as they do between actual cell pairs.
+    on a support boundary fall as they do between actual cell pairs; a
+    separable kernel's Toeplitz factors take the same offsets.
     ``range_radius`` bounds |chi(x) - chi(y)| (the potential domain diameter)
     and feeds the bound c_b used by the forcing estimate.
     """
     centers = grid.centers.reshape(grid.cells + (grid.dim,))
-    offsets = []
-    for a in range(grid.dim):
-        x = centers[tuple(slice(None) if b == a else 0
-                          for b in range(grid.dim)) + (a,)]
-        pos = x - x[0]
-        offsets.append(np.concatenate([-pos[:0:-1], pos]))
-    points = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1)
+    positions = [centers[tuple(slice(None) if b == a else 0
+                               for b in range(grid.dim)) + (a,)]
+                 for a in range(grid.dim)]
+    positions = [x - x[0] for x in positions]
     w = grid.volumes.copy()
-    stencil = w[0] * kernel(points, np.zeros(grid.dim))
+    origin = np.zeros(grid.dim)
+    c_b = 2.0 * kernel.sup() * G.sup_grad_norm(range_radius) * grid.domain_volume
+    if hasattr(kernel, "profile") and sum(n * n for n in grid.cells) \
+            < math.prod(2 * n - 1 for n in grid.cells):
+        t0, t1 = (scipy.linalg.toeplitz(kernel.profile(pos))
+                  for pos in positions)
+        t0 *= w[0] * kernel(origin, origin)
+        if np.any(t0 < 0) or np.any(t1 < 0):
+            raise ConfigError("kernel must be nonnegative")
+        return NonlocalCoupling(grid=grid, t0=t0, t1=t1, w=w, G=G,
+                                range_radius=range_radius, c_b=c_b)
+    offsets = [np.concatenate([-pos[:0:-1], pos]) for pos in positions]
+    points = np.stack(np.meshgrid(*offsets, indexing="ij"), axis=-1)
+    stencil = w[0] * kernel(points, origin)
     if np.any(stencil < 0):
         raise ConfigError("kernel must be nonnegative")
     # G(0) = G'(0) = 0, so a cell's pair with itself adds nothing; leaving
     # it out spares r chi - Kw chi the cancellation of two equal self terms
     stencil[tuple(n - 1 for n in grid.cells)] = 0.0
-    c_b = 2.0 * kernel.sup() * G.sup_grad_norm(range_radius) * grid.domain_volume
     return NonlocalCoupling(grid=grid, stencil=stencil, w=w, G=G,
                             range_radius=range_radius, c_b=c_b)
 

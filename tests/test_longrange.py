@@ -55,14 +55,21 @@ def test_pairing_identity_oracle():
 
 
 def test_kernel_matrix_is_symmetric():
-    """The matrix is stored as its stencil, so symmetry is evenness."""
-    for cells in ([16], [5, 8]):
+    """The matrix is stored as its stencil, so symmetry is evenness, or as
+    Toeplitz factors, each of which must be symmetric."""
+    for cells in ([16], [24, 3]):
         grid = build_grid(len(cells), [1.0] * len(cells), cells)
         cp = build_coupling(grid, GaussianKernel(0.3, 0.2), QuadraticG(), 1.0)
         assert cp.stencil.shape == tuple(2 * n - 1 for n in cells)
         assert np.array_equal(cp.stencil, cp.stencil[(slice(None, None, -1),)
                                                      * len(cells)])
         assert np.all(cp.stencil >= 0.0)
+    grid = build_grid(2, [1.0, 1.0], [5, 8])
+    cp = build_coupling(grid, GaussianKernel(0.3, 0.2), QuadraticG(), 1.0)
+    for t, n in ((cp.t0, 5), (cp.t1, 8)):
+        assert t.shape == (n, n)
+        assert np.array_equal(t, t.T)
+        assert np.all(t >= 0.0)
 
 
 def test_negative_kernel_rejected():
@@ -168,11 +175,15 @@ INTERACTIONS = {
     "poly2": lambda: EvenPolynomialG([1.0, 0.5]),
     "poly3": lambda: EvenPolynomialG([0.5, 0.25, 0.1]),
 }
-GRIDS = ([1], [2], [7], [32], [1, 5], [6, 9], [16, 16])
+GRIDS = ([1], [2], [7], [32], [1, 5], [6, 9], [16, 16], [24, 3])
+# grids on which a separable kernel's factors hold fewer numbers than the
+# stencil, so build_coupling applies their Kronecker product
+KRONECKER_GRIDS = ([6, 9], [16, 16])
 
 
 def assert_matches_oracle(grid, kernel, G, chi, chid, dt=1.0):
-    """b and B to 1e-13 relative; pairing residual and both of its sums."""
+    """b and B to 1e-13 relative; pairing residual and both of its sums.
+    Returns the coupling."""
     cp = build_coupling(grid, kernel, G, 1.0)
     old = cp.b_field(chi)
     chi_new = chi + dt * chid
@@ -189,6 +200,7 @@ def assert_matches_oracle(grid, kernel, G, chi, chid, dt=1.0):
     scale = float(np.sum(grid.volumes[:, None] * np.abs(b_ref * chid)))
     assert abs(lhs - lhs_ref) <= 1e-13 * scale
     assert abs(rhs - rhs_ref) <= 1e-13 * scale
+    return cp
 
 
 @pytest.mark.parametrize("cells", GRIDS, ids=lambda c: "x".join(map(str, c)))
@@ -201,8 +213,11 @@ def test_fft_fields_match_dense_oracle(kernel, interaction, d, cells):
     rng = np.random.default_rng([d, *cells])
     chi = rng.random((grid.n_cells, d))
     chid = rng.normal(size=chi.shape)
-    assert_matches_oracle(grid, KERNELS[kernel](dim), INTERACTIONS[interaction](),
-                          chi, chid)
+    cp = assert_matches_oracle(grid, KERNELS[kernel](dim),
+                               INTERACTIONS[interaction](), chi, chid)
+    kronecker = kernel != "tophat" and cells in KRONECKER_GRIDS
+    assert (cp.stencil is None) == kronecker
+    assert (cp.t0 is not None) == kronecker
 
 
 def test_tophat_tie_matches_oracle():
@@ -220,35 +235,61 @@ def test_tophat_tie_matches_oracle():
 
 def test_stacked_fields_match_per_snapshot(monkeypatch):
     # a small budget sends the stack through in chunks of two states: ten
-    # convolved columns of 8 x 5 padded points each
-    monkeypatch.setattr(longrange, "_STACK_POINTS", 800)
+    # columns of 12 cells each on the Kronecker path, of 8 x 5 padded
+    # points each on the FFT path
     grid = build_grid(2, [1.0, 1.0], [4, 3])
-    cp = build_coupling(grid, GaussianKernel(0.3, 0.4),
-                        EvenPolynomialG([1.0, 0.5]), 1.0)
     chis = np.random.default_rng(3).random((5, 12, 2))
-    stack = cp.b_field(chis)
-    b, B = stack.b, stack.B
-    for n, chi in enumerate(chis):
-        one = cp.b_field(chi)
-        assert np.allclose(b[n], one.b, rtol=0, atol=1e-15)
-        assert np.allclose(B[n], one.B, rtol=0, atol=1e-15)
-    assert cp.b_field(chis[:0]).b.shape == (0, 12, 2)
+    for kernel, budget in (("gaussian", 240), ("tophat", 800)):
+        monkeypatch.setattr(longrange, "_STACK_POINTS", budget)
+        cp = build_coupling(grid, KERNELS[kernel](2),
+                            EvenPolynomialG([1.0, 0.5]), 1.0)
+        assert (cp.stencil is None) == (kernel == "gaussian")
+        chunks, apply = [], cp.apply
+
+        def counted(f, adjoint=False):
+            chunks.append(len(f))
+            return apply(f, adjoint)
+
+        monkeypatch.setattr(cp, "apply", counted)
+        stack = cp.b_field(chis)
+        assert chunks == [2, 2, 1]
+        b, B = stack.b, stack.B
+        for n, chi in enumerate(chis):
+            one = cp.b_field(chi)
+            assert np.allclose(b[n], one.b, rtol=0, atol=1e-15)
+            assert np.allclose(B[n], one.B, rtol=0, atol=1e-15)
+        assert cp.b_field(chis[:0]).b.shape == (0, 12, 2)
 
 
-@pytest.mark.parametrize("interaction", ["quadratic", "poly2"])
-def test_pairing_catches_asymmetric_stencil(interaction):
-    grid = build_grid(2, [1.0, 1.0], [6, 5])
-    G = INTERACTIONS[interaction]()
-    cp = build_coupling(grid, GaussianKernel(0.3, 0.4), G, 1.0)
-    stencil = cp.stencil.copy()
-    stencil[5 + 2, 4 + 1] *= 1.5          # offset (2, 1) but not (-2, -1)
-    bad = dataclasses.replace(cp, stencil=stencil)
+def assert_pairing_catches(cp, bad):
+    """The pairing residual is tiny for ``cp`` and large for ``bad``."""
     rng = np.random.default_rng(11)
-    chi = rng.random((30, 2))
+    chi = rng.random((cp.grid.n_cells, 2))
     chi_new = chi + 1e-3 * rng.normal(size=chi.shape)
     for coupling, broken in ((cp, False), (bad, True)):
         _, _, residual = pairing_step(coupling, chi, chi_new, 1e-3)
         assert (abs(residual) > 1e-11) == broken
+
+
+@pytest.mark.parametrize("interaction", ["quadratic", "poly2"])
+def test_pairing_catches_asymmetric_stencil(interaction):
+    # the top-hat keeps this plate on the FFT path
+    grid = build_grid(2, [1.0, 1.0], [6, 5])
+    cp = build_coupling(grid, ScaledTopHat(2, 2, 0.02),
+                        INTERACTIONS[interaction](), 1.0)
+    stencil = cp.stencil.copy()
+    stencil[5 + 2, 4 + 1] *= 1.5          # offset (2, 1) but not (-2, -1)
+    assert_pairing_catches(cp, dataclasses.replace(cp, stencil=stencil))
+
+
+@pytest.mark.parametrize("interaction", ["quadratic", "poly2"])
+def test_pairing_catches_asymmetric_factor(interaction):
+    grid = build_grid(2, [1.0, 1.0], [6, 5])
+    cp = build_coupling(grid, GaussianKernel(0.3, 0.4),
+                        INTERACTIONS[interaction](), 1.0)
+    t0 = cp.t0.copy()
+    t0[2, 0] *= 1.5                       # T_0[2, 0] but not T_0[0, 2]
+    assert_pairing_catches(cp, dataclasses.replace(cp, t0=t0))
 
 
 def test_coupling_memory_128_squared():
@@ -274,7 +315,10 @@ def test_axis_wise_apply_is_rfftn_bit_for_bit(cells, lead, adjoint):
     to the grid early; the result is the rfftn/irfftn convolution it
     replaced, bit for bit, on one field, a stack and the transpose."""
     grid = build_grid(len(cells), [1.0] * len(cells), cells)
-    cp = build_coupling(grid, GaussianKernel(0.1, 0.25), QuadraticG(), 1.0)
+    # a separable kernel would take the Kronecker path on these plates
+    kernel = GaussianKernel(0.1, 0.25) if grid.dim == 1 \
+        else ScaledTopHat(4, 2, 0.5)
+    cp = build_coupling(grid, kernel, QuadraticG(), 1.0)
     f = np.random.default_rng(len(lead)).normal(size=lead + (grid.n_cells,))
     shape, axes = cp._fft_shape, tuple(range(1, grid.dim + 1))
     spec = cp.spectrum.conj() if adjoint else cp.spectrum
