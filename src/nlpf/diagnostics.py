@@ -435,7 +435,8 @@ def generic_check(model, grid, boundary, chi_sample, coupling=None,
     ch_field = np.tile(dom[0], (grid.n_cells, 1))
     op = conduction_operator(grid, model, boundary, th_field, ch_field)
     ones = np.ones(grid.n_cells)
-    null_flux = float(np.max(np.abs(op.face_fluxes(ones)), initial=0.0))
+    null_flux = max(float(np.max(np.abs(f), initial=0.0))
+                    for f in op.face_fluxes(ones))
     diag = float(np.max(np.abs(op.diagonal())))
     rowsum = float(np.max(np.abs(op.apply(ones)))) / max(diag, 1e-300)
     vol = grid.volumes
@@ -467,9 +468,9 @@ def regularity_indicator(components, traj):
     dth = np.diff(traj.thetas, axis=0) / dts[:, None]
     rate = float(np.dot(dts, dth ** 2 @ grid.volumes))
     kv = kirchhoff(components.model, traj.thetas[1:])
-    dk = kv[:, grid.iface_owner] - kv[:, grid.iface_neigh]
-    h1 = float(np.max(np.sum(grid.iface_area / grid.iface_dist * dk ** 2,
-                             axis=-1)))
+    h1 = grid.volumes[0] * float(np.max(sum(
+        s * np.sum(d * d, axis=tuple(range(-grid.dim, 0)))
+        for s, d in zip(grid.face_scale, grid.face_differences(kv)))))
     return RegularityReport(rate_l2_sq=rate, kirchhoff_h1_max=h1)
 
 

@@ -1,28 +1,25 @@
 """Uniform box grids and the two-point flux heat operator.
 
 Cells are axis-aligned boxes of identical size, ordered lexicographically by
-integer index (last axis fastest).  The diffusion operator discretizes
-``-div(k grad theta)`` with a two-point flux per interior face and a Robin
-exchange term ``gamma * (theta - theta_Gamma)`` on boundary faces; all rows
-are scaled by cell volume so the operator maps a temperature field to a
-rate density.
+integer index (last axis fastest), so a field (M,) or a stack (T, M) is the
+cell view (..., n_0[, n_1]) without a copy.  The interior faces of axis a
+join each cell to the next along that axis: on the cell view they are one
+slice against the next (``Grid.face_cells``, laid out once per grid), and a
+per-face quantity is one array per axis, shaped like the axis' faces.
 
-The operator is held as face data only: one transmissibility per interior
-face and one Robin coefficient per cell (built once, by ``BoundaryData``),
-O(M) numbers.  It is applied as a flux divergence, and for implicit steps it
-hands out ``diag(shift) + dt A`` in the upper band layout of
-``scipy.linalg.solveh_banded``, of bandwidth ``Grid.band`` (the largest
-neighbour-minus-owner index of a face); equal cell volumes make that matrix
-symmetric.  The stepper uses the band in 1D only, where it is tridiagonal,
-building it once per step at shift 0 and adding each Newton iterate's
-shift.  In 2D it applies the Newton matrix on the ``(nx, ny)`` view of the
-cells: ``Grid.faces_by_axis`` and ``Grid.sides_by_axis`` give face and
-boundary-face data that view's shape, axis by axis.
-
-Face data of shape ``(T, F)`` make a stack of T operators, one per step of
-a trajectory: fluxes, divergence, Robin load and residual then map a
-``(T, M)`` stack row by row through one row-offset ``bincount``.  The
-Newton parts (``diagonal``, ``apply_abs``, ``banded``) take one operator.
+The diffusion operator discretizes ``-div(k grad theta)`` with a two-point
+flux per interior face and a Robin exchange term ``gamma * (theta -
+theta_Gamma)`` on boundary faces; all rows are scaled by cell volume so the
+operator maps a temperature field to a rate density.  It is held as face
+data only, O(M) numbers: the coefficients k_f A_f / (d_f V), one array per
+axis, and the per-cell Robin coefficient that ``BoundaryData`` builds once,
+as it builds the Robin load of a constant exterior temperature.  Fluxes,
+divergence, ``|A| |theta|`` and the diagonal slice the cell view; a 1D
+operator also hands out diag(shift) + dt A as the tridiagonal band of
+``scipy.linalg.solveh_banded``, symmetric because the volumes are equal.
+Coefficients with a leading axis T make a stack of T operators, one per
+step of a trajectory, that maps a (T, M) stack row by row, each row bit for
+bit that of its own operator; ``diagonal`` and ``banded`` take one.
 """
 
 from __future__ import annotations
@@ -44,21 +41,19 @@ class Grid:
     h: tuple[float, ...]
     centers: np.ndarray          # (M, dim)
     volumes: np.ndarray          # (M,)
-    iface_owner: np.ndarray      # (F,) cell index on the low side
-    iface_neigh: np.ndarray      # (F,) cell index on the high side
-    iface_area: np.ndarray       # (F,)
-    iface_dist: np.ndarray       # (F,) center-to-center distance
     bface_owner: np.ndarray      # (Fb,)
     bface_area: np.ndarray       # (Fb,)
-    band: int                    # largest iface_neigh - iface_owner
+    # per axis, the low and the high cells of its faces on the cell view,
+    # leading stack axes allowed; per boundary side, its cells there, its
+    # faces' slice of the boundary faces and their shape
+    face_cells: tuple[tuple[tuple, tuple], ...]
+    sides: tuple[tuple[tuple, slice, tuple], ...]
+    face_shapes: tuple[tuple[int, ...], ...]   # per axis: cells, one fewer
+    face_scale: tuple[float, ...]  # per axis: face area / (distance volume)
 
     @property
     def n_cells(self) -> int:
         return self.centers.shape[0]
-
-    @property
-    def n_ifaces(self) -> int:
-        return self.iface_owner.shape[0]
 
     @property
     def n_bfaces(self) -> int:
@@ -68,23 +63,36 @@ class Grid:
     def domain_volume(self) -> float:
         return float(np.prod(self.lengths))
 
-    def faces_by_axis(self, per_face: np.ndarray) -> list[np.ndarray]:
-        """Interior-face values (F,) as one view per axis, shaped like that
-        axis' faces: the cell shape, one shorter along the axis."""
-        return _split(per_face, [self.cells[:a] + (self.cells[a] - 1,)
-                                 + self.cells[a + 1:]
-                                 for a in range(self.dim)])
+    def view(self, values: np.ndarray) -> np.ndarray:
+        """Cell values (..., M) on the cell view (..., n_0[, n_1]); in 1D
+        the values themselves."""
+        if self.dim == 1:
+            return values
+        return values.reshape(values.shape[:-1] + self.cells)
+
+    def face_differences(self, values: np.ndarray) -> list[np.ndarray]:
+        """Low minus high cell value across each interior face, of one field
+        (M,) or of each row of a stack (T, M), one array per axis."""
+        v = self.view(values)
+        return [v[lo] - v[hi] for lo, hi in self.face_cells]
 
     def sides_by_axis(self, per_bface: np.ndarray) -> list[np.ndarray]:
-        """Boundary-face values (Fb,) as views of the low and the high side
-        of each axis in turn, each shaped like the cells without that axis."""
-        return _split(per_bface, [self.cells[:a] + self.cells[a + 1:]
-                                  for a in range(self.dim) for _ in "lh"])
+        """Boundary-face values (..., Fb) as views of the low and the high
+        side of each axis in turn, each shaped like the cells without that
+        axis."""
+        lead = per_bface.shape[:-1]
+        return [per_bface[..., faces].reshape(lead + shape)
+                for _, faces, shape in self.sides]
 
-
-def _split(values: np.ndarray, shapes) -> list[np.ndarray]:
-    ends = np.cumsum([math.prod(s) for s in shapes])[:-1]
-    return [v.reshape(s) for v, s in zip(np.split(values, ends), shapes)]
+    def side_sum(self, per_bface: np.ndarray) -> np.ndarray:
+        """Boundary-face values (..., Fb) summed into their cells (..., M),
+        side by side in the order of the boundary faces."""
+        out = np.zeros(per_bface.shape[:-1] + (self.n_cells,))
+        v = self.view(out)
+        for (cells, _, _), side in zip(self.sides,
+                                       self.sides_by_axis(per_bface)):
+            v[cells] += side
+        return out
 
 
 def build_grid(dim: int, lengths: Sequence[float], cells: Sequence[int]) -> Grid:
@@ -113,20 +121,20 @@ def build_grid(dim: int, lengths: Sequence[float], cells: Sequence[int]) -> Grid
     volumes = np.full(m, vol)
 
     ids = np.arange(m).reshape(cells)
-    own, nbr, area, dist, bown, barea = ([] for _ in range(6))
-    # interior faces axis by axis (x first), boundary sides x-low, x-high,
-    # y-low, y-high; owners lexicographic within each group
+    face_cells, sides, face_scale, barea, start = [], [], [], [], 0
+    # boundary sides x-low, x-high, y-low, y-high; owners lexicographic
+    # within each side
     for a in range(dim):
         face_area = float(math.prod(h[:a] + h[a + 1:]))
-        before = (slice(None),) * a
-        own.append(ids[before + (slice(None, -1),)].ravel())
-        nbr.append(ids[before + (slice(1, None),)].ravel())
-        area.append(np.full(own[-1].size, face_area))
-        dist.append(np.full(own[-1].size, h[a]))
+        rest, n = (slice(None),) * (dim - 1 - a), m // cells[a]
+        face_cells.append(((..., slice(None, -1)) + rest,
+                           (..., slice(1, None)) + rest))
+        face_scale.append(face_area / h[a] / vol)
         for index in (0, -1):
-            side = ids[before + (index,)].ravel()
-            bown.append(side)
-            barea.append(np.full(side.size, face_area))
+            sides.append(((..., index) + rest, slice(start, start + n),
+                          cells[:a] + cells[a + 1:]))
+            barea.append(np.full(n, face_area))
+            start += n
 
     grid = Grid(
         dim=dim,
@@ -135,13 +143,13 @@ def build_grid(dim: int, lengths: Sequence[float], cells: Sequence[int]) -> Grid
         h=h,
         centers=centers,
         volumes=volumes,
-        iface_owner=np.concatenate(own),
-        iface_neigh=np.concatenate(nbr),
-        iface_area=np.concatenate(area),
-        iface_dist=np.concatenate(dist),
-        bface_owner=np.concatenate(bown),
+        bface_owner=np.concatenate([ids[s].ravel() for s, _, _ in sides]),
         bface_area=np.concatenate(barea),
-        band=int(np.max(np.concatenate(nbr) - np.concatenate(own), initial=0)),
+        face_cells=tuple(face_cells),
+        sides=tuple(sides),
+        face_shapes=tuple(cells[:a] + (cells[a] - 1,) + cells[a + 1:]
+                          for a in range(dim)),
+        face_scale=tuple(face_scale),
     )
     assert abs(float(np.sum(grid.volumes)) - grid.domain_volume) <= 1e-12 * grid.domain_volume
     return grid
@@ -157,7 +165,8 @@ class BoundaryData:
     ``gamma`` is a scalar or an array over boundary faces, all entries >= 0.
     ``theta_gamma`` is a positive scalar, an array over boundary faces, or a
     callable of time returning either.  A constant exterior temperature is
-    checked once, here; a callable one each time it is evaluated.
+    checked once, here, where its per-cell Robin load ``load`` is built; a
+    callable one is checked and summed at each evaluation (``load`` None).
     """
 
     grid: Grid
@@ -171,11 +180,13 @@ class BoundaryData:
             raise ConfigError("boundary gamma must be nonnegative")
         self.is_insulated = bool(np.all(self.gamma_arr == 0.0))
         g = self.grid      # robin: sum of gamma_b A_b per cell / volume
-        self.robin = np.bincount(g.bface_owner, self.gamma_arr * g.bface_area,
-                                 g.n_cells) / g.volumes
+        self.robin = g.side_sum(self.gamma_arr * g.bface_area) / g.volumes
+        self.load = np.zeros(g.n_cells) if self.is_insulated else None
         if not callable(self.theta_gamma):
             self._theta_gamma_arr = self._exterior(self.theta_gamma)
             self._theta_gamma_arr.flags.writeable = False
+            self.load = g.side_sum(self.gamma_arr * g.bface_area
+                                   * self._theta_gamma_arr) / g.volumes
 
     def _exterior(self, tg) -> np.ndarray:
         arr = np.broadcast_to(np.asarray(tg, dtype=float),
@@ -205,13 +216,13 @@ class BoundaryData:
         return np.sum(q, axis=-1)
 
 
-def harmonic_face_conductivity(grid: Grid, k_cell: np.ndarray) -> np.ndarray:
-    """Harmonic mean of the owner/neighbour cell conductivities per interior
-    face, of one field (M,) or of each row of a stack (T, M)."""
-    k_cell = np.asarray(k_cell, dtype=float)
-    a = k_cell.take(grid.iface_owner, axis=-1)
-    b = k_cell.take(grid.iface_neigh, axis=-1)
-    return 2.0 * a * b / (a + b)
+def harmonic_face_conductivity(grid: Grid, k_cell: np.ndarray) -> list:
+    """Harmonic mean of the two cell conductivities across each interior
+    face, one array per axis, of one field (M,) or of each row of a stack
+    (T, M)."""
+    k = grid.view(np.asarray(k_cell, dtype=float))
+    return [2.0 * k[lo] * k[hi] / (k[lo] + k[hi])
+            for lo, hi in grid.face_cells]
 
 
 @dataclass
@@ -226,104 +237,99 @@ class DiffusionOperator:
 
     grid: Grid
     boundary: BoundaryData
-    trans: np.ndarray            # (F,) or (T, F): k_f * A_f / dist_f
+    coeffs: tuple                # per axis: k_f A_f / (d_f V), [T,] + faces
     robin: np.ndarray            # (M,) sum of gamma_b * A_b per cell / volume
 
-    def _cell_sum(self, index: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Sum of ``values`` over the cells named by ``index``: one field
-        (K,), or each row of a stack (T, K) into its own row of cells."""
-        m = self.grid.n_cells
-        if values.ndim == 1:
-            return np.bincount(index, values, m)
-        rows = values.shape[0]
-        index = (index + m * np.arange(rows)[:, None]).ravel()
-        return np.bincount(index, values.ravel(), rows * m).reshape(rows, m)
-
-    def _face_sum(self, per_face: np.ndarray) -> np.ndarray:
-        """Volume-scaled sum of a face quantity over both adjacent cells."""
-        g = self.grid
-        return (self._cell_sum(g.iface_owner, per_face)
-                + self._cell_sum(g.iface_neigh, per_face)) / g.volumes
+    def _spread(self, out: np.ndarray, per_face, high=np.add) -> np.ndarray:
+        """Add each face value into its low cell of ``out``, and ``high``
+        (np.add or np.subtract) it into its high cell."""
+        v = self.grid.view(out)
+        for s, (lo, hi) in zip(per_face, self.grid.face_cells):
+            low, up = v[lo], v[hi]
+            low += s
+            high(up, s, out=up)
+        return out
 
     def apply(self, theta: np.ndarray) -> np.ndarray:
-        g = self.grid
-        flux = self.face_fluxes(theta)
-        return (self._cell_sum(g.iface_owner, flux)
-                - self._cell_sum(g.iface_neigh, flux)) / g.volumes \
-            + self.robin * theta
+        return self._spread(self.robin * theta, self.face_fluxes(theta),
+                            np.subtract)
 
     def apply_abs(self, theta: np.ndarray) -> np.ndarray:
         """``|A| |theta|``: the size of the terms that cancel in ``apply``."""
-        g = self.grid
         a = np.abs(theta)
-        return self._face_sum(self.trans * (a[g.iface_owner]
-                                            + a[g.iface_neigh])) \
-            + self.robin * a
+        v = self.grid.view(a)
+        return self._spread(self.robin * a, [
+            w * (v[lo] + v[hi])
+            for w, (lo, hi) in zip(self.coeffs, self.grid.face_cells)])
 
     def diagonal(self) -> np.ndarray:
-        return self._face_sum(self.trans) + self.robin
+        return self._spread(self.robin.copy(), self.coeffs)
 
     def banded(self, shift: np.ndarray, dt: float) -> np.ndarray:
-        """``diag(shift) + dt A`` in the upper band layout of
-        ``scipy.linalg.solveh_banded``: entry (i, j), i <= j, sits at
-        ``[u + i - j, j]``, with u the grid's band.
+        """``diag(shift) + dt A`` of a 1D operator in the upper band layout
+        of ``scipy.linalg.solveh_banded``: entry (i, i + 1) at [0, i + 1],
+        entry (i, i) at [-1, i]; a one-cell bar has the diagonal row only.
         """
-        g = self.grid
-        offset, u = g.iface_neigh - g.iface_owner, g.band
-        ab = np.zeros((u + 1, g.n_cells))
-        ab[u] = shift + dt * self.diagonal()
-        ab[u - offset, g.iface_neigh] = -dt * self.trans \
-            / g.volumes[g.iface_owner]
+        n = self.grid.n_cells
+        ab = np.zeros((min(n, 2), n))
+        ab[-1] = shift + dt * self.diagonal()
+        ab[0, 1:] = -dt * self.coeffs[0]
         return ab
 
     def robin_load(self, t) -> np.ndarray:
-        """Affine Robin part at t, or per row at times t; 0 if insulated."""
-        g = self.grid
-        if self.boundary.is_insulated:
-            return np.zeros(np.shape(t) + (g.n_cells,))
-        coeff = self.boundary.gamma_arr * g.bface_area \
-            * self.boundary.theta_gamma_at(t)
-        return self._cell_sum(g.bface_owner, coeff) / g.volumes
+        """Affine Robin part at t, or per row at times t: the boundary's
+        stored ``load``, or of a callable exterior temperature one side sum
+        per call."""
+        b, g = self.boundary, self.grid
+        if b.load is None:
+            return g.side_sum(b.gamma_arr * g.bface_area
+                              * b.theta_gamma_at(t)) / g.volumes
+        return b.load if np.ndim(t) == 0 \
+            else np.broadcast_to(b.load, np.shape(t) + b.load.shape)
 
     def residual(self, theta: np.ndarray, t) -> np.ndarray:
         return self.apply(theta) - self.robin_load(t)
 
-    def face_fluxes(self, theta: np.ndarray) -> np.ndarray:
-        """Signed heat flux through each interior face, from owner to neighbour."""
-        g = self.grid
-        return self.trans * (theta.take(g.iface_owner, axis=-1)
-                             - theta.take(g.iface_neigh, axis=-1))
+    def face_fluxes(self, theta: np.ndarray) -> list[np.ndarray]:
+        """Heat flux from the low to the high cell of each interior face,
+        per unit cell volume, one array per axis."""
+        return [w * d for w, d in zip(self.coeffs,
+                                      self.grid.face_differences(theta))]
 
 
 def assemble_diffusion(
     grid: Grid,
-    face_conductivity: np.ndarray,
+    face_conductivity,
     boundary: BoundaryData,
     k_bounds: tuple[float, float] | None = None,
 ) -> DiffusionOperator:
     """Build the heat operator from per-face conductivities.
 
-    ``face_conductivity`` is given on interior faces, (F,) or a stack
-    (T, F).  When ``k_bounds`` is supplied, any face value outside
-    ``[k0, k1]`` is reported as a model contract violation, not clamped.
+    ``face_conductivity`` holds one array per axis, shaped like that axis'
+    interior faces, with a leading axis T for a stack, as
+    ``harmonic_face_conductivity`` gives them.  When ``k_bounds`` is
+    supplied, any face value outside ``[k0, k1]`` is reported as a model
+    contract violation, not clamped.
     """
-    k_f = np.asarray(face_conductivity, dtype=float)
-    if k_f.ndim not in (1, 2) or k_f.shape[-1] != grid.n_ifaces:
-        raise ConfigError(f"face conductivity must have shape ([T,] "
-                          f"{grid.n_ifaces}), got {k_f.shape}")
-    # fmin/fmax skip NaN as comparisons do; a one-cell grid has no face
-    lo = np.fmin.reduce(k_f, axis=None, initial=math.inf)
-    hi = np.fmax.reduce(k_f, axis=None, initial=-math.inf)
+    k_f = [np.asarray(k, dtype=float) for k in face_conductivity]
+    if tuple(k.shape[-grid.dim:] for k in k_f) != grid.face_shapes:
+        raise ConfigError(f"face conductivity must have shapes ([T,] "
+                          f"{grid.face_shapes}), got {[k.shape for k in k_f]}")
+    lo, hi = math.inf, -math.inf
+    for k in k_f:      # fmin/fmax skip NaN as comparisons do
+        lo = np.fmin.reduce(k, axis=None, initial=lo)
+        hi = np.fmax.reduce(k, axis=None, initial=hi)
     if k_bounds is not None:
         k0, k1 = k_bounds
         tol = 1e-12 * max(1.0, abs(k1))
         if lo < k0 - tol or hi > k1 + tol:
-            bad = float(k_f.flat[np.argmax(np.abs(k_f - np.clip(k_f, k0, k1)))])
+            flat = np.concatenate([k.ravel() for k in k_f])
+            bad = float(flat[np.argmax(np.abs(flat - np.clip(flat, k0, k1)))])
             raise ModelContractError(
                 "k-bounds", f"face conductivity {bad} outside [{k0}, {k1}]")
     if lo <= 0:
         raise ModelContractError("k-bounds", "face conductivity must be positive")
 
-    trans = k_f * grid.iface_area / grid.iface_dist
-    return DiffusionOperator(grid=grid, boundary=boundary, trans=trans,
+    coeffs = tuple(k * s for k, s in zip(k_f, grid.face_scale))
+    return DiffusionOperator(grid=grid, boundary=boundary, coeffs=coeffs,
                              robin=boundary.robin)

@@ -19,13 +19,13 @@ is the indicator of the constraint set, zero on every admissible state, so
 it has no term here; each new phase field is checked to lie in the set.
 Each Newton matrix diag(eps + c_V) + dt A is symmetric positive definite.  In
 1D it is tridiagonal and banded Cholesky solves it, O(M).  In 2D CG solves
-it, applying the matrix on the (nx, ny) view of the cells, preconditioned by
-fast diagonalisation (R. E. Lynch, J. R. Rice and D. H. Thomas, Numer. Math.
-6 (1964) 185) of a separable operator that keeps each side's Robin
-exchange: O(M n) per iteration on an n-cell axis, or O(M log n) through the
-FFT's DCT-II on a long insulated one.  Newton is inexact in 2D: CG is
-asked only for the accuracy Newton can use (see step_theta).  Newton stops
-at its relative tolerance or at the round-off floor of the residual.
+it with the operator's own apply, preconditioned by fast diagonalisation
+(R. E. Lynch, J. R. Rice and D. H. Thomas, Numer. Math. 6 (1964) 185) of a
+separable operator that keeps each side's Robin exchange: O(M n) per
+iteration on an n-cell axis, or O(M log n) through the FFT's DCT-II on a
+long insulated one.  Newton is inexact in 2D: CG is asked only for the
+accuracy Newton can use.  Newton stops at one cellwise bound fixed by the
+step's first state (see step_theta).
 With gamma = 0 the volume-weighted row sums of the diffusion map vanish, so
 the scheme conserves the discrete total energy up to the Taylor remainders of
 the lam and pair-interaction difference quotients, which are O(dt) overall.
@@ -290,10 +290,10 @@ def step_records(components, thetas, chis, fields, a, b):
     rows["entropy_residual_min"] = (theta * (S_cell[1:] - S_cell[:-1])
                                     / dt[:, None]
                                     + op.residual(theta, times[1:])).min(-1)
-    dth = theta.take(grid.iface_owner, axis=-1) \
-        - theta.take(grid.iface_neigh, axis=-1)
-    rows["face_pairing_max"] = np.max(-op.face_fluxes(theta) * dth, axis=-1,
-                                      initial=-math.inf)
+    # <q', grad theta'> per face: minus the flux times the jump it crosses
+    rows["face_pairing_max"] = grid.volumes[0] * np.max([
+        np.max(-w * d * d, axis=tuple(range(-grid.dim, 0)), initial=-math.inf)
+        for w, d in zip(op.coeffs, grid.face_differences(theta))], axis=0)
     rows["pairing_residual"] = coupling.pairing_residual(chis, fields, dt)[2]
     # only the envelope check of a regularised run reads source_max; other
     # runs get the empty maximum, as face_pairing_max does with no face
@@ -359,7 +359,6 @@ class TensorPreconditioner:
     """
 
     def __init__(self, grid, boundary):
-        self.grid = grid
         robin = boundary.gamma_arr * grid.bface_area / grid.volumes[0]
         sides = [s.mean() for s in grid.sides_by_axis(robin)]
         self._ends = list(zip(sides[::2], sides[1::2]))
@@ -370,21 +369,17 @@ class TensorPreconditioner:
 
     def system(self, op, dt):
         """What ``_newton_solve`` needs of a step with operator ``op``, on
-        the (nx, ny) view of the cells: the face coefficients of dt A, dt
-        times the Robin coefficient, the eigenvalues of dt (T_x (+) T_y),
+        the (nx, ny) view of the cells: the eigenvalues of dt (T_x (+) T_y)
         and the axis bases, whose columns are the eigenvectors (None: the
-        FFT's DCT-II)."""
-        g = self.grid
-        wx, wy = g.faces_by_axis(op.trans * (dt / g.volumes[0]))
+        FFT's DCT-II).  T_a takes the mean of the axis' face coefficients
+        of ``op``."""
         if op is not self._op:
-            faces = g.faces_by_axis(op.trans / g.volumes[0])
             self._op, self._axes = op, [
-                _axis(n, f.sum() / max(1, f.size), ends, q)
-                for n, f, ends, q in zip(g.cells, faces, self._ends,
-                                         self._dct)]
+                _axis(n, w.sum() / max(1, w.size), ends, q)
+                for n, w, ends, q in zip(op.grid.cells, op.coeffs,
+                                         self._ends, self._dct)]
         (lx, qx), (ly, qy) = self._axes
-        return wx, wy, dt * op.robin.reshape(g.cells), \
-            dt * (lx[:, None] + ly), (qx, qy)
+        return dt * (lx[:, None] + ly), (qx, qy)
 
 
 def _axis(n, w, ends, dct_basis):
@@ -417,30 +412,21 @@ def _newton_solve(op, system, shift, dt, rhs, t, atol=0.0):
     ``op.banded(0.0, dt)``; its copy gets shift on its diagonal row (0.0 + x
     is x: ``op.banded(shift, dt)`` bit for bit) for ``solveh_banded``, which
     is exact and ignores ``atol``.  In 2D it is
-    ``TensorPreconditioner.system``: CG applies the matrix by slicing the
-    (nx, ny) view along each axis and is preconditioned by fast
-    diagonalisation; it stops once |rhs - (diag(shift) + dt A) x|_2 is
-    below max(_CG_RTOL |rhs|_2, atol).  A CG that stops short raises
+    ``TensorPreconditioner.system``: CG applies the matrix as shift x + dt
+    ``op.apply(x)`` and is preconditioned by fast diagonalisation; it stops
+    once |rhs - (diag(shift) + dt A) x|_2 is below max(_CG_RTOL |rhs|_2,
+    atol).  A CG that stops short raises
     NumericalError naming the cell of the largest residual."""
     if op.grid.dim == 1:
         ab = system.copy()
         ab[-1] += shift
         return solveh_banded(ab, rhs, overwrite_ab=True, check_finite=False)
-    wx, wy, robin, lam, (qx, qy) = system
+    lam, (qx, qy) = system
     cells, m = op.grid.cells, op.grid.n_cells
-    diag = shift.reshape(cells) + robin
     denom = lam + shift.mean()
 
     def matvec(v):
-        v = v.reshape(cells)
-        out = diag * v
-        flux = wx * (v[:-1] - v[1:])
-        out[:-1] += flux
-        out[1:] -= flux
-        flux = wy * (v[:, :-1] - v[:, 1:])
-        out[:, :-1] += flux
-        out[:, 1:] -= flux
-        return out.reshape(-1)
+        return shift * v + dt * op.apply(v)
 
     def precond(r):
         y = _to_basis(_to_basis(r.reshape(cells), qx, 0), qy, 1) / denom
@@ -471,41 +457,44 @@ def step_theta(model, state, chi_new, b_old, op, dt, config, plate=None,
     and Rheinboldt, Iterative Solution of Nonlinear Equations in Several
     Variables, 1970, section 13.3): a positive start needs no fallback, no
     step needs damping, and a nonpositive iterate means that no positive
-    root exists.  Newton stops when the residual falls below ``newton_tol``
-    times max(1, |F(start)|), or when every cell's residual is within
-    ``ROUNDOFF_ULPS`` ulps of the terms that cancel in it: below that floor
-    the residual is rounding noise that no step can lower (Kelley,
-    Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
-    section 5).  A 1D step factorises its band, built here once; a 2D step
-    hands its systems to CG on the grid view built here once,
-    preconditioned by ``plate``, the run's ``TensorPreconditioner`` (a
+    root exists.  Newton stops at the first iterate with |F_i| <= bound_i
+    in every cell, bound = max(``newton_tol``, ``ROUNDOFF_ULPS`` ulp) (eps
+    th_n + |e(th_n, chi')| + dt |A| th_n + |base|): relative to the terms
+    that cancel in F and fixed by the step's first state th_n, whatever the
+    start, and never below their round-off floor, where the residual is
+    rounding noise that no step can lower (Kelley, Iterative Methods for
+    Linear and Nonlinear Equations, SIAM 1995, section 5).  A 1D step
+    factorises its band, built here once; a 2D step hands its systems to
+    CG, preconditioned by ``plate``, the run's ``TensorPreconditioner`` (a
     fresh one when None).  That Newton is inexact (Dembo, Eisenstat and
     Steihaug, SIAM J. Numer. Anal. 19 (1982) 400; Eisenstat and Walker,
-    SIAM J. Sci. Comput. 17 (1996) 16): CG may stop once its residual r
-    has |r|_2 <= max(tol / 10, 0.01 |F|^2 / scale), scale = max(1,
-    |F(start)|) and tol = newton_tol scale the stop rule's numbers, 1/100
-    of what the quadratic term leaves, so convergence stays quadratic.  J
-    is an M-matrix diagonally dominant by min(eps + c_V), so the inexact
-    iterate lies within |r| / min(eps + c_V) of the exact Newton iterate:
-    the monotone argument holds up to that, and positivity is still
-    checked on every iterate.
+    SIAM J. Sci. Comput. 17 (1996) 16): CG may stop once its residual r has
+    |r|_2 <= max(min(bound) / 10, 0.01 |F|^2 / scale), scale = max(1,
+    |F(start)|), 1/100 of what the quadratic term leaves, so convergence
+    stays quadratic.  J is an M-matrix diagonally dominant by min(eps +
+    c_V), so the inexact iterate lies within |r| / min(eps + c_V) of the
+    exact Newton iterate: the monotone argument holds up to that, and
+    positivity is still checked on every iterate.
 
     Raises NumericalError when the residual is not finite (naming the first
     such cell), when the Newton solve fails (CG naming the cell of its
     largest residual), when an iterate is nonpositive
     (naming its coldest cell), or when the iterate of the ``newton_cap``-th
-    solve still misses the stop rule (naming the cell of the largest
-    residual).
+    solve still misses the stop rule (naming the cell that misses it by
+    the largest factor).
     """
     t_new = state.t + dt
-    load = op.robin_load(t_new)
     eps = config.eps_reg
+    theta_n = state.theta
 
     source = phase_source(model, state.chi, chi_new, b_old, dt)
-    base = eps * state.theta + model.e(state.theta, state.chi) \
-        + dt * (source + load)
+    base = eps * theta_n + model.e(theta_n, state.chi) \
+        + dt * (source + op.robin_load(t_new))
+    bound = max(config.newton_tol, ROUNDOFF_ULPS * _ULP) * (
+        eps * theta_n + np.abs(model.e(theta_n, chi_new))
+        + dt * op.apply_abs(theta_n) + np.abs(base))
 
-    theta = state.theta.copy() if start is None else start
+    theta = theta_n.copy() if start is None else start
     if op.grid.dim == 1:
         system = op.banded(0.0, dt)
     else:
@@ -513,31 +502,27 @@ def step_theta(model, state, chi_new, b_old, op, dt, config, plate=None,
         system = plate.system(op, dt)
 
     def residual(th):
-        e = model.e(th, chi_new)
-        return eps * th + e + dt * op.apply(th) - base, e
+        return eps * th + model.e(th, chi_new) + dt * op.apply(th) - base
 
-    def at_roundoff(f, th, e):
-        size = eps * th + np.abs(e) + dt * op.apply_abs(th) + np.abs(base)
-        return bool((np.abs(f) <= ROUNDOFF_ULPS * _ULP * size).all())
-
-    f, e = residual(theta)
-    scale = max(1.0, float(np.abs(f).max()))
-    tol = config.newton_tol * scale
+    f = residual(theta)
     for solves in range(config.newton_cap + 1):
-        norm = float(np.abs(f).max())
+        size = np.abs(f)
+        if (size <= bound).all():      # a NaN is never within its bound
+            return theta
+        norm = float(size.max())
         if not math.isfinite(norm):
             raise NumericalError(
                 f"temperature step at t={state.t:.6g}: residual not finite "
                 f"in cell {int(np.flatnonzero(~np.isfinite(f))[0])}")
-        if norm <= tol or at_roundoff(f, theta, e):
-            return theta
         if solves == config.newton_cap:
             break
+        if solves == 0:
+            scale = max(1.0, norm)
         try:
             # f is finite, and so is the matrix at a finite theta
-            delta = _newton_solve(op, system, eps + model.cv(theta, chi_new),
-                                  dt, -f, state.t,
-                                  max(tol / 10, 0.01 * norm * norm / scale))
+            delta = _newton_solve(
+                op, system, eps + model.cv(theta, chi_new), dt, -f, state.t,
+                max(float(bound.min()) / 10, 0.01 * norm * norm / scale))
         except LinAlgError as exc:
             raise NumericalError(
                 f"temperature step at t={state.t:.6g}: Newton matrix not "
@@ -548,11 +533,12 @@ def step_theta(model, state, chi_new, b_old, op, dt, config, plate=None,
                 f"temperature positivity violated at t={t_new:.6g}: min "
                 f"theta' = {float(np.min(theta)):.3e} in cell "
                 f"{int(np.argmin(theta))}")
-        f, e = residual(theta)
-    k = int(np.argmax(np.abs(f)))
+        f = residual(theta)
+    k = int(np.argmax(np.abs(f) / bound))
     raise NumericalError(
         f"temperature step exceeded {config.newton_cap} Newton iterations "
-        f"at t={state.t:.6g}; residual {abs(f[k]):.3e} in cell {k}")
+        f"at t={state.t:.6g}; residual {abs(f[k]):.3e} over its bound "
+        f"{bound[k]:.3e} in cell {k}")
 
 
 def kirchhoff(model, theta):
