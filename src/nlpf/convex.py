@@ -12,7 +12,6 @@ step of the inclusion that uses these maps is ``stepper.step_chi``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ConfigError
 
@@ -74,8 +73,19 @@ class IndicatorBall:
 
 
 def _halton(d: int, n: int) -> np.ndarray:
-    sampler = qmc.Halton(d=d, scramble=False)
-    pts = sampler.random(n + 1)[1:]  # drop the degenerate all-zero first point
+    """Points 1..n of the unscrambled Halton sequence (Halton, Numer. Math.
+    2 (1960) 84): coordinate e of point i is the radical inverse of i in
+    the e-th prime, its digits mirrored about the radix point."""
+    i, pts, base = np.arange(1, n + 1), np.zeros((n, d)), 1
+    for col in pts.T:
+        base += 1
+        while not all(base % p for p in range(2, base)):
+            base += 1
+        q, f, top = i, 1.0 / base, 1
+        while top <= n:  # one pass per digit of n in this base
+            q, r = np.divmod(q, base)
+            col += r * f
+            f, top = f / base, top * base
     return pts
 
 

@@ -152,9 +152,9 @@ def lower_bound_ode(components, traj, forcing_bound=None):
     before w^2 turns subnormal, and holds w there: above the solution and
     below every computed minimum, so the verdict is the whole solution's.
     """
-    # scipy.integrate loads scipy.optimize and scipy.special (about 0.25 s);
-    # importing it here keeps that off `nlpf run`, which imports this module
-    # for the truncation calibration
+    # scipy.integrate loads scipy.optimize (about 14 MB and 0.1 s); only
+    # this check and the local-limit study import it, so `nlpf run`, which
+    # imports this module for the truncation calibration, never does
     from scipy.integrate import solve_ivp
 
     model, config = components.model, components.config

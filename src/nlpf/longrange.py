@@ -29,7 +29,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-from scipy import integrate
 from scipy.fft import next_fast_len
 
 from .errors import ConfigError
@@ -437,6 +436,7 @@ def local_limit_nu(kappa_tilde: Callable[[float], float], dim: int) -> float:
     support in [0, 1].  Adaptive quadrature; exact reference values:
     top-hat gives 2/3 in 1D and pi/4 in 2D.
     """
+    from scipy import integrate  # only this study integrates
     if dim == 1:
         val, _ = integrate.quad(lambda z: kappa_tilde(z * z) * z * z,
                                 -1.0, 1.0, limit=200)

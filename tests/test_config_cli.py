@@ -3,8 +3,11 @@ line."""
 
 import importlib.util
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -794,3 +797,40 @@ def test_build_components_auto_rho():
     comp, final = build_components(resolved)
     assert final["solver.rho"] == pytest.approx(1.107854e8, rel=1e-3)
     assert comp.config.rho == final["solver.rho"]
+
+
+_RUN_PATH_SCRIPT = """
+import sys
+import nlpf, nlpf.cli, nlpf.config, nlpf.diagnostics, nlpf.snapshots, nlpf.stepper
+from nlpf.config import build_components, load_config
+from nlpf.diagnostics import run_checks
+
+configs, out = sys.argv[1], sys.argv[2]
+for name in ("simplex_plate.cfg", "default.cfg"):
+    comp, _ = build_components(load_config(f"{configs}/{name}"))
+    traj = nlpf.stepper.run(comp)
+    nlpf.snapshots.write_trajectory(out, traj, comp.grid.cells)
+outcomes = run_checks(comp, traj, ["energy", "entropy", "selection", "pairing"])
+assert all(o.passed for o in outcomes), outcomes
+print("run", sorted(m for m in sys.modules
+                   if m.startswith(("scipy.stats", "scipy.integrate"))))
+run_checks(comp, traj, ["lower"])
+print("lower", "scipy.integrate" in sys.modules)
+"""
+
+
+def test_run_path_loads_neither_scipy_stats_nor_integrate(tmp_path):
+    """Building, running and storing a three-phase plate (the Halton
+    validation path) and the default bar (``solver.rho = auto``), then the
+    checks ``nlpf run`` and the benchmark's verify rely on, import no module
+    of ``scipy.stats`` or ``scipy.integrate``; the ``lower`` check is where
+    ``scipy.integrate`` is loaded.  A fresh interpreter, since other tests
+    import scipy modules into this one."""
+    src = Path(importlib.util.find_spec("nlpf").origin).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _RUN_PATH_SCRIPT,
+                           str(CONFIGS), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["run []", "lower True"]

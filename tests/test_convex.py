@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nlpf.config import resolve_config
-from nlpf.convex import IndicatorBall, IndicatorBox, IndicatorSimplex
+from nlpf.convex import (IndicatorBall, IndicatorBox, IndicatorSimplex,
+                         _halton)
 from nlpf.stepper import selection, step_chi
 from nlpf.studies import inclusion_dependence
 
@@ -83,6 +84,33 @@ def test_domain_sample_lies_in_domain(d):
         for pot, (lo, hi) in zip(pots, [(-0.5, 3.0), (-0.7, 0.7), (0, 1)]):
             assert np.array_equal(pot.domain_sample(9)[:, 0],
                                   np.linspace(lo, hi, 9))
+
+
+def test_halton_matches_scipy_bit_for_bit():
+    """``_halton`` gives points 1..n of scipy's unscrambled Halton sequence,
+    bit for bit.  Only the tests load ``scipy.stats``."""
+    from scipy.stats import qmc
+    for d in range(1, 13):
+        for n in (1, 2, 16, 116, 272):
+            ref = qmc.Halton(d=d, scramble=False).random(n + 1)[1:]
+            got = _halton(d, n)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_domain_sample_is_the_scipy_halton_lattice(d):
+    """The validation lattice of every potential is the one drawn through
+    ``scipy.stats.qmc``: the Halton points of the box, in Halton order,
+    that the domain contains."""
+    from scipy.stats import qmc
+    pots = [(IndicatorBox(np.full(d, -0.5), np.full(d, 3.0)), -0.5, 3.0),
+            (IndicatorBall(d, 0.7), -0.7, 0.7), (IndicatorSimplex(d), 0.0, 1.0)]
+    for pot, lo, hi in pots:
+        for n in (25, 64):
+            unit = qmc.Halton(d=d, scramble=False).random(4 * n + 17)[1:]
+            box = lo + (hi - lo) * unit
+            ref = box[pot.contains(box)][:n]
+            assert pot.domain_sample(n).tobytes() == ref.tobytes()
 
 
 def test_inclusion_ramp_then_stick():
