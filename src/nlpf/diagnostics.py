@@ -10,8 +10,8 @@ operator, and a Kirchhoff-transform regularity functional.  Every check of
 a trajectory takes the run's components and the trajectory,
 ``(components, traj)``.  All but ``regularity`` and ``truncation`` read only
 the record rows that ``stepper.replay_records`` gives on the frames, their
-times and frame 0, and none convolves; only the lower envelope's ODE
-integrator walks forward in time, with steps it chooses itself.
+times and frame 0, and none convolves or steps through time: the lower
+envelope's comparison ODE is solved by separation of variables.
 """
 
 from __future__ import annotations
@@ -140,44 +140,63 @@ def measured_forcing_bound(components, traj) -> float:
     return float(max(np.max(initial), np.max(traj.records["forcing_max"])))
 
 
+# Gauss-Legendre nodes and weights on [0, 1] for the envelope's integral
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+_GL_X, _GL_W = (1.0 + _GL_X) / 2.0, _GL_W / 2.0
+
+
 def lower_bound_ode(components, traj, forcing_bound=None):
-    """Integrate the comparison ODE c~(w) w' = -R^2 w^2 / (4 mu_rho(w)).
+    """Solve the comparison ODE c~(w) w' = -R^2 w^2 / (4 mu_rho(w)).
 
     The solution started at the initial minimum temperature must stay below
     the computed minimum at every record time, up to relative slack 1e-6.
-    R defaults to the bound measured along the trajectory.  An adaptive
-    eighth-order Runge-Kutta (DOP853) at relative tolerance 1e-12 chooses its
-    steps from the ODE, not from the run's step size, and keeps the
-    integrator error far below the slack.  It stops at w = 1e-3 min theta,
-    before w^2 turns subnormal, and holds w there: above the solution and
-    below every computed minimum, so the verdict is the whole solution's.
+    R defaults to the bound measured along the trajectory.  In
+    u = ln(w0 / w) the ODE separates: w0 e^-u is reached at 4 tau(u) / R^2,
+    tau(u) = int_0^u g with g = mu_rho(s) c~(s) / s > 0 at s = w0 e^-u,
+    by 20-point Gauss-Legendre split at the cap's kink u = ln(w0 / rho).
+    Newton, bisecting when it leaves its bracket, solves for u at every
+    record time; for alpha = 1, g is constant and one step is exact.  At
+    w = 1e-3 min theta, before w^2 turns subnormal, w is held: above the
+    solution and below every minimum, it keeps the whole solution's verdict.
     """
-    # scipy.integrate loads scipy.optimize (about 14 MB and 0.1 s); only
-    # this check and the local-limit study import it, so `nlpf run`, which
-    # imports this module for the truncation calibration, never does
-    from scipy.integrate import solve_ivp
-
-    model, config = components.model, components.config
+    model, rho, t = components.model, components.config.rho, traj.records["t"]
     R = measured_forcing_bound(components, traj) \
         if forcing_bound is None else float(forcing_bound)
     w0 = float(np.min(traj.thetas[0]))
-
-    def f(t, w):
-        return -(R * R) * w * w / (4.0 * truncated_mobility(
-            model, w, config.rho) * model.c_tilde(w))
-
-    rec_t = traj.records["t"]
     cut = 1e-3 * min(w0, float(np.min(traj.records["min_theta"])))
+    u_rho, u_cut = max(0.0, math.log(w0 / rho)), math.log(w0 / cut)
 
-    def floor(t, w):
-        return w[0] - cut
-    floor.terminal = True
-    sol = solve_ivp(f, (0.0, float(rec_t[-1])), [w0], method="DOP853",
-                    t_eval=rec_t, rtol=1e-12, atol=1e-300, events=floor)
-    if not sol.success:
-        raise NumericalError(f"lower envelope ODE failed: {sol.message}")
-    env = np.full(rec_t.shape, cut)
-    env[:len(sol.t)] = np.ravel(sol.y)
+    def g(u):
+        s = w0 * np.exp(-u)
+        return truncated_mobility(model, s, rho) * model.c_tilde(s) / s
+
+    tau_rho = u_rho * float(g(u_rho * _GL_X) @ _GL_W)
+
+    def tau(u):
+        a = np.where(u > u_rho, u_rho, 0.0)
+        return np.where(u > u_rho, tau_rho, 0.0) \
+            + (u - a) * (g(a[..., None] + (u - a)[..., None] * _GL_X) @ _GL_W)
+
+    tau_cut = float(tau(u_cut))
+    target = np.minimum(0.25 * R * R * t, tau_cut)
+    u = np.minimum(target / g(0.0), u_cut)
+    lo, hi = np.zeros_like(u), np.full_like(u, u_cut)
+    for _ in range(100):
+        # 256 records at a time: (256, 20) work arrays of 40 kB
+        F = np.concatenate([tau(c) for c in np.split(
+            u, range(256, u.size, 256))]) - target
+        lo, hi = np.where(F < 0.0, u, lo), np.where(F > 0.0, u, hi)
+        step = F / g(u)
+        unsettled = ~(np.abs(step) <= 1e-14 * np.maximum(u, 1.0))
+        u = u - step
+        u = np.where((lo <= u) & (u <= hi), u, 0.5 * (lo + hi))
+        if not unsettled.any():
+            break
+    else:
+        k = int(np.argmax(unsettled))
+        raise NumericalError(f"lower envelope: Newton finds no root at step "
+                             f"{k + 1}, t={t[k]:.6g}, for R {R:.4e}")
+    env = np.where(target < tau_cut, w0 * np.exp(-u), cut)
 
     margins = traj.records["min_theta"] - (1.0 - 1e-6) * env
     return LowerBoundReport(envelope=env,

@@ -1,10 +1,12 @@
 """Oracles for the lower-envelope comparison ODE.
 
-`nlpf.diagnostics.lower_bound_ode` integrates
-c~(w) w' = -R^2 w^2 / (4 mu_rho(w)) with an adaptive integrator.  For
-alpha = 1 the ODE has a closed-form solution; for models without one
-(alpha = 2) the oracle is the classical fourth-order Runge-Kutta with a step
-of at most a quarter of the run's step size.
+`nlpf.diagnostics.lower_bound_ode` solves
+c~(w) w' = -R^2 w^2 / (4 mu_rho(w)) by separation of variables, with
+Gauss-Legendre quadrature and Newton.  The oracles here integrate the ODE
+forward in time instead.  For alpha = 1 below the cap the ODE has an
+explicit solution; otherwise (alpha = 2, or a start above the cap) the
+oracles are the classical fourth-order Runge-Kutta with a step of at most a
+quarter of the run's step size, and scipy's DOP853.
 """
 
 import math
@@ -49,8 +51,8 @@ def rk4_envelope(model, w0, R, rho, times, dt):
 
 
 def uncut_envelope(model, w0, R, rho, times):
-    """w at each of ``times`` by DOP853 run to the last time, as the
-    envelope was integrated before it stopped at its cut-off: exact, but
+    """w at each of ``times`` by DOP853 at relative tolerance 1e-12, run to
+    the last time with no cut-off: about 1e-12 off the exact solution, and
     slow without bound once w^2 turns subnormal."""
     from scipy.integrate import solve_ivp
 

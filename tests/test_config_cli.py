@@ -803,34 +803,50 @@ _RUN_PATH_SCRIPT = """
 import sys
 import nlpf, nlpf.cli, nlpf.config, nlpf.diagnostics, nlpf.snapshots, nlpf.stepper
 from nlpf.config import build_components, load_config
-from nlpf.diagnostics import run_checks
+from nlpf.diagnostics import DEFAULT_CHECKS, run_checks
 
 configs, out = sys.argv[1], sys.argv[2]
 for name in ("simplex_plate.cfg", "default.cfg"):
     comp, _ = build_components(load_config(f"{configs}/{name}"))
     traj = nlpf.stepper.run(comp)
     nlpf.snapshots.write_trajectory(out, traj, comp.grid.cells)
-outcomes = run_checks(comp, traj, ["energy", "entropy", "selection", "pairing"])
+outcomes = run_checks(comp, traj, DEFAULT_CHECKS)
 assert all(o.passed for o in outcomes), outcomes
-print("run", sorted(m for m in sys.modules
-                   if m.startswith(("scipy.stats", "scipy.integrate"))))
-run_checks(comp, traj, ["lower"])
-print("lower", "scipy.integrate" in sys.modules)
+print(sorted(m for m in sys.modules
+             if m.startswith(("scipy.stats", "scipy.integrate"))))
 """
 
 
-def test_run_path_loads_neither_scipy_stats_nor_integrate(tmp_path):
-    """Building, running and storing a three-phase plate (the Halton
-    validation path) and the default bar (``solver.rho = auto``), then the
-    checks ``nlpf run`` and the benchmark's verify rely on, import no module
-    of ``scipy.stats`` or ``scipy.integrate``; the ``lower`` check is where
-    ``scipy.integrate`` is loaded.  A fresh interpreter, since other tests
-    import scipy modules into this one."""
+def _source_env():
+    """The environment of a fresh interpreter that imports this nlpf."""
     src = Path(importlib.util.find_spec("nlpf").origin).parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
+
+
+def test_run_path_and_default_checks_load_neither_scipy_stats_nor_integrate(
+        tmp_path):
+    """Building, running and storing a three-phase plate (the Halton
+    validation path) and the default bar (``solver.rho = auto``), then every
+    default check of ``nlpf verify``, ``lower`` included, import no module
+    of ``scipy.stats`` or ``scipy.integrate``.  A fresh interpreter, since
+    other tests import scipy modules into this one."""
     done = subprocess.run([sys.executable, "-c", _RUN_PATH_SCRIPT,
-                           str(CONFIGS), str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=300)
+                           str(CONFIGS), str(tmp_path)], env=_source_env(),
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["run []", "lower True"]
+    assert done.stdout.splitlines() == ["[]"]
+
+
+def test_help_loads_neither_numpy_nor_scipy():
+    """The package resolves the solver's names on first use, so
+    ``python -m nlpf --help`` imports neither numpy nor any scipy module."""
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "nlpf",
+                           "--help"], env=_source_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = [line.rsplit("|", 1)[-1].strip()
+              for line in done.stderr.splitlines()
+              if line.startswith("import time:")]
+    assert "nlpf.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0] in ("numpy", "scipy")] == []

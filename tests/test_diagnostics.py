@@ -18,7 +18,7 @@ from nlpf.diagnostics import (DEFAULT_CHECKS, calibrate_rho,
                               upper_envelope)
 from nlpf.config import build_components, load_config
 from nlpf.convex import IndicatorBox
-from nlpf.errors import ConfigError, ModeError
+from nlpf.errors import ConfigError, ModeError, NumericalError
 from nlpf.geometry import BoundaryData, build_grid
 from nlpf.longrange import ConstantKernel, QuadraticG, build_coupling
 from nlpf.stepper import (RunComponents, SolverConfig, Trajectory, run,
@@ -109,9 +109,12 @@ def test_lower_bound_synthetic_decay():
 
 
 def test_lower_bound_matches_rk4_oracle_alpha2():
-    """alpha = 2 has no closed form; the adaptive integrator agrees with a
-    fixed-step RK4 at a quarter of the run's step, on a forcing bound strong
-    enough to take the envelope down to an eighth of w0."""
+    """alpha = 2 has no explicit solution, and g = mu c~ / w is not constant,
+    so Newton takes more than one step.  On a forcing bound strong enough to
+    take the envelope down to an eighth of w0, the envelope agrees with a
+    fixed-step RK4 at a quarter of the run's step to 1e-9, and with DOP853's
+    uncut envelope to 1e-11 (measured 7.9e-13, DOP853's own error: the two
+    lie 3e-15 and 7.9e-13 from the exact arctan-log solution)."""
     comp = two_phase_components(cells=4, horizon=1.0, dt=0.05)
     comp = replace(comp, model=build_model("two_phase_power", alpha=2))
     traj = run(comp)
@@ -120,6 +123,42 @@ def test_lower_bound_matches_rk4_oracle_alpha2():
                        traj.records["t"], comp.config.dt)
     assert ref[-1] < 0.13 * rep.w0
     assert np.allclose(rep.envelope, ref, rtol=1e-9, atol=0.0)
+    ref = uncut_envelope(comp.model, rep.w0, 2.0, comp.config.rho,
+                         traj.records["t"])
+    assert np.allclose(rep.envelope, ref, rtol=1e-11, atol=0.0)
+
+
+def test_lower_envelope_across_the_cap_matches_uncut_envelope():
+    """A start above the cap (rho = 1, theta0 + 1) puts the kink of
+    mu_rho at w = rho inside the envelope's range, where the quadrature is
+    split: the envelope is DOP853's uncut one to 1e-11 relative (measured
+    3.5e-12, DOP853's own error: the envelope lies within 5e-16 of the
+    exact two-piece solution)."""
+    comp = two_phase_components(cells=4, horizon=1.0, dt=0.05, rho=1.0)
+    comp = replace(comp, theta0=comp.theta0 + 1.0)
+    traj = run(comp)
+    rep = lower_bound_ode(comp, traj, forcing_bound=4.0)
+    ref = uncut_envelope(comp.model, rep.w0, 4.0, comp.config.rho,
+                         traj.records["t"])
+    assert rep.w0 > comp.config.rho > ref[-1]
+    assert np.allclose(rep.envelope, ref, rtol=1e-11, atol=0.0)
+
+
+def test_lower_envelope_without_forcing_is_w0():
+    """decoupled_smoke.cfg has no forcing, R = 0: the envelope is w0 bit for
+    bit, with no division by R^2 on the way."""
+    comp, traj = config_run("decoupled_smoke.cfg")
+    rep = lower_bound_ode(comp, traj)
+    assert rep.measured_R == 0.0
+    assert np.all(rep.envelope == rep.w0)
+
+
+def test_lower_envelope_unsolvable_raises():
+    """A forcing bound that is not a number leaves Newton without a root:
+    a NumericalError, not an envelope."""
+    comp, traj = config_run("default.cfg")
+    with pytest.raises(NumericalError, match="lower envelope"):
+        lower_bound_ode(comp, traj, forcing_bound=math.nan)
 
 
 def test_lower_envelope_ends_in_bounded_time():
@@ -140,16 +179,16 @@ def test_lower_envelope_ends_in_bounded_time():
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
 def test_lower_envelope_cut_keeps_the_envelope(name):
     """On every shipped config, at the measured forcing bound and at one
-    that ends the uncut envelope at 1e-6 of w0, the envelope is the uncut
-    one to 1e-12 wherever that lies above the cut-off, the cut-off itself
-    below it, and the verdict is the same."""
+    that ends the uncut envelope at 1e-6 of w0, the envelope is the exact
+    uncut one to 1e-12 wherever that lies above the cut-off, the cut-off
+    itself below it, and the verdict is the same."""
     comp, traj = config_run(name)
     model, rho, times = comp.model, comp.config.rho, traj.records["t"]
     # every shipped model has alpha = 1, where w decays as
     # w0 exp(-R^2 t / (4 mu0)) (see closed_form_envelope)
     for R in (None, 2.0 * math.sqrt(model.mu0 * math.log(1e6) / times[-1])):
         rep = lower_bound_ode(comp, traj, forcing_bound=R)
-        ref = uncut_envelope(model, rep.w0, rep.measured_R, rho, times)
+        ref = closed_form_envelope(model, rep.w0, rep.measured_R, times, rho)
         cut = 1e-3 * min(rep.w0, float(np.min(traj.records["min_theta"])))
         above = ref > cut
         assert np.all(np.abs(rep.envelope[above] - ref[above])
