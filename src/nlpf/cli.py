@@ -47,7 +47,7 @@ def _build_parser():
 
 def _cmd_run(args) -> int:
     from .config import build_components, load_config, render_manifest
-    from .diagnostics import energy_budget
+    from .diagnostics import energy_figure
     from .snapshots import MANIFEST_NAME, write_trajectory
     from .stepper import run
 
@@ -62,7 +62,7 @@ def _cmd_run(args) -> int:
     write_trajectory(args.out, traj, components.grid.cells)
     rec = traj.records
     # the number `verify --checks energy` judges
-    label, value = energy_budget(components, traj).figure()
+    label, value, _ = energy_figure(components, traj)
     print(f"wrote {len(traj.times)} snapshots, {rec.size} records to "
           f"{args.out}")
     print(f"energy {label} {value:.3e}, min theta "
@@ -75,6 +75,10 @@ def _cmd_verify(args) -> int:
     from .diagnostics import DEFAULT_CHECKS, run_checks
     from .snapshots import MANIFEST_NAME, read_trajectory
 
+    # a refused verify must not leave an earlier report standing
+    report = os.path.join(args.trajectory_dir, "verify_report.csv")
+    if os.path.exists(report):
+        os.remove(report)
     manifest = os.path.join(args.trajectory_dir, MANIFEST_NAME)
     if not os.path.exists(manifest):
         raise ConfigError(f"missing manifest: {manifest}")
@@ -88,7 +92,6 @@ def _cmd_verify(args) -> int:
         raise ConfigError(f"--checks '{args.checks}' names no check")
     outcomes = run_checks(components, traj, names)
 
-    report = os.path.join(args.trajectory_dir, "verify_report.csv")
     with open(report, "w") as fh:
         fh.write("check,passed,detail\n")
         for oc in outcomes:

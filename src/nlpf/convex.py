@@ -11,6 +11,8 @@ step of the inclusion that uses these maps is ``stepper.step_chi``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError
@@ -43,7 +45,7 @@ class IndicatorBox:
         return np.clip(z, self.lo, self.hi)
 
     def domain_sample(self, n: int) -> np.ndarray:
-        return _domain_sample(self, self.lo, self.hi, n)
+        return _domain_sample(self, self.lo, self.hi, n, 1.0)
 
 
 class IndicatorBall:
@@ -69,7 +71,9 @@ class IndicatorBall:
         return z * fac[..., None]
 
     def domain_sample(self, n: int) -> np.ndarray:
-        return _domain_sample(self, -self.radius, self.radius, n)
+        return _domain_sample(self, -self.radius, self.radius, n,
+                              math.pi ** (self.d / 2)
+                              / math.gamma(self.d / 2 + 1) / 2 ** self.d)
 
 
 def _halton(d: int, n: int) -> np.ndarray:
@@ -89,14 +93,26 @@ def _halton(d: int, n: int) -> np.ndarray:
     return pts
 
 
-def _domain_sample(potential, lo, hi, n: int) -> np.ndarray:
-    """Up to n points of the potential's domain inside the box [lo, hi]:
-    the uniform lattice of n points in 1D, else the Halton points of the box
-    that the domain contains, in Halton order.  Models are validated and
-    checked on these points."""
-    if potential.d == 1:
+# most Halton points drawn for one domain sample: 12 MB at eleven components
+_MAX_DRAWS = 2 ** 17
+
+
+def _domain_sample(potential, lo, hi, n: int, fraction: float) -> np.ndarray:
+    """n points of the potential's domain inside the box [lo, hi]: the
+    uniform lattice of n points in 1D, else the first n Halton points of
+    the box that the domain contains, in Halton order.  The domain fills
+    ``fraction`` of the box, so (2n + 16) / fraction points are drawn, of
+    which it holds about 2n + 16.  Models are validated and checked on
+    these points."""
+    d = potential.d
+    if d == 1:
         return np.reshape(np.linspace(lo, hi, n), (n, 1))
-    pts = lo + (hi - lo) * _halton(potential.d, 4 * n + 16)
+    m = math.ceil((2 * n + 16) / fraction)
+    if m > _MAX_DRAWS:
+        raise ConfigError(f"a domain of {d} components fills too little of "
+                          f"its box to sample: {n} points need {m} Halton "
+                          f"points, more than {_MAX_DRAWS}")
+    pts = lo + (hi - lo) * _halton(d, m)
     return pts[potential.contains(pts)][:n]
 
 
@@ -122,7 +138,7 @@ class IndicatorSimplex:
         return out
 
     def domain_sample(self, n: int) -> np.ndarray:
-        return _domain_sample(self, 0.0, 1.0, n)
+        return _domain_sample(self, 0.0, 1.0, n, 1.0 / math.factorial(self.d))
 
 
 def _project_unit_simplex(z: np.ndarray) -> np.ndarray:

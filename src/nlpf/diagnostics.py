@@ -3,15 +3,16 @@
 Everything here is a pure function of a stored trajectory plus the objects
 that produced it, so a run can be checked long after the fact (or by a
 different process) and must reproduce the stepper's own bookkeeping exactly.
-Covered: the energy budget, entropy monotonicity and its local residual, the
-two-sided temperature envelopes, truncation inactivity, continuous
-dependence on the data, the algebraic identities of the dissipative
-operator, and a Kirchhoff-transform regularity functional.  Every check of
-a trajectory takes the run's components and the trajectory,
-``(components, traj)``.  All but ``regularity`` and ``truncation`` read only
-the record rows that ``stepper.replay_records`` gives on the frames, their
-times and frame 0, and none convolves or steps through time: the lower
-envelope's comparison ODE is solved by separation of variables.
+Each check is one function ``(components, traj) -> (passed, detail)`` in
+``CHECKS``: the energy budget, entropy monotonicity and its local residual,
+the selection bound, the pairing identity, the two-sided temperature
+envelopes, truncation inactivity, the algebraic identities of the
+dissipative operator, and a Kirchhoff-transform regularity functional; the
+helpers they call return plain numbers.  All but ``regularity`` and
+``truncation`` read only the record rows that ``stepper.replay_records``
+gives on the frames, their times and frame 0, and none convolves or steps
+through time: the lower envelope's comparison ODE is solved by separation
+of variables.
 """
 
 from __future__ import annotations
@@ -30,63 +31,37 @@ from .thermo import generic_coefficients, truncated_mobility
 # ---------------------------------------------------------------------------
 # energy budget
 
-@dataclass
-class EnergyBudgetReport:
-    step_residuals: np.ndarray   # Delta E + dt * boundary outflow, per step
-    drift: float                 # max |E(t) - E(0)| over the frames
-    scale: float                 # max(1, |E(0)|)
-    insulated: bool
+def energy_figure(components, traj):
+    """Name, value and bound of the number the energy check judges.
 
-    @property
-    def relative_drift(self) -> float:
-        return self.drift / self.scale
-
-    def figure(self):
-        """Name and value of the number the energy check judges: the
-        relative drift from E(0) when insulated, otherwise the largest step
-        residual."""
-        if self.insulated:
-            return "relative drift", self.relative_drift
-        return "max step residual", float(np.max(np.abs(self.step_residuals),
-                                                 initial=0.0))
-
-
-def energy_budget(components, traj):
-    """Per-step closure of the total energy balance.
-
-    With insulated boundaries every residual is a pure Taylor remainder of
-    the phase couplings, O(dt^2) per step, and the check judges the drift
-    from E(0).  With Robin exchange each row's boundary outflow is added
-    back so the same identity applies, and the check judges each step.
-    E(0) is the first row's start energy; dt is each step's ``step_size``.
+    With insulated boundaries every step residual of the energy balance is
+    a pure Taylor remainder of the phase couplings, O(dt^2) per step, and
+    the check judges the relative drift from E(0).  With Robin exchange
+    each row's boundary outflow is added back, and the check judges the
+    largest step residual Delta E + dt * outflow.  E(0) is the first row's
+    start energy; dt is each step's ``step_size``.
     """
     rec = traj.records
     totals = np.append(rec["start_energy"][:1], rec["total_energy"])
+    scale = max(1.0, abs(totals[0]))
+    if components.boundary.is_insulated:
+        drift = float(np.max(np.abs(totals - totals[0])))
+        return "relative drift", drift / scale, 1e-6
     dt = components.config.step_size(traj.times[:-1])
     res = np.diff(totals) + dt * rec["outflow"]
-    drift = float(np.max(np.abs(totals - totals[0])))
-    return EnergyBudgetReport(step_residuals=res, drift=drift,
-                              scale=max(1.0, abs(totals[0])),
-                              insulated=components.boundary.is_insulated)
+    return ("max step residual", float(np.max(np.abs(res), initial=0.0)),
+            1e-6 * scale)
+
+
+def _energy(components, traj):
+    label, value, bound = energy_figure(components, traj)
+    return value <= bound, f"{label} {value:.3e}"
 
 
 # ---------------------------------------------------------------------------
-# entropy production
+# entropy production, selection bounds and pairing
 
-@dataclass
-class EntropyReport:
-    cell_residual_min: float    # min over steps/cells of theta' dS/dt + div q
-    global_defect_min: float    # min over steps of Delta(sum w S)
-    face_pairing_max: float     # max over steps/faces of <q, grad theta>
-    tolerance: float
-    monotone: bool              # global total nondecreasing up to tolerance
-
-    @property
-    def local_ok(self) -> bool:
-        return self.cell_residual_min >= -self.tolerance
-
-
-def entropy_production(components, traj):
+def _entropy(components, traj):
     """Local and global entropy checks along the trajectory.
 
     The flux pairing <q, grad theta> is nonpositive face by face because the
@@ -104,29 +79,29 @@ def entropy_production(components, traj):
     tol = 1e-8 * max(1.0, float(np.max(np.abs(totals))))
     defects = np.diff(totals)
     global_min = float(np.min(defects)) if defects.size else 0.0
+    cell_min = float(np.min(rec["entropy_residual_min"]))
+    face_max = float(np.max(rec["face_pairing_max"], initial=-math.inf))
     monotone = bool(np.all(defects >= -tol)) \
         if components.boundary.is_insulated else True
-    return EntropyReport(
-        cell_residual_min=float(np.min(rec["entropy_residual_min"])),
-        global_defect_min=global_min, tolerance=tol, monotone=monotone,
-        face_pairing_max=float(np.max(rec["face_pairing_max"],
-                                      initial=-math.inf)))
+    return (monotone and cell_min >= -tol and face_max <= 0.0,
+            f"global defect min {global_min:.3e}, cell residual min "
+            f"{cell_min:.3e}, face pairing max {face_max:.3e}")
+
+
+def _selection(components, traj):
+    """Every step's selection xi obeys the cone bound |xi| <= C_ell."""
+    worst = float(np.min(traj.records["selection_margin"]))
+    return worst >= 0.0, f"min margin {worst:.3e}"
+
+
+def _pairing(components, traj):
+    """Every step's pairing identity of the pair fields closes to 1e-11."""
+    worst = float(np.max(np.abs(traj.records["pairing_residual"])))
+    return worst <= 1e-11, f"max residual {worst:.3e}"
 
 
 # ---------------------------------------------------------------------------
 # lower temperature envelope
-
-@dataclass
-class LowerBoundReport:
-    envelope: np.ndarray        # w(t_n) at record times
-    min_margin: float           # min of min_theta - (1 - 1e-6) w
-    measured_R: float
-    w0: float
-
-    @property
-    def holds(self) -> bool:
-        return self.min_margin >= 0.0
-
 
 def measured_forcing_bound(components, traj) -> float:
     """Largest |sigma' - s_chi^rho + xi| seen along the trajectory.
@@ -145,23 +120,20 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
 _GL_X, _GL_W = (1.0 + _GL_X) / 2.0, _GL_W / 2.0
 
 
-def lower_bound_ode(components, traj, forcing_bound=None):
-    """Solve the comparison ODE c~(w) w' = -R^2 w^2 / (4 mu_rho(w)).
+def lower_bound_ode(components, traj, R):
+    """The solution w at the record times of the comparison ODE
+    c~(w) w' = -R^2 w^2 / (4 mu_rho(w)), started at the initial minimum w0.
 
-    The solution started at the initial minimum temperature must stay below
-    the computed minimum at every record time, up to relative slack 1e-6.
-    R defaults to the bound measured along the trajectory.  In
-    u = ln(w0 / w) the ODE separates: w0 e^-u is reached at 4 tau(u) / R^2,
-    tau(u) = int_0^u g with g = mu_rho(s) c~(s) / s > 0 at s = w0 e^-u,
-    by 20-point Gauss-Legendre split at the cap's kink u = ln(w0 / rho).
-    Newton, bisecting when it leaves its bracket, solves for u at every
-    record time; for alpha = 1, g is constant and one step is exact.  At
-    w = 1e-3 min theta, before w^2 turns subnormal, w is held: above the
-    solution and below every minimum, it keeps the whole solution's verdict.
+    In u = ln(w0 / w) the ODE separates: w0 e^-u is reached at
+    4 tau(u) / R^2, tau(u) = int_0^u g with g = mu_rho(s) c~(s) / s > 0 at
+    s = w0 e^-u, by 20-point Gauss-Legendre split at the cap's kink
+    u = ln(w0 / rho).  Newton, bisecting when it leaves its bracket, solves
+    for u at every record time; for alpha = 1, g is constant and one step is
+    exact.  At w = 1e-3 min theta, before w^2 turns subnormal, w is held:
+    above the solution and below every minimum, it keeps the whole
+    solution's verdict.
     """
     model, rho, t = components.model, components.config.rho, traj.records["t"]
-    R = measured_forcing_bound(components, traj) \
-        if forcing_bound is None else float(forcing_bound)
     w0 = float(np.min(traj.thetas[0]))
     cut = 1e-3 * min(w0, float(np.min(traj.records["min_theta"])))
     u_rho, u_cut = max(0.0, math.log(w0 / rho)), math.log(w0 / cut)
@@ -196,35 +168,28 @@ def lower_bound_ode(components, traj, forcing_bound=None):
         k = int(np.argmax(unsettled))
         raise NumericalError(f"lower envelope: Newton finds no root at step "
                              f"{k + 1}, t={t[k]:.6g}, for R {R:.4e}")
-    env = np.where(target < tau_cut, w0 * np.exp(-u), cut)
+    return np.where(target < tau_cut, w0 * np.exp(-u), cut)
 
-    margins = traj.records["min_theta"] - (1.0 - 1e-6) * env
-    return LowerBoundReport(envelope=env,
-                            min_margin=float(np.min(margins)),
-                            measured_R=R, w0=w0)
+
+def _lower(components, traj):
+    """The envelope at the measured R stays below every computed minimum."""
+    R = measured_forcing_bound(components, traj)
+    env = lower_bound_ode(components, traj, R)
+    margin = float(np.min(traj.records["min_theta"] - (1.0 - 1e-6) * env))
+    return margin >= 0.0, f"min margin {margin:.3e} at measured R {R:.4f}"
 
 
 # ---------------------------------------------------------------------------
 # upper temperature envelope (regularized scheme only)
 
-@dataclass
-class UpperEnvelopeReport:
-    envelope: np.ndarray
-    min_margin: float
-    measured_M: float
-    v0: float
-
-    @property
-    def holds(self) -> bool:
-        return self.min_margin >= 0.0
-
-
-def upper_envelope(components, traj):
+def _envelope(components, traj):
     """Affine barrier v(t) = v0 + n M t for the regularized scheme.
 
     The (1/n) theta_t term alone caps the growth rate by n times the largest
     phase source magnitude M of the rows, so the computed maximum must stay
-    below the barrier.  Meaningless without regularization (n_reg = 0 raises).
+    below the barrier at every record time, up to relative slack 1e-6; v0 is
+    the largest initial or exterior temperature.  Meaningless without
+    regularization (n_reg = 0 raises).
     """
     boundary, config = components.boundary, components.config
     if config.n_reg == 0:
@@ -235,10 +200,8 @@ def upper_envelope(components, traj):
     if not boundary.is_insulated:
         v0 = max(v0, float(np.max(boundary.theta_gamma_at(traj.times))))
     env = v0 + config.n_reg * M * traj.records["t"]
-    margins = (1.0 + 1e-6) * env - traj.records["max_theta"]
-    return UpperEnvelopeReport(envelope=env,
-                               min_margin=float(np.min(margins)),
-                               measured_M=M, v0=v0)
+    margin = float(np.min((1.0 + 1e-6) * env - traj.records["max_theta"]))
+    return margin >= 0.0, f"min margin {margin:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +259,11 @@ def calibrate_rho(c_star: float, dim: int):
     return CalibrationResult(hi, evals)
 
 
-@dataclass
-class TruncationReport:
-    max_theta_diff: float
-    max_chi_diff: float
-    first_divergent_step: int | None
-
-    @property
-    def inactive(self) -> bool:
-        return self.first_divergent_step is None
-
-
 def truncation_inactivity(components: RunComponents, traj, factor: float = 2.0,
                           tol: float = 1e-12):
-    """Rerun with the truncation level scaled up and compare trajectories.
+    """Rerun with the truncation level scaled up and compare trajectories:
+    the largest temperature and phase differences and the first step whose
+    difference exceeds tol, or None.
 
     When the computed temperatures never reach the level, the truncation
     never engages and both runs traverse identical arithmetic; any excess of
@@ -322,9 +276,14 @@ def truncation_inactivity(components: RunComponents, traj, factor: float = 2.0,
     dch = np.abs(other.chis - traj.chis)
     step_max = np.maximum(dth.max(axis=1), dch.max(axis=(1, 2)))
     bad = np.nonzero(step_max > tol)[0]
-    return TruncationReport(max_theta_diff=float(dth.max()),
-                            max_chi_diff=float(dch.max()),
-                            first_divergent_step=int(bad[0]) if bad.size else None)
+    return (float(dth.max()), float(dch.max()),
+            int(bad[0]) if bad.size else None)
+
+
+def _truncation(components, traj):
+    """Doubling the truncation level changes no step."""
+    dth, dch, first = truncation_inactivity(components, traj)
+    return first is None, f"max diffs {dth:.3e}/{dch:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -394,24 +353,11 @@ def continuous_dependence(components: RunComponents, delta: float,
 # ---------------------------------------------------------------------------
 # dissipative-operator identities
 
-@dataclass
-class GenericReport:
-    identity_max: float      # relative defect of m12^2 = m11 m22
-    degeneracy_max: float    # |M . (c_V, D_chi E)| over samples, relative
-    conduction_null: float   # |A 1| and weighted column sums, gamma = 0
-    n_samples: int
-
-    def ok(self, tol=1e-13) -> bool:
-        return (self.identity_max <= tol and self.degeneracy_max <= tol
-                and self.conduction_null <= tol)
-
-
 def generic_check(model, grid, boundary, chi_sample, coupling=None,
                   n_samples=100, seed=20260819):
-    """Algebraic structure of the dissipative operator on random states.
-
-    Phase values are drawn from ``chi_sample``, points of the potential's
-    domain (``domain_sample``).
+    """Largest relative defects of the dissipative operator's identities
+    (rank one, degeneracy, conduction null space) on random states, phase
+    values drawn from ``chi_sample``, points of the potential's domain.
 
     The 2x2 phase-conduction block must be rank one and positive
     semidefinite (m12^2 = m11 m22 exactly) and must annihilate the energy
@@ -428,8 +374,7 @@ def generic_check(model, grid, boundary, chi_sample, coupling=None,
 
     rng = np.random.default_rng(seed)
     dom = np.asarray(chi_sample, dtype=float)
-    ident = 0.0
-    degen = 0.0
+    ident = degen = 0.0
     b_cap = coupling.c_b if coupling is not None else 1.0
     for _ in range(n_samples):
         th = float(rng.uniform(0.05, 8.0))
@@ -462,23 +407,26 @@ def generic_check(model, grid, boundary, chi_sample, coupling=None,
     colsum = abs(float(np.dot(vol, op.apply(th_field)))) \
         / max(float(np.dot(vol, op.apply_abs(th_field))), 1e-300)
     cond = max(null_flux, rowsum, colsum)
-    return GenericReport(identity_max=ident, degeneracy_max=degen,
-                         conduction_null=cond, n_samples=n_samples)
+    return ident, degen, cond
+
+
+def _generic(components, traj):
+    """The operator identities hold to 1e-13 on the run's model and grid."""
+    ident, degen, cond = generic_check(
+        components.model, components.grid, components.boundary,
+        components.potential.domain_sample(64), components.coupling)
+    return (ident <= 1e-13 and degen <= 1e-13 and cond <= 1e-13,
+            f"identity {ident:.3e}, degeneracy {degen:.3e}, conduction "
+            f"{cond:.3e}")
 
 
 # ---------------------------------------------------------------------------
 # Kirchhoff-transform regularity functional
 
-@dataclass
-class RegularityReport:
-    rate_l2_sq: float          # discrete L2 norm squared of theta_t
-    kirchhoff_h1_max: float    # largest gradient energy of K(theta)
-
-
 def regularity_indicator(components, traj):
     """Quantities whose boundedness the refined estimates assert.
 
-    Sum over steps of dt ||(theta' - theta)/dt||^2 plus the largest discrete
+    Sum over steps of dt ||(theta' - theta)/dt||^2, and the largest discrete
     gradient energy of the Kirchhoff transform K(theta).  Uniqueness setting
     only, since K needs a chi-free conductivity.
     """
@@ -490,7 +438,14 @@ def regularity_indicator(components, traj):
     h1 = grid.volumes[0] * float(np.max(sum(
         s * np.sum(d * d, axis=tuple(range(-grid.dim, 0)))
         for s, d in zip(grid.face_scale, grid.face_differences(kv)))))
-    return RegularityReport(rate_l2_sq=rate, kirchhoff_h1_max=h1)
+    return rate, h1
+
+
+def _regularity(components, traj):
+    """Both regularity quantities are finite."""
+    rate, h1 = regularity_indicator(components, traj)
+    return (math.isfinite(rate) and math.isfinite(h1),
+            f"rate L2^2 {rate:.3e}, K gradient max {h1:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -503,66 +458,21 @@ class CheckOutcome:
     detail: str
 
 
-DEFAULT_CHECKS = ("energy", "entropy", "selection", "pairing", "lower")
-OPTIONAL_CHECKS = ("truncation", "generic", "envelope", "regularity")
-KNOWN_CHECKS = DEFAULT_CHECKS + OPTIONAL_CHECKS
+# every check, in the order `nlpf verify` lists them; the first five by default
+CHECKS = {"energy": _energy, "entropy": _entropy, "selection": _selection,
+          "pairing": _pairing, "lower": _lower, "truncation": _truncation,
+          "generic": _generic, "envelope": _envelope,
+          "regularity": _regularity}
+DEFAULT_CHECKS = tuple(CHECKS)[:5]
 
 
 def run_checks(components: RunComponents, traj, names=DEFAULT_CHECKS):
     """Evaluate named invariants against a finished run."""
-    boundary = components.boundary
     out = []
     for name in names:
-        if name == "energy":
-            rep = energy_budget(components, traj)
-            label, value = rep.figure()
-            ok = value <= 1e-6 * (1.0 if rep.insulated else rep.scale)
-            detail = f"{label} {value:.3e}"
-        elif name == "entropy":
-            rep = entropy_production(components, traj)
-            ok = rep.monotone and rep.local_ok \
-                and rep.face_pairing_max <= 0.0
-            detail = (f"global defect min {rep.global_defect_min:.3e}, "
-                      f"cell residual min {rep.cell_residual_min:.3e}, "
-                      f"face pairing max {rep.face_pairing_max:.3e}")
-        elif name == "selection":
-            worst = float(np.min(traj.records["selection_margin"]))
-            ok = worst >= 0.0
-            detail = f"min margin {worst:.3e}"
-        elif name == "pairing":
-            worst = float(np.max(np.abs(traj.records["pairing_residual"])))
-            ok = worst <= 1e-11
-            detail = f"max residual {worst:.3e}"
-        elif name == "lower":
-            rep = lower_bound_ode(components, traj)
-            ok = rep.holds
-            detail = (f"min margin {rep.min_margin:.3e} at measured "
-                      f"R {rep.measured_R:.4f}")
-        elif name == "truncation":
-            rep = truncation_inactivity(components, traj)
-            ok = rep.inactive
-            detail = (f"max diffs {rep.max_theta_diff:.3e}/"
-                      f"{rep.max_chi_diff:.3e}")
-        elif name == "generic":
-            rep = generic_check(components.model, components.grid, boundary,
-                                components.potential.domain_sample(64),
-                                components.coupling)
-            ok = rep.ok()
-            detail = (f"identity {rep.identity_max:.3e}, degeneracy "
-                      f"{rep.degeneracy_max:.3e}, conduction "
-                      f"{rep.conduction_null:.3e}")
-        elif name == "envelope":
-            rep = upper_envelope(components, traj)
-            ok = rep.holds
-            detail = f"min margin {rep.min_margin:.3e}"
-        elif name == "regularity":
-            rep = regularity_indicator(components, traj)
-            ok = math.isfinite(rep.rate_l2_sq) \
-                and math.isfinite(rep.kirchhoff_h1_max)
-            detail = (f"rate L2^2 {rep.rate_l2_sq:.3e}, K gradient max "
-                      f"{rep.kirchhoff_h1_max:.3e}")
-        else:
+        if name not in CHECKS:
             raise ConfigError(f"unknown check '{name}'; known: "
-                              f"{', '.join(KNOWN_CHECKS)}")
-        out.append(CheckOutcome(name=name, passed=bool(ok), detail=detail))
+                              f"{', '.join(CHECKS)}")
+        passed, detail = CHECKS[name](components, traj)
+        out.append(CheckOutcome(name=name, passed=bool(passed), detail=detail))
     return out

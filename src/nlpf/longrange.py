@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -429,23 +428,12 @@ def build_coupling(grid: Grid, kernel, G, range_radius: float) -> NonlocalCoupli
 # local limit
 
 
-def local_limit_nu(kappa_tilde: Callable[[float], float], dim: int) -> float:
-    """nu = (1/N) integral over R^N of kappa_tilde(|z|^2) |z|^2 dz.
-
-    ``kappa_tilde`` is the radial profile as a function of s = |z|^2 with
-    support in [0, 1].  Adaptive quadrature; exact reference values:
-    top-hat gives 2/3 in 1D and pi/4 in 2D.
-    """
-    from scipy import integrate  # only this study integrates
-    if dim == 1:
-        val, _ = integrate.quad(lambda z: kappa_tilde(z * z) * z * z,
-                                -1.0, 1.0, limit=200)
-        return float(val)
-    if dim == 2:
-        val, _ = integrate.quad(lambda r: kappa_tilde(r * r) * r ** 3,
-                                0.0, 1.0, limit=200)
-        return float(math.pi * val)
-    raise ConfigError("local limit supported for dim 1 and 2")
+def local_limit_nu(dim: int) -> float:
+    """nu = (1/N) integral over R^N of kappa_tilde(|z|^2) |z|^2 dz for the
+    unit top-hat kappa_tilde = 1 on [0, 1]: 2/3 in 1D and pi/4 in 2D."""
+    if dim not in (1, 2):
+        raise ConfigError("local limit supported for dim 1 and 2")
+    return 2.0 / 3.0 if dim == 1 else math.pi / 4.0
 
 
 @dataclass
@@ -465,7 +453,7 @@ def local_limit_error(grid: Grid, n: int, chi_fn,
     the kernel support never leaves the domain.  A resolution warning is
     raised when the support radius falls under one cell.
     """
-    nu = local_limit_nu(lambda s: 1.0 if s <= 1.0 else 0.0, grid.dim)
+    nu = local_limit_nu(grid.dim)
     x = grid.centers
     chi = np.asarray([chi_fn(p) for p in x], dtype=float)
     if chi.ndim == 1:

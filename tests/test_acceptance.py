@@ -16,8 +16,8 @@ import pytest
 
 from nlpf.convex import IndicatorBox
 from nlpf.diagnostics import (calibrate_rho, continuous_dependence,
-                              energy_budget, entropy_production,
-                              generic_check, lower_bound_ode,
+                              energy_figure, generic_check, lower_bound_ode,
+                              measured_forcing_bound, run_checks,
                               truncation_inactivity)
 from nlpf.geometry import BoundaryData, build_grid
 from nlpf.stepper import run
@@ -64,37 +64,39 @@ def half_dt_run():
 def test_acceptance_1_energy(term, main_run, half_dt_run):
     comp, traj, el1 = main_run
     comp2, traj2, el2 = half_dt_run
-    rep1 = energy_budget(comp, traj)
-    rep2 = energy_budget(comp2, traj2)
-    ratio = rep2.relative_drift / rep1.relative_drift
-    ok = (rep1.relative_drift <= 1e-6
+    label, drift1, _ = energy_figure(comp, traj)
+    drift2 = energy_figure(comp2, traj2)[1]
+    assert label == "relative drift"
+    ratio = drift2 / drift1
+    ok = (drift1 <= 1e-6
           and 0.375 <= ratio <= 0.625
           and el1 + el2 < 30.0)
     report(term, 1, "energy conservation", ok)
-    assert rep1.relative_drift <= 1e-6
-    assert 0.375 <= ratio <= 0.625, (rep1.relative_drift,
-                                     rep2.relative_drift)
+    assert drift1 <= 1e-6
+    assert 0.375 <= ratio <= 0.625, (drift1, drift2)
     assert el1 + el2 < 30.0
 
 
 def test_acceptance_2_entropy(term, main_run, half_dt_run):
     comp, traj, _ = main_run
     comp2, traj2, _ = half_dt_run
-    rep1 = entropy_production(comp, traj)
-    rep2 = entropy_production(comp2, traj2)
+    # the check: global production nonnegative, cellwise residual and face
+    # pairing signed right, under both steps
+    outcomes = [run_checks(c, t, ["entropy"])[0]
+                for c, t in ((comp, traj), (comp2, traj2))]
     scale1 = max(1.0, float(np.max(np.abs(traj.records["total_entropy"]))))
-    # global production must be nonnegative up to 1e-8 |S|, under both
-    # steps, and any negative defect must shrink with the step
-    def worst(rep, scale):
-        return min(0.0, rep.global_defect_min) / scale
+    # global production must be nonnegative up to 1e-8 |S|, and any
+    # negative defect must shrink with the step
+    def worst(traj, scale):
+        rec = traj.records
+        totals = np.append(rec["start_entropy"][:1], rec["total_entropy"])
+        return min(0.0, float(np.min(np.diff(totals)))) / scale
 
-    ok = (rep1.monotone and rep2.monotone
-          and worst(rep1, scale1) >= -1e-8
-          and rep1.local_ok and rep2.local_ok
-          and rep1.face_pairing_max <= 0.0 and rep2.face_pairing_max <= 0.0
-          and worst(rep2, scale1) >= 0.5 * worst(rep1, scale1) - 1e-15)
+    ok = (all(oc.passed for oc in outcomes)
+          and worst(traj, scale1) >= -1e-8
+          and worst(traj2, scale1) >= 0.5 * worst(traj, scale1) - 1e-15)
     report(term, 2, "entropy production", ok)
-    assert ok, (rep1, rep2)
+    assert ok, outcomes
 
 
 def test_acceptance_3_selection_bound(term, main_run, half_dt_run):
@@ -111,16 +113,19 @@ def test_acceptance_4_lower_bound(term):
                                 uniqueness=True)
     start = time.monotonic()
     traj = run(comp)
-    rep = lower_bound_ode(comp, traj)
+    [outcome] = run_checks(comp, traj, ["lower"])
     elapsed = time.monotonic() - start
-    closed = np.max(np.abs(rep.envelope - closed_form_envelope(
-        comp.model, rep.w0, rep.measured_R, traj.records["t"],
+    R = measured_forcing_bound(comp, traj)
+    env = lower_bound_ode(comp, traj, R)
+    margin = float(np.min(traj.records["min_theta"] - (1.0 - 1e-6) * env))
+    closed = np.max(np.abs(env - closed_form_envelope(
+        comp.model, float(np.min(traj.thetas[0])), R, traj.records["t"],
         comp.config.rho)))
-    ok = (rep.holds and rep.min_margin >= 0.0 and closed <= 1e-8
+    ok = (outcome.passed and margin >= 0.0 and closed <= 1e-8
           and elapsed < 10.0)
     report(term, 4, "temperature lower bound", ok)
-    assert rep.holds
-    assert rep.min_margin >= 0.0
+    assert outcome.passed
+    assert margin >= 0.0
     assert closed <= 1e-8
     assert elapsed < 10.0
 
@@ -128,20 +133,20 @@ def test_acceptance_4_lower_bound(term):
 def test_acceptance_5_truncation(term, short_run):
     comp, traj = short_run
     start = time.monotonic()
-    rep = truncation_inactivity(comp, traj, factor=2.0, tol=1e-12)
+    diffs = truncation_inactivity(comp, traj, factor=2.0, tol=1e-12)
     res = calibrate_rho(1.0, 1)
 
     def substitution(rho):
         return (1.0 + math.log(rho)) ** 6 <= rho / 2.0
 
     elapsed = time.monotonic() - start
-    ok = (rep.inactive
+    ok = (diffs[2] is None
           and 1e6 <= res.rho_star <= 1e9
           and substitution(res.rho_star)
           and not substitution(res.rho_star / 1.01)
           and elapsed < 60.0)
     report(term, 5, "truncation and calibration", ok)
-    assert rep.inactive, rep
+    assert diffs[2] is None, diffs
     assert substitution(res.rho_star)
     assert not substitution(res.rho_star / 1.01)
     assert elapsed < 60.0
@@ -152,14 +157,13 @@ def test_acceptance_6_generic_structure(term):
     model = build_model("two_phase_power", alpha=1)
     boundary = BoundaryData(grid, 0.0, 1.0)
     start = time.monotonic()
-    rep = generic_check(model, grid, boundary,
-                        IndicatorBox([0.0], [1.0]).domain_sample(64),
-                        n_samples=100)
+    defects = generic_check(model, grid, boundary,
+                            IndicatorBox([0.0], [1.0]).domain_sample(64),
+                            n_samples=100)
     elapsed = time.monotonic() - start
-    ok = (rep.identity_max <= 1e-13 and rep.degeneracy_max <= 1e-13
-          and rep.conduction_null <= 1e-13 and elapsed < 1.0)
+    ok = all(v <= 1e-13 for v in defects) and elapsed < 1.0
     report(term, 6, "generic structure", ok)
-    assert ok, rep
+    assert ok, defects
 
 
 def test_acceptance_7_inclusion_stability(term):
@@ -202,7 +206,7 @@ def test_acceptance_9_local_limit(term):
 
     resolved = resolve_config({})
     start = time.monotonic()
-    nu = local_limit_nu(lambda r: 1.0, 1)
+    nu = local_limit_nu(1)
     rows = run_study("local-limit", resolved)
     elapsed = time.monotonic() - start
     errs = [r["rel_error"] for r in rows]

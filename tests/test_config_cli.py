@@ -19,7 +19,8 @@ import nlpf.stepper as stepper
 from nlpf.cli import main
 from nlpf.config import (build_components, load_config, parse_config_text,
                          render_manifest, resolve_config)
-from nlpf.diagnostics import entropy_production, measured_forcing_bound
+from nlpf.convex import IndicatorSimplex
+from nlpf.diagnostics import measured_forcing_bound, run_checks
 from nlpf.errors import ConfigError
 from nlpf.snapshots import (_frame_dtype, read_records_csv, read_trajectory,
                             write_records_csv, write_trajectory)
@@ -191,19 +192,44 @@ def test_cli_run_verify_cycle(tmp_path, capsys):
     assert (out / "verify_report.csv").exists()
 
 
-def test_cli_verify_catches_tampering(tmp_path, capsys):
-    cfg = write_cfg(tmp_path)
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+def tamper_selection_margin(out):
+    """Set step 1's selection_margin in records.csv to -1, which the frames
+    contradict."""
     rec = (out / "records.csv").read_text().splitlines()
-    head = rec[0].split(",")
-    col = head.index("selection_margin")
+    col = rec[0].split(",").index("selection_margin")
     fields = rec[1].split(",")
     fields[col] = "-1.0"
     rec[1] = ",".join(fields)
     (out / "records.csv").write_text("\n".join(rec) + "\n")
+
+
+def test_cli_verify_catches_tampering(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    tamper_selection_margin(out)
     assert main(["verify", str(out)]) == 2
     assert "column selection_margin of step 1 " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("refuse, args, message", [
+    (tamper_selection_margin, [], "column selection_margin of step 1 "),
+    (lambda out: None, ["--checks", "envelope"], "regularized scheme")],
+    ids=["tampered-records", "envelope-unregularised"])
+def test_cli_refused_verify_leaves_no_report(tmp_path, capsys, refuse, args,
+                                             message):
+    """A verify that exits 2 removes the report of an earlier verify of the
+    same directory, so no all-PASS report outlives a refusal."""
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
+    assert (out / "verify_report.csv").exists()
+    refuse(out)
+    capsys.readouterr()
+    assert main(["verify", str(out)] + args) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "verify_report.csv").exists()
 
 
 def _drop_frame(out, index):
@@ -574,9 +600,9 @@ def test_verify_replays_interval_average_lag(tmp_path, capsys):
     assert "check entropy: PASS" in capsys.readouterr().out
     comp, _ = build_components(load_config(out / "manifest.cfg"))
     traj = read_trajectory(out, comp)
-    rep = entropy_production(comp, traj)
-    assert rep.cell_residual_min == pytest.approx(
-        float(np.min(traj.records["entropy_residual_min"])), rel=1e-9)
+    [outcome] = run_checks(comp, traj, ["entropy"])
+    cell_min = float(np.min(traj.records["entropy_residual_min"]))
+    assert f"cell residual min {cell_min:.3e}," in outcome.detail
 
 
 def flip_lag_mode(out):
@@ -663,6 +689,25 @@ def test_cli_run_validates_model_on_potential_domain(tmp_path, capsys,
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: c1: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_simplex_plate_is_validated_on_25_points(monkeypatch, d):
+    """The model validator sees 25 phase values of the simplex at three
+    components and at five, where the simplex fills 1/120 of its box."""
+    lattices = []
+    real = IndicatorSimplex.domain_sample
+
+    def spy(self, n):
+        lattices.append(real(self, n))
+        return lattices[-1]
+
+    monkeypatch.setattr(IndicatorSimplex, "domain_sample", spy)
+    values = parse_config_text((CONFIGS / "simplex_plate.cfg").read_text())
+    values.update({"thermo.components": str(d), "grid.cells": "8,8",
+                   "init.chi.base": "0.1", "init.chi.amplitude": "0.05"})
+    build_components(resolve_config(values))
+    assert [lattice.shape for lattice in lattices] == [(25, d)]
 
 
 def test_cli_ball_potential_end_to_end(tmp_path, capsys):
@@ -836,6 +881,21 @@ def test_run_path_and_default_checks_load_neither_scipy_stats_nor_integrate(
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["[]"]
+
+
+def test_local_limit_study_loads_no_scipy_integrate():
+    """``nlpf study local-limit`` takes the top-hat's moment in closed form
+    and imports no module of ``scipy.integrate``."""
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "nlpf",
+                           "study", "local-limit", "--config",
+                           str(CONFIGS / "default.cfg")], env=_source_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = [line.rsplit("|", 1)[-1].strip()
+              for line in done.stderr.splitlines()
+              if line.startswith("import time:")]
+    assert "nlpf.longrange" in loaded
+    assert [m for m in loaded if m.startswith("scipy.integrate")] == []
 
 
 def test_help_loads_neither_numpy_nor_scipy():

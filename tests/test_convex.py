@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nlpf.config import resolve_config
 from nlpf.convex import (IndicatorBall, IndicatorBox, IndicatorSimplex,
                          _halton)
+from nlpf.errors import ConfigError
 from nlpf.stepper import selection, step_chi
 from nlpf.studies import inclusion_dependence
 
@@ -71,13 +72,15 @@ def test_indicator_prox_lands_in_domain(d, seed):
         assert np.all(pot.contains(out))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_domain_sample_lies_in_domain(d):
+    """25 points of every domain up to six components: the points drawn
+    grow with the share of the box the domain leaves empty."""
     pots = [IndicatorBox(np.full(d, -0.5), np.full(d, 3.0)),
             IndicatorBall(d, 0.7), IndicatorSimplex(d)]
     for pot in pots:
         pts = pot.domain_sample(25)
-        assert pts.shape[1] == d and 0 < len(pts) <= 25
+        assert pts.shape == (25, d)
         assert np.all(pot.contains(pts))
     # one component: the uniform lattice spanning the interval
     if d == 1:
@@ -100,17 +103,32 @@ def test_halton_matches_scipy_bit_for_bit():
 @pytest.mark.parametrize("d", [2, 3])
 def test_domain_sample_is_the_scipy_halton_lattice(d):
     """The validation lattice of every potential is the one drawn through
-    ``scipy.stats.qmc``: the Halton points of the box, in Halton order,
-    that the domain contains."""
+    ``scipy.stats.qmc``: the first n Halton points of the box, in Halton
+    order, that the domain contains.  In 2D each domain holds n of the
+    first 4n + 16 points, so the lattice is the one those gave."""
     from scipy.stats import qmc
     pots = [(IndicatorBox(np.full(d, -0.5), np.full(d, 3.0)), -0.5, 3.0),
             (IndicatorBall(d, 0.7), -0.7, 0.7), (IndicatorSimplex(d), 0.0, 1.0)]
+    unit = qmc.Halton(d=d, scramble=False).random(4097)[1:]
     for pot, lo, hi in pots:
+        box = lo + (hi - lo) * unit
         for n in (25, 64):
-            unit = qmc.Halton(d=d, scramble=False).random(4 * n + 17)[1:]
-            box = lo + (hi - lo) * unit
             ref = box[pot.contains(box)][:n]
+            if d == 2:
+                first = box[:4 * n + 16]
+                assert np.array_equal(ref, first[pot.contains(first)][:n])
             assert pot.domain_sample(n).tobytes() == ref.tobytes()
+
+
+def test_domain_sample_refuses_a_domain_too_thin_for_its_box():
+    """Seven simplex components fill 1/5040 of the box: 25 points would
+    need 332640 Halton points, over the cap, so the sample is refused
+    naming the component count."""
+    with pytest.raises(ConfigError, match="7 components"):
+        IndicatorSimplex(7).domain_sample(25)
+    assert IndicatorBall(11, 0.7).domain_sample(25).shape == (25, 11)
+    with pytest.raises(ConfigError, match="12 components"):
+        IndicatorBall(12, 0.7).domain_sample(25)
 
 
 def test_inclusion_ramp_then_stick():

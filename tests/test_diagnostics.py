@@ -9,13 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlpf.diagnostics import (DEFAULT_CHECKS, calibrate_rho,
-                              continuous_dependence, energy_budget,
-                              entropy_production, generic_check,
-                              lower_bound_ode, measured_forcing_bound,
-                              moser_exponent, regularity_indicator,
-                              run_checks, truncation_inactivity,
-                              upper_envelope)
+from nlpf.diagnostics import (CHECKS, DEFAULT_CHECKS, calibrate_rho,
+                              continuous_dependence, energy_figure,
+                              generic_check, lower_bound_ode,
+                              measured_forcing_bound, moser_exponent,
+                              regularity_indicator, run_checks,
+                              truncation_inactivity)
 from nlpf.config import build_components, load_config
 from nlpf.convex import IndicatorBox
 from nlpf.errors import ConfigError, ModeError, NumericalError
@@ -40,6 +39,17 @@ def config_run(name):
     return comp, run(comp)
 
 
+def check(comp, traj, name):
+    """The named check's CheckOutcome on ``traj``."""
+    [outcome] = run_checks(comp, traj, [name])
+    return outcome
+
+
+def lower_margin(traj, env):
+    """The lower check's margin of the computed minima over ``env``."""
+    return float(np.min(traj.records["min_theta"] - (1.0 - 1e-6) * env))
+
+
 def equilibrium_components():
     """Uniform state matched to the reservoir: nothing should move."""
     grid = build_grid(1, [1.0], [8])
@@ -56,43 +66,53 @@ def equilibrium_components():
 
 def test_energy_budget_insulated(short_run):
     comp, traj = short_run
-    rep = energy_budget(comp, traj)
-    assert rep.relative_drift <= 1e-6
+    label, drift, bound = energy_figure(comp, traj)
+    assert (label, bound) == ("relative drift", 1e-6)
+    assert drift <= 1e-6
+    assert check(comp, traj, "energy").detail == f"relative drift {drift:.3e}"
 
 
 def test_energy_budget_robin_equilibrium():
     comp = equilibrium_components()
     traj = run(comp)
-    rep = energy_budget(comp, traj)
+    label, residual, _ = energy_figure(comp, traj)
     # nothing moves, so each step budget closes to machine precision
-    assert np.max(np.abs(rep.step_residuals)) <= 1e-12
+    assert label == "max step residual"
+    assert residual <= 1e-12
+    assert check(comp, traj, "energy").passed
 
 
 def test_entropy_production(short_run):
     comp, traj = short_run
-    rep = entropy_production(comp, traj)
-    assert rep.monotone
-    assert rep.local_ok
-    assert rep.face_pairing_max <= 0.0
+    outcome = check(comp, traj, "entropy")
+    assert outcome.passed
+    face_max = float(np.max(traj.records["face_pairing_max"]))
+    assert face_max <= 0.0
+    assert outcome.detail.endswith(f"face pairing max {face_max:.3e}")
 
 
 def test_entropy_equilibrium_is_exact():
     comp = equilibrium_components()
     traj = run(comp)
-    rep = entropy_production(comp, traj)
-    assert rep.global_defect_min >= -1e-14
-    assert rep.cell_residual_min >= -1e-14
+    rec = traj.records
+    totals = np.append(rec["start_entropy"][:1], rec["total_entropy"])
+    assert np.min(np.diff(totals)) >= -1e-14
+    assert np.min(rec["entropy_residual_min"]) >= -1e-14
+    assert check(comp, traj, "entropy").passed
 
 
 def test_lower_bound_holds(short_run):
     comp, traj = short_run
-    rep = lower_bound_ode(comp, traj)
-    assert rep.holds
-    assert rep.min_margin >= 0.0
-    assert rep.measured_R > 0.0
-    ref = closed_form_envelope(comp.model, rep.w0, rep.measured_R,
+    R = measured_forcing_bound(comp, traj)
+    env = lower_bound_ode(comp, traj, R)
+    margin = lower_margin(traj, env)
+    assert margin >= 0.0
+    assert R > 0.0
+    assert check(comp, traj, "lower").detail \
+        == f"min margin {margin:.3e} at measured R {R:.4f}"
+    ref = closed_form_envelope(comp.model, float(np.min(traj.thetas[0])), R,
                                traj.records["t"], comp.config.rho)
-    assert np.max(np.abs(rep.envelope - ref)) <= 1e-8
+    assert np.max(np.abs(env - ref)) <= 1e-8
 
 
 def test_lower_bound_synthetic_decay():
@@ -100,12 +120,11 @@ def test_lower_bound_synthetic_decay():
     exp(-1) whatever path the integrator takes."""
     comp = two_phase_components(cells=4, horizon=1.0, dt=0.05)
     traj = run(comp)
-    rep = lower_bound_ode(comp, traj, forcing_bound=2.0)
-    assert rep.w0 == pytest.approx(float(np.min(traj.thetas[0])))
+    env = lower_bound_ode(comp, traj, 2.0)
     idx = np.argmin(np.abs(traj.records["t"] - 1.0))
     assert traj.records["t"][idx] == pytest.approx(1.0, abs=1e-12)
-    expected = rep.w0 * math.exp(-1.0)
-    assert rep.envelope[idx] == pytest.approx(expected, rel=1e-8)
+    expected = float(np.min(traj.thetas[0])) * math.exp(-1.0)
+    assert env[idx] == pytest.approx(expected, rel=1e-8)
 
 
 def test_lower_bound_matches_rk4_oracle_alpha2():
@@ -118,14 +137,15 @@ def test_lower_bound_matches_rk4_oracle_alpha2():
     comp = two_phase_components(cells=4, horizon=1.0, dt=0.05)
     comp = replace(comp, model=build_model("two_phase_power", alpha=2))
     traj = run(comp)
-    rep = lower_bound_ode(comp, traj, forcing_bound=2.0)
-    ref = rk4_envelope(comp.model, rep.w0, 2.0, comp.config.rho,
+    env = lower_bound_ode(comp, traj, 2.0)
+    w0 = float(np.min(traj.thetas[0]))
+    ref = rk4_envelope(comp.model, w0, 2.0, comp.config.rho,
                        traj.records["t"], comp.config.dt)
-    assert ref[-1] < 0.13 * rep.w0
-    assert np.allclose(rep.envelope, ref, rtol=1e-9, atol=0.0)
-    ref = uncut_envelope(comp.model, rep.w0, 2.0, comp.config.rho,
+    assert ref[-1] < 0.13 * w0
+    assert np.allclose(env, ref, rtol=1e-9, atol=0.0)
+    ref = uncut_envelope(comp.model, w0, 2.0, comp.config.rho,
                          traj.records["t"])
-    assert np.allclose(rep.envelope, ref, rtol=1e-11, atol=0.0)
+    assert np.allclose(env, ref, rtol=1e-11, atol=0.0)
 
 
 def test_lower_envelope_across_the_cap_matches_uncut_envelope():
@@ -137,20 +157,21 @@ def test_lower_envelope_across_the_cap_matches_uncut_envelope():
     comp = two_phase_components(cells=4, horizon=1.0, dt=0.05, rho=1.0)
     comp = replace(comp, theta0=comp.theta0 + 1.0)
     traj = run(comp)
-    rep = lower_bound_ode(comp, traj, forcing_bound=4.0)
-    ref = uncut_envelope(comp.model, rep.w0, 4.0, comp.config.rho,
+    env = lower_bound_ode(comp, traj, 4.0)
+    w0 = float(np.min(traj.thetas[0]))
+    ref = uncut_envelope(comp.model, w0, 4.0, comp.config.rho,
                          traj.records["t"])
-    assert rep.w0 > comp.config.rho > ref[-1]
-    assert np.allclose(rep.envelope, ref, rtol=1e-11, atol=0.0)
+    assert w0 > comp.config.rho > ref[-1]
+    assert np.allclose(env, ref, rtol=1e-11, atol=0.0)
 
 
 def test_lower_envelope_without_forcing_is_w0():
     """decoupled_smoke.cfg has no forcing, R = 0: the envelope is w0 bit for
     bit, with no division by R^2 on the way."""
     comp, traj = config_run("decoupled_smoke.cfg")
-    rep = lower_bound_ode(comp, traj)
-    assert rep.measured_R == 0.0
-    assert np.all(rep.envelope == rep.w0)
+    R = measured_forcing_bound(comp, traj)
+    assert R == 0.0
+    assert np.all(lower_bound_ode(comp, traj, R) == np.min(traj.thetas[0]))
 
 
 def test_lower_envelope_unsolvable_raises():
@@ -158,7 +179,7 @@ def test_lower_envelope_unsolvable_raises():
     a NumericalError, not an envelope."""
     comp, traj = config_run("default.cfg")
     with pytest.raises(NumericalError, match="lower envelope"):
-        lower_bound_ode(comp, traj, forcing_bound=math.nan)
+        lower_bound_ode(comp, traj, math.nan)
 
 
 def test_lower_envelope_ends_in_bounded_time():
@@ -168,12 +189,13 @@ def test_lower_envelope_ends_in_bounded_time():
     gives its verdict within a second."""
     comp, traj = config_run("default.cfg")
     start = time.monotonic()
-    rep = lower_bound_ode(comp, traj, forcing_bound=100.0)
+    env = lower_bound_ode(comp, traj, 100.0)
     assert time.monotonic() - start < 1.0
-    cut = 1e-3 * min(rep.w0, float(np.min(traj.records["min_theta"])))
-    held = rep.envelope == cut
+    cut = 1e-3 * min(float(np.min(traj.thetas[0])),
+                     float(np.min(traj.records["min_theta"])))
+    held = env == cut
     assert held[-1] and np.all(held[np.argmax(held):])
-    assert rep.holds
+    assert lower_margin(traj, env) >= 0.0
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
@@ -186,16 +208,20 @@ def test_lower_envelope_cut_keeps_the_envelope(name):
     model, rho, times = comp.model, comp.config.rho, traj.records["t"]
     # every shipped model has alpha = 1, where w decays as
     # w0 exp(-R^2 t / (4 mu0)) (see closed_form_envelope)
-    for R in (None, 2.0 * math.sqrt(model.mu0 * math.log(1e6) / times[-1])):
-        rep = lower_bound_ode(comp, traj, forcing_bound=R)
-        ref = closed_form_envelope(model, rep.w0, rep.measured_R, times, rho)
-        cut = 1e-3 * min(rep.w0, float(np.min(traj.records["min_theta"])))
+    w0 = float(np.min(traj.thetas[0]))
+    cut = 1e-3 * min(w0, float(np.min(traj.records["min_theta"])))
+    measured = measured_forcing_bound(comp, traj)
+    for R in (measured,
+              2.0 * math.sqrt(model.mu0 * math.log(1e6) / times[-1])):
+        env = lower_bound_ode(comp, traj, R)
+        ref = closed_form_envelope(model, w0, R, times, rho)
         above = ref > cut
-        assert np.all(np.abs(rep.envelope[above] - ref[above])
-                      <= 1e-12 * ref[above])
-        assert np.all(rep.envelope[~above] == cut)
-        margins = traj.records["min_theta"] - (1.0 - 1e-6) * ref
-        assert rep.holds == bool(np.min(margins) >= 0.0)
+        assert np.all(np.abs(env[above] - ref[above]) <= 1e-12 * ref[above])
+        assert np.all(env[~above] == cut)
+        verdict = lower_margin(traj, ref) >= 0.0
+        assert (lower_margin(traj, env) >= 0.0) == verdict
+        if R == measured:
+            assert check(comp, traj, "lower").passed == verdict
     assert not above[-1]
 
 
@@ -228,16 +254,27 @@ def test_measured_forcing_bound_positive(short_run):
 def test_upper_envelope_needs_regularisation(short_run):
     comp, traj = short_run
     with pytest.raises(ModeError):
-        upper_envelope(comp, traj)
+        check(comp, traj, "envelope")
 
 
 def test_upper_envelope_regularised():
+    """The barrier starts at v0, the largest initial temperature, and rises
+    at n M, M the largest phase source of the rows: its margin is the one
+    the check reports, and a maximum just above it at the last row FAILs."""
     comp = two_phase_components(cells=8, horizon=0.2, dt=0.01, n_reg=4)
     traj = run(comp)
-    rep = upper_envelope(comp, traj)
-    assert rep.holds
-    assert rep.v0 >= float(np.max(traj.thetas[0]))
-    assert rep.measured_M >= 0.0
+    v0 = float(np.max(traj.thetas[0]))
+    M = float(np.max(traj.records["source_max"]))
+    assert M > 0.0
+    rec = traj.records
+    barrier = (1.0 + 1e-6) * (v0 + comp.config.n_reg * M * rec["t"])
+    margin = float(np.min(barrier - rec["max_theta"]))
+    outcome = check(comp, traj, "envelope")
+    assert outcome.passed and margin >= 0.0
+    assert outcome.detail == f"min margin {margin:.3e}"
+    over = rec.copy()
+    over["max_theta"][-1] = barrier[-1] * (1.0 + 1e-12)
+    assert not check(comp, replace(traj, records=over), "envelope").passed
 
 
 def test_moser_exponent():
@@ -286,18 +323,18 @@ def test_calibration_monotone_in_constant():
 
 def test_truncation_inactive(short_run):
     comp, traj = short_run
-    rep = truncation_inactivity(comp, traj)
-    assert rep.inactive
-    assert rep.max_theta_diff == 0.0
-    assert rep.first_divergent_step is None
+    dth, _, first = truncation_inactivity(comp, traj)
+    assert dth == 0.0
+    assert first is None
+    assert check(comp, traj, "truncation").passed
 
 
 def test_truncation_detects_active_cap():
     comp = two_phase_components(cells=8, horizon=0.1, dt=0.01, rho=1.1)
     traj = run(comp)
-    rep = truncation_inactivity(comp, traj)
-    assert not rep.inactive
-    assert rep.first_divergent_step is not None
+    _, _, first = truncation_inactivity(comp, traj)
+    assert first is not None
+    assert not check(comp, traj, "truncation").passed
 
 
 def test_continuous_dependence_requires_uniqueness(short_run):
@@ -320,11 +357,11 @@ def test_generic_identities():
     grid = build_grid(1, [1.0], [8])
     model = build_model("two_phase_power", alpha=1)
     boundary = BoundaryData(grid, 0.0, 1.0)
-    rep = generic_check(model, grid, boundary, UNIT_SAMPLE)
-    assert rep.ok()
-    assert rep.identity_max <= 1e-13
-    assert rep.degeneracy_max <= 1e-13
-    assert rep.conduction_null <= 1e-13
+    ident, degen, cond = generic_check(model, grid, boundary, UNIT_SAMPLE)
+    assert ident <= 1e-13
+    assert degen <= 1e-13
+    assert cond <= 1e-13
+    assert check(two_phase_components(cells=8), None, "generic").passed
 
 
 def test_generic_check_catches_unbalanced_row(monkeypatch):
@@ -351,9 +388,11 @@ def test_generic_check_catches_unbalanced_row(monkeypatch):
         return op
 
     monkeypatch.setattr(diagnostics, "conduction_operator", unbalanced)
-    rep = generic_check(model, grid, boundary, UNIT_SAMPLE)
-    assert not rep.ok()
-    assert rep.conduction_null > 1e-3
+    assert generic_check(model, grid, boundary, UNIT_SAMPLE)[2] > 1e-3
+    # the check itself, which reads no trajectory
+    outcome = check(two_phase_components(cells=8), None, "generic")
+    assert not outcome.passed
+    assert outcome.detail.startswith("identity ")
 
 
 def test_generic_check_demands_insulation():
@@ -374,10 +413,12 @@ def test_regularity_indicator_modes(short_run):
     comp_u = two_phase_components(cells=8, horizon=0.1, dt=0.01,
                                   uniqueness=True)
     traj_u = run(comp_u)
-    rep = regularity_indicator(comp_u, traj_u)
-    assert math.isfinite(rep.rate_l2_sq)
-    assert math.isfinite(rep.kirchhoff_h1_max)
-    assert rep.rate_l2_sq >= 0.0
+    rate, h1 = regularity_indicator(comp_u, traj_u)
+    assert math.isfinite(rate)
+    assert math.isfinite(h1)
+    assert rate >= 0.0
+    assert check(comp_u, traj_u, "regularity").detail \
+        == f"rate L2^2 {rate:.3e}, K gradient max {h1:.3e}"
 
 
 def test_run_checks_default_pass(short_run):
@@ -412,5 +453,10 @@ def test_checks_read_only_rows_and_frame_0(kw, names):
 
 def test_run_checks_unknown_name(short_run):
     comp, traj = short_run
-    with pytest.raises(ConfigError):
+    known = ("energy, entropy, selection, pairing, lower, truncation, "
+             "generic, envelope, regularity")
+    with pytest.raises(ConfigError, match=f"unknown check 'nope'; known: "
+                                          f"{known}$"):
         run_checks(comp, traj, ["energy", "nope"])
+    assert DEFAULT_CHECKS == tuple(CHECKS)[:5] == (
+        "energy", "entropy", "selection", "pairing", "lower")

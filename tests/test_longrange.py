@@ -1,6 +1,7 @@
 """Kernel coupling: interaction field, pairing identity, local limit."""
 
 import dataclasses
+import math
 from pathlib import Path
 
 import dense_oracle
@@ -120,12 +121,15 @@ def test_even_polynomial_grad_consistent():
 
 
 def test_nu_oracles():
-    # top-hat in 1d: nu = integral of z^2 kappa over [-1, 1] / something
-    # fixed by the limit normalisation; the frozen values are 2/3 and pi/4
-    assert local_limit_nu(lambda r: 1.0, 1) == pytest.approx(2.0 / 3.0,
-                                                             rel=1e-9)
-    assert local_limit_nu(lambda r: 1.0, 2) == pytest.approx(np.pi / 4.0,
-                                                             rel=1e-9)
+    """The unit top-hat's moment nu = (1/N) integral of |z|^2 over the unit
+    ball, by adaptive quadrature: 2/3 in 1D and pi/4 in 2D, bit for bit."""
+    from scipy import integrate
+    one, _ = integrate.quad(lambda z: z * z, -1.0, 1.0, limit=200)
+    two, _ = integrate.quad(lambda r: r ** 3, 0.0, 1.0, limit=200)
+    assert local_limit_nu(1) == one == 2.0 / 3.0
+    assert local_limit_nu(2) == math.pi * two == np.pi / 4.0
+    with pytest.raises(ConfigError):
+        local_limit_nu(3)
 
 
 def test_scaled_tophat_support():
