@@ -468,11 +468,12 @@ DEFAULT_CHECKS = tuple(CHECKS)[:5]
 
 def run_checks(components: RunComponents, traj, names=DEFAULT_CHECKS):
     """Evaluate named invariants against a finished run."""
-    out = []
     for name in names:
         if name not in CHECKS:
             raise ConfigError(f"unknown check '{name}'; known: "
                               f"{', '.join(CHECKS)}")
+    out = []
+    for name in names:
         passed, detail = CHECKS[name](components, traj)
         out.append(CheckOutcome(name=name, passed=bool(passed), detail=detail))
     return out

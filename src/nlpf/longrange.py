@@ -14,15 +14,17 @@ the (n_0, n_1) view maps to T_0 F T_1^T - s_0 F.  Otherwise the generating
 stencil on the (2n-1)^N cell offsets is applied by zero-padded FFT
 convolution.  Either way storage is O(M).  G is a polynomial in |z|^2, and
 expanding |chi_i - chi_j|^2 = |chi_i|^2 + |chi_j|^2 - 2 chi_i . chi_j turns b
-and B into sums of monomials of chi_i times convolved monomials of chi_j, so
-one batched product per state gives both.  The matrix's symmetry and G's
-evenness give the exact pairing identity sum_i w_i b_i . chid_i = d/dt sum_i
-w_i B_i, which makes the coupled scheme conserve energy on insulated runs.
+and B into bilinear forms, with small coefficient matrices, in the monomials
+of chi and their convolutions: one batched convolution per state and one
+matrix product per field.  The matrix's symmetry and G's evenness give the
+exact pairing identity sum_i w_i b_i . chid_i = d/dt sum_i w_i B_i, which
+makes the coupled scheme conserve energy on insulated runs.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -128,16 +130,10 @@ class ScaledTopHat:
 
 # points of all columns in apply's work arrays (padded FFT points, or cells)
 # per chunk of a stack of fields: a long trajectory goes through in chunks
-# that stay in cache
+# that stay in cache.  The pair fields make no temporary larger than a
+# chunk's columns: on a 32 x 32 plate, one product of all five outputs'
+# stacked (75, 15) matrix makes a 600 KB temporary and ran 1.2x slower
 _STACK_POINTS = 1 << 14
-
-
-def _multi_indices(total: int, d: int):
-    """Exponent tuples alpha in N^d with |alpha| <= total."""
-    if d == 0:
-        return [()]
-    return [(k,) + rest for k in range(total + 1)
-            for rest in _multi_indices(total - k, d - 1)]
 
 
 @functools.cache
@@ -152,33 +148,43 @@ def _pair_expansion(degree: int, d: int):
 
     over q + |alpha| <= m, with p = m - q - |alpha| and
     C = m! / (p! q! alpha!) (-2)^|alpha|; the same sum with an extra factor
-    chi_j,e convolves a^q chi^(alpha + e) instead.  Returns the monomials
-    (q, alpha) to convolve, the constant one first, and per m the terms
-    (C, column of the left factor a^p chi^alpha, column of a^q chi^alpha,
-    columns of a^q chi^(alpha + e) for e < d, or None at m = degree): every
-    left factor is itself one of the monomials, as p + |alpha| <= degree.
+    chi_j,e convolves a^q chi^(alpha + e) instead.  Each is a bilinear form
+    sum_lk Q_lk u_l (W u_k)_i in the n monomials u = a^q chi^alpha, listed
+    by level q + |alpha| <= degree; its left factors have level <= m.
+    Returns the monomials (1, chi_0, ..., a first); the plan (columns,
+    parents, factors) filling each level above one with earlier columns
+    times chi_f or a; S (n, n, degree + 1), the first sum's Q at [..., m];
+    V (d, r, n, degree), the second's at [e, ..., m], cut to the r
+    monomials of level below degree.
     """
-    monos = [(q, alpha) for q in range(degree + 1)
-             for alpha in _multi_indices(degree - q, d)]
+    monos = sorted(((q, a) for q in range(degree + 1)
+                    for a in itertools.product(range(degree, -1, -1), repeat=d)
+                    if q + sum(a) <= degree), key=lambda u: u[0] + sum(u[1]))
     index = {mono: i for i, mono in enumerate(monos)}
-    units = [tuple(int(e == k) for e in range(d)) for k in range(d)]
-    terms = []
+    bounds = np.cumsum(np.bincount([q + sum(a) for q, a in monos]))
+    r = bounds[-2]
+
+    def times(i, f):      # column of monomial i times chi_f, or a at f = d
+        q, alpha = monos[i]
+        return index[(q + (f == d),
+                      tuple(k + (e == f) for e, k in enumerate(alpha)))]
+
+    made = {times(i, f): (i, 1 + f)
+            for i, f in itertools.product(range(1, r), range(d + 1))}
+    plan = tuple((slice(lo, hi), *np.array([made[i] for i in range(lo, hi)]).T)
+                 for lo, hi in zip(bounds[1:-1], bounds[2:]))
+    S = np.zeros((len(monos), len(monos), degree + 1))
     for m in range(degree + 1):
-        row = []
-        for q in range(m + 1):
-            for alpha in _multi_indices(m - q, d):
-                r = sum(alpha)
-                p = m - q - r
-                coef = math.factorial(m) * (-2.0) ** r / (
-                    math.factorial(p) * math.factorial(q)
-                    * math.prod(map(math.factorial, alpha)))
-                vcols = None if m == degree else tuple(
-                    index[(q, tuple(x + y for x, y in zip(alpha, u)))]
-                    for u in units)
-                row.append((coef, index[(p, alpha)], index[(q, alpha)],
-                            vcols))
-        terms.append(tuple(row))
-    return tuple(monos), tuple(terms)
+        for q, alpha in monos[:bounds[m]]:
+            p = m - q - sum(alpha)
+            fact = map(math.factorial, (p, q) + alpha)
+            S[index[(p, alpha)], index[(q, alpha)], m] = (
+                (-2) ** sum(alpha) * math.factorial(m) // math.prod(fact))
+    V = np.zeros((d, r, len(monos), degree))
+    for e in range(d):
+        V[e][:, [times(k, e) for k in range(r)]] = S[:r, :r, :-1]
+    S.flags.writeable = V.flags.writeable = False    # shared by the cache
+    return tuple(monos), plan, S, V
 
 
 @dataclass
@@ -308,37 +314,30 @@ class NonlocalCoupling:
         return PairFields(shift=shift, b=b, B=B, kchi=kx)
 
     def _expanded_fields(self, shift, x, adjoint):
-        """Fields of a polynomial G through the expansion in
-        `_pair_expansion`; ``adjoint`` uses the transposed operator."""
+        """Fields of a polynomial G from `_pair_expansion`, its coefficients
+        folded into one matrix per output; ``adjoint`` transposes Kw."""
         x = np.swapaxes(x, -1, -2)                 # (..., d, M)
-        a = np.add.reduce(x * x, axis=-2)          # (..., M)
-        coeffs = self.G.coeffs
-        monos, terms = _pair_expansion(coeffs.size, x.shape[-2])
-
-        # the table of monomials, built once: the left factors of the
-        # terms, and the columns of one batched convolution
-        cols = np.empty(a.shape[:-1] + (len(monos), a.shape[-1]))
-        for i, (q, alpha) in enumerate(monos):
-            cols[..., i, :] = a ** q
-            for e, k in enumerate(alpha):
-                if k:
-                    cols[..., i, :] *= x[..., e, :] ** k
+        c, d = self.G.coeffs, x.shape[-2]
+        monos, plan, S, V = _pair_expansion(c.size, d)
+        # the monomials, level by level: one batched convolution's columns
+        cols = np.empty(x.shape[:-2] + (len(monos), x.shape[-1]))
+        cols[..., 0, :] = 1.0
+        cols[..., 1:d + 1, :] = x
+        cols[..., d + 1, :] = np.add.reduce(x * x, axis=-2)
+        for out, parents, factors in plan:
+            np.multiply(cols[..., parents, :], cols[..., factors, :],
+                        out=cols[..., out, :])
         conv = self.apply(cols, adjoint)
 
-        S, V = [], []      # sum_j W |z|^(2m) and sum_j W |z|^(2m) chi_j
-        for row in terms:
-            s = v = 0.0
-            for coef, lcol, col, vcols in row:
-                left = coef * cols[..., lcol, :]
-                s = s + left * conv[..., col, :]
-                if vcols is not None:
-                    v = v + left[..., None, :] * conv[..., vcols, :]
-            S.append(s)
-            V.append(v)
-        B = sum(c * S[k] for k, c in enumerate(coeffs, start=1))
-        b = sum(4.0 * k * c * (x * S[k - 1][..., None, :] - V[k - 1])
-                for k, c in enumerate(coeffs, start=1))
-        kchi = conv[..., terms[0][0][3], :]    # the columns of chi itself
+        # B = sum_k c_k S_k and b = sum_k 4k c_k (x S_(k-1) - V_(k-1)), each
+        # output sum_lk Q_lk u_l (Kw u_k) over the rows of its folded Q
+        kc = 4.0 * np.arange(1, c.size + 1) * c
+        B, s, *v = (np.einsum("...li,...li->...i", q @ conv,
+                              cols[..., :len(q), :])
+                    for q in (S[..., 1:] @ c, S[:V.shape[1], :, :-1] @ kc,
+                              *(V @ kc)))
+        b = x * s[..., None, :] - np.stack(v, axis=-2)
+        kchi = conv[..., 1:d + 1, :].copy()    # a view would keep all of conv
         return PairFields(shift=shift, b=np.swapaxes(b, -1, -2), B=B,
                           kchi=np.swapaxes(kchi, -1, -2))
 

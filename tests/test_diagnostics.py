@@ -460,3 +460,16 @@ def test_run_checks_unknown_name(short_run):
         run_checks(comp, traj, ["energy", "nope"])
     assert DEFAULT_CHECKS == tuple(CHECKS)[:5] == (
         "energy", "entropy", "selection", "pairing", "lower")
+
+
+def test_run_checks_refuses_unknown_name_before_any_check_runs(
+        short_run, monkeypatch):
+    comp, traj = short_run
+    calls = []
+    monkeypatch.setitem(CHECKS, "energy",
+                        lambda *args: calls.append(args) or (True, ""))
+    with pytest.raises(ConfigError, match="unknown check 'bogus'; known: "):
+        run_checks(comp, traj, ("energy", "bogus"))
+    assert calls == []
+    run_checks(comp, traj, ("energy",))
+    assert len(calls) == 1

@@ -178,6 +178,7 @@ INTERACTIONS = {
     "quadratic": QuadraticG,
     "poly2": lambda: EvenPolynomialG([1.0, 0.5]),
     "poly3": lambda: EvenPolynomialG([0.5, 0.25, 0.1]),
+    "poly4": lambda: EvenPolynomialG([0.5, 0.25, 0.1, 0.05]),
 }
 GRIDS = ([1], [2], [7], [32], [1, 5], [6, 9], [16, 16], [24, 3])
 # grids on which a separable kernel's factors hold fewer numbers than the
@@ -208,7 +209,7 @@ def assert_matches_oracle(grid, kernel, G, chi, chid, dt=1.0):
 
 
 @pytest.mark.parametrize("cells", GRIDS, ids=lambda c: "x".join(map(str, c)))
-@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("interaction", INTERACTIONS)
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_fft_fields_match_dense_oracle(kernel, interaction, d, cells):
@@ -222,6 +223,37 @@ def test_fft_fields_match_dense_oracle(kernel, interaction, d, cells):
     kronecker = kernel != "tophat" and cells in KRONECKER_GRIDS
     assert (cp.stencil is None) == kronecker
     assert (cp.t0 is not None) == kronecker
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_monomial_table_matches_direct_powers(degree, d, monkeypatch):
+    # the columns handed to apply are the expansion's monomials, each an
+    # earlier one times chi_e or a; the direct table raises a and every
+    # chi_e to its power.  The adjoint takes the expansion at degree 1 too.
+    grid = build_grid(2, [1.0, 1.0], [4, 3])
+    cp = build_coupling(grid, GaussianKernel(0.3, 0.2),
+                        EvenPolynomialG(np.ones(degree)), 1.0)
+    chi = np.random.default_rng([degree, d]).normal(size=(12, d))
+    seen, apply = [], cp.apply
+    monkeypatch.setattr(cp, "apply", lambda f, adjoint=False:
+                        seen.append(f) or apply(f, adjoint))
+    cp._fields(chi, adjoint=True)
+    x = (chi - chi.mean(axis=0)).T
+    a = np.add.reduce(x * x, axis=0)
+    direct = []
+    for q, alpha in longrange._pair_expansion(degree, d)[0]:
+        col = a ** q
+        for e, k in enumerate(alpha):
+            if k:
+                col = col * x[e] ** k
+        direct.append(col)
+    direct = np.array(direct)
+    [table] = seen
+    assert table.shape == direct.shape
+    assert np.all(np.abs(table - direct) <= 4e-16 * np.abs(direct))
+    if degree <= 2:
+        assert np.array_equal(table, direct)
 
 
 def test_tophat_tie_matches_oracle():
