@@ -189,12 +189,9 @@ def _envelope(components, traj):
     phase source magnitude M of the rows, so the computed maximum must stay
     below the barrier at every record time, up to relative slack 1e-6; v0 is
     the largest initial or exterior temperature.  Meaningless without
-    regularization (n_reg = 0 raises).
+    regularization (``run_checks`` refuses n_reg = 0).
     """
     boundary, config = components.boundary, components.config
-    if config.n_reg == 0:
-        raise ModeError("upper envelope requires the regularized scheme "
-                        "(n_reg >= 1)")
     M = float(np.max(traj.records["source_max"]))
     v0 = float(np.max(traj.thetas[0]))
     if not boundary.is_insulated:
@@ -353,6 +350,16 @@ def continuous_dependence(components: RunComponents, delta: float,
 # ---------------------------------------------------------------------------
 # dissipative-operator identities
 
+def _operator_mode(model, boundary):
+    """ModeError unless the operator identities apply: a scalar order
+    parameter and an insulated boundary."""
+    if model.d != 1:
+        raise ModeError("operator identities are formulated for a scalar "
+                        "order parameter")
+    if not boundary.is_insulated:
+        raise ModeError("operator identities need an insulated boundary")
+
+
 def generic_check(model, grid, boundary, chi_sample, coupling=None,
                   n_samples=100, seed=20260819):
     """Largest relative defects of the dissipative operator's identities
@@ -366,12 +373,7 @@ def generic_check(model, grid, boundary, chi_sample, coupling=None,
     Scalar order parameter only; Robin exchange breaks the conservation row,
     so gamma > 0 is refused rather than fudged.
     """
-    if model.d != 1:
-        raise ModeError("operator identities are formulated for a scalar "
-                        "order parameter")
-    if not boundary.is_insulated:
-        raise ModeError("operator identities need an insulated boundary")
-
+    _operator_mode(model, boundary)
     rng = np.random.default_rng(seed)
     dom = np.asarray(chi_sample, dtype=float)
     ident = degen = 0.0
@@ -466,12 +468,30 @@ CHECKS = {"energy": _energy, "entropy": _entropy, "selection": _selection,
 DEFAULT_CHECKS = tuple(CHECKS)[:5]
 
 
+def _regularised(components):
+    if components.config.n_reg == 0:
+        raise ModeError("upper envelope requires the regularized scheme "
+                        "(n_reg >= 1)")
+
+
+# the checks that hold in one mode only, each with its ModeError for a run
+# of another mode; kirchhoff refuses a conductivity that depends on chi
+_MODES = {"envelope": _regularised,
+          "generic": lambda c: _operator_mode(c.model, c.boundary),
+          "regularity": lambda c: kirchhoff(c.model, 1.0)}
+
+
 def run_checks(components: RunComponents, traj, names=DEFAULT_CHECKS):
-    """Evaluate named invariants against a finished run."""
+    """Evaluate named invariants against a finished run.  An unknown name,
+    then a check that does not fit the run's mode, is refused before any
+    check runs."""
     for name in names:
         if name not in CHECKS:
             raise ConfigError(f"unknown check '{name}'; known: "
                               f"{', '.join(CHECKS)}")
+    for name in names:
+        if name in _MODES:
+            _MODES[name](components)
     out = []
     for name in names:
         passed, detail = CHECKS[name](components, traj)

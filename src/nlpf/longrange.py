@@ -30,7 +30,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.linalg
-from scipy.fft import next_fast_len
 
 from .errors import ConfigError
 from .geometry import Grid
@@ -134,6 +133,22 @@ class ScaledTopHat:
 # chunk's columns: on a 32 x 32 plate, one product of all five outputs'
 # stacked (75, 15) matrix makes a 600 KB temporary and ran 1.2x slower
 _STACK_POINTS = 1 << 14
+
+
+def _fft_size(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, the padded length the FFT of n real
+    points runs fastest at: ``scipy.fft.next_fast_len(n, real=True)``,
+    without loading ``scipy.fft``."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power-of-two multiple of p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 @functools.cache
@@ -244,8 +259,7 @@ class NonlocalCoupling:
         cells = self.grid.cells
         self._column_points = self.grid.n_cells
         if self.stencil is not None:
-            self._fft_shape = tuple(next_fast_len(2 * n - 1, real=True)
-                                    for n in cells)
+            self._fft_shape = tuple(_fft_size(2 * n - 1) for n in cells)
             # circulant layout: offset k sits at index k mod L on every axis
             padded = np.zeros(self._fft_shape)
             padded[np.ix_(*[np.arange(1 - n, n) % size for n, size in

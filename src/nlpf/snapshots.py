@@ -42,8 +42,13 @@ def _frame_dtype(n_cells, d):
 
 
 def write_records_csv(path, records):
-    np.savetxt(path, records[list(RECORD_COLUMNS)], fmt="%.17g",
-               delimiter=",", header=",".join(RECORD_COLUMNS), comments="")
+    """The header, then one row of ``%.17g`` values per record, formatted
+    by one ``%`` over all rows: the bytes ``np.savetxt`` writes."""
+    values = np.stack([records[c] for c in RECORD_COLUMNS], axis=-1)
+    row = ",".join(["%.17g"] * len(RECORD_COLUMNS)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(RECORD_COLUMNS) + "\n")
+        fh.write(row * len(values) % tuple(values.ravel().tolist()))
 
 
 def read_records_csv(path):

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct, idct
 from scipy.linalg import LinAlgError, eigh_tridiagonal, solveh_banded
 from scipy.sparse.linalg import LinearOperator, cg
 
@@ -57,9 +56,17 @@ RECORD_COLUMNS = ("t", "total_energy", "total_entropy", "min_theta",
 STEP_VALUES = ("face_pairing_max", "forcing_max", "source_max", "outflow",
                "start_energy", "start_entropy")
 _RECORD_DTYPE = np.dtype([(c, "f8") for c in RECORD_COLUMNS + STEP_VALUES])
-# cells of all states per replay_records chunk: a long run is replayed in
-# chunks whose work arrays stay small
-_REPLAY_CELLS = 1 << 16
+# cells of all states per record chunk of run and replay_records: a long
+# run is recorded in chunks whose work arrays stay in cache.  Against 2^16
+# cells (Xeon, 2 vCPU, one BLAS thread, least of 15), replaying
+# configs/default.cfg over 1000 steps fell from 7.3 to 6.8 ms, with
+# bit-identical rows, and 20 steps of the default physics on a 128^2 plate
+# from 85 to 55 ms.  On a 96^2 plate, one step per chunk, it read 27 -> 33
+# ms interleaved in one process but 46-77 -> 34-35 ms in fresh processes.
+# perfbench's bar1d-default verifies a freshly read trajectory once: there
+# the second chunk's convolution and lagged operator cost 0.27 ms of
+# verify_s (+1.3%), and the smaller stacks 1.6 MB less peak RSS
+_REPLAY_CELLS = 1 << 14
 
 # Newton's round-off floor, in units of the double-precision epsilon
 ROUNDOFF_ULPS = 4.0
@@ -353,8 +360,9 @@ class TensorPreconditioner:
     preconditioner is the system itself for a uniform shift, a constant
     conductivity and a uniform gamma per side.  An insulated axis is
     diagonalised by the DCT-II whatever the conductivity, so its basis is
-    built here, once per run: a dense matrix up to ``_DENSE_AXIS`` cells,
-    the FFT above.  A Robin axis' basis depends on the conductivity and is
+    built here, once per run: a dense matrix in closed form up to
+    ``_DENSE_AXIS`` cells, the FFT above, which alone imports
+    ``scipy.fft``.  A Robin axis' basis depends on the conductivity and is
     built by ``eigh_tridiagonal`` once per conduction operator.
     """
 
@@ -362,9 +370,8 @@ class TensorPreconditioner:
         robin = boundary.gamma_arr * grid.bface_area / grid.volumes[0]
         sides = [s.mean() for s in grid.sides_by_axis(robin)]
         self._ends = list(zip(sides[::2], sides[1::2]))
-        self._dct = [dct(np.eye(n), norm="ortho", axis=0).T
-                     if n <= _DENSE_AXIS and not any(ends) else None
-                     for n, ends in zip(grid.cells, self._ends)]
+        self._dct = [_dct_basis(n) if n <= _DENSE_AXIS and not any(ends)
+                     else None for n, ends in zip(grid.cells, self._ends)]
         self._op = self._axes = None
 
     def system(self, op, dt):
@@ -382,6 +389,20 @@ class TensorPreconditioner:
         return dt * (lx[:, None] + ly), (qx, qy)
 
 
+def _dct_basis(n):
+    """The orthonormal DCT-II basis of n cells, one vector per column:
+    sqrt(2/n) cos(pi k (2j + 1) / 2n) in row j of column k, column 0
+    scaled by 1/sqrt(2).  The phase k (2j + 1) is reduced mod 4n in
+    integers, which keeps each entry within 6e-16 of scipy's DCT-II
+    matrix on every axis up to ``_DENSE_AXIS`` cells, and leaves 4n
+    cosines to evaluate."""
+    phase = np.outer(2 * np.arange(n) + 1, np.arange(n)) % (4 * n)
+    cosines = math.sqrt(2.0 / n) * np.cos(np.pi / (2 * n) * np.arange(4 * n))
+    q = cosines[phase]
+    q[:, 0] = math.sqrt(1.0 / n)
+    return q
+
+
 def _axis(n, w, ends, dct_basis):
     """Eigenpairs of w L + diag(ends[0], 0, ..., 0, ends[1]), L the
     Neumann Laplacian of n cells; an insulated axis' are the DCT-II's."""
@@ -396,12 +417,14 @@ def _axis(n, w, ends, dct_basis):
 def _to_basis(y, q, axis):
     """Coefficients of y along ``axis`` in the basis q (None: DCT-II)."""
     if q is None:
+        from scipy.fft import dct
         return dct(y, norm="ortho", axis=axis)
     return q.T @ y if axis == 0 else y @ q
 
 
 def _from_basis(y, q, axis):
     if q is None:
+        from scipy.fft import idct
         return idct(y, norm="ortho", axis=axis)
     return q @ y if axis == 0 else y @ q.T
 

@@ -251,6 +251,15 @@ def _check(ok, name, message, report):
         raise ModelContractError(name, message)
 
 
+def _norm(v):
+    """|v| over the trailing component axis, as d - 1 vector adds of the
+    squares: numpy reduces a short trailing axis about ten times slower."""
+    total = np.square(v[..., 0])
+    for k in range(1, v.shape[-1]):
+        total = total + np.square(v[..., k])
+    return np.sqrt(total)
+
+
 def validate_model(model, potential, uniqueness_mode=False, n_theta=120,
                    n_chi=25, theta_max=50.0):
     """Check every declared bound on a sample lattice; raise on violation.
@@ -282,10 +291,10 @@ def validate_model(model, potential, uniqueness_mode=False, n_theta=120,
            "c3", "entropy integral must converge at small theta", report)
 
     cvx = model.cv_chi(TH, CH)
-    dominated = np.linalg.norm(cvx, axis=-1) <= model.c1 * cv + 1e-13
+    dominated = _norm(cvx) <= model.c1 * cv + 1e-13
     # chi-Lipschitz of cv_chi with the same constant, over lattice pairs
-    dchi = np.linalg.norm(chis[1:] - chis[:-1], axis=-1)
-    lip_cvx = np.linalg.norm(cvx[:, 1:, :] - cvx[:, :-1, :], axis=-1) \
+    dchi = _norm(chis[1:] - chis[:-1])
+    lip_cvx = _norm(cvx[:, 1:, :] - cvx[:, :-1, :]) \
         <= model.c1 * dchi[None, :] * (1 + 1e-9) + 1e-13
     _check(np.all(dominated) and np.all(lip_cvx),
            "c4", "need |cv_chi| <= c1 cv and cv_chi c1-Lipschitz in chi", report)
@@ -296,15 +305,15 @@ def validate_model(model, potential, uniqueness_mode=False, n_theta=120,
 
     sx = model.s_chi(TH, CH)
     dth = th[1:] - th[:-1]
-    lip_th = np.linalg.norm(sx[1:] - sx[:-1], axis=-1) \
+    lip_th = _norm(sx[1:] - sx[:-1]) \
         <= model.c1 * dth[:, None] * (1 + 1e-9) + 1e-13
-    lip_ch = np.linalg.norm(sx[:, 1:, :] - sx[:, :-1, :], axis=-1) \
+    lip_ch = _norm(sx[:, 1:, :] - sx[:, :-1, :]) \
         <= model.c1 * dchi[None, :] * (1 + 1e-9) + 1e-13
     _check(np.all(lip_th) and np.all(lip_ch),
            "s2", "need s_chi jointly c1-Lipschitz in (theta, chi)", report)
 
-    lp = np.linalg.norm(model.lam_p(chis), axis=-1)
-    sp = np.linalg.norm(model.sig_p(chis), axis=-1)
+    lp = _norm(model.lam_p(chis))
+    sp = _norm(model.sig_p(chis))
     _check(np.all(lp <= model.C_lambda * (1 + 1e-12) + 1e-15)
            and np.all(sp <= model.C_sigma * (1 + 1e-12) + 1e-15),
            "sigma-lambda-bounds",

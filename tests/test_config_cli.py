@@ -154,6 +154,25 @@ def test_records_csv_round_trip(tmp_path):
         assert np.array_equal(back[name], rec[name])
 
 
+@pytest.mark.parametrize("rows", [0, 1, 7])
+def test_records_csv_bytes_are_savetxts(rows, tmp_path):
+    """One ``%`` over all rows writes the bytes of ``np.savetxt``'s
+    per-row loop: header, ``%.17g``, comma, newline; a table without rows
+    is its header alone.  Non-finite values, -0.0, the smallest subnormal
+    and the largest double included."""
+    rec = np.zeros(rows, dtype=_RECORD_DTYPE)
+    values = np.random.default_rng(rows).standard_normal((rows, 8))
+    values.flat[:6] = [np.nan, np.inf, -0.0, 5e-324, 1.7976931348623157e308,
+                       -np.inf][:values.size]
+    for name, column in zip(RECORD_COLUMNS, values.T):
+        rec[name] = column
+    write_records_csv(tmp_path / "fast.csv", rec)
+    np.savetxt(tmp_path / "loop.csv", rec[list(RECORD_COLUMNS)], fmt="%.17g",
+               delimiter=",", header=",".join(RECORD_COLUMNS), comments="")
+    assert (tmp_path / "fast.csv").read_bytes() \
+        == (tmp_path / "loop.csv").read_bytes()
+
+
 def test_trajectory_round_trip(tmp_path):
     from conftest import two_phase_components
 
@@ -858,7 +877,8 @@ for name in ("simplex_plate.cfg", "default.cfg"):
 outcomes = run_checks(comp, traj, DEFAULT_CHECKS)
 assert all(o.passed for o in outcomes), outcomes
 print(sorted(m for m in sys.modules
-             if m.startswith(("scipy.stats", "scipy.integrate"))))
+             if m.startswith(("scipy.stats", "scipy.integrate", "scipy.fft",
+                              "scipy.special"))))
 """
 
 
@@ -874,8 +894,10 @@ def test_run_path_and_default_checks_load_neither_scipy_stats_nor_integrate(
     """Building, running and storing a three-phase plate (the Halton
     validation path) and the default bar (``solver.rho = auto``), then every
     default check of ``nlpf verify``, ``lower`` included, import no module
-    of ``scipy.stats`` or ``scipy.integrate``.  A fresh interpreter, since
-    other tests import scipy modules into this one."""
+    of ``scipy.stats`` or ``scipy.integrate``, and, with no insulated axis
+    past ``_DENSE_AXIS`` cells, none of ``scipy.fft`` or ``scipy.special``.
+    A fresh interpreter, since other tests import scipy modules into this
+    one."""
     done = subprocess.run([sys.executable, "-c", _RUN_PATH_SCRIPT,
                            str(CONFIGS), str(tmp_path)], env=_source_env(),
                           capture_output=True, text=True, timeout=300)

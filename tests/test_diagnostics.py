@@ -473,3 +473,24 @@ def test_run_checks_refuses_unknown_name_before_any_check_runs(
     assert calls == []
     run_checks(comp, traj, ("energy",))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("make, name, match", [
+    (two_phase_components, "envelope", "regularized scheme"),
+    (two_phase_components, "regularity", "uniqueness mode"),
+    (lambda: two_phase_components(gamma=1.0), "generic", "insulated"),
+    (lambda: build_components(load_config(CONFIGS / "simplex_plate.cfg"))[0],
+     "generic", "scalar order parameter")],
+    ids=["envelope-unregularised", "regularity-chi-conductivity",
+         "generic-robin", "generic-vector"])
+def test_run_checks_refuses_a_check_outside_its_mode_before_any_check_runs(
+        make, name, match, monkeypatch):
+    """A check that does not fit the run's mode is refused with its
+    ModeError before the checks named ahead of it run: a monkeypatched
+    truncation rerun is never called."""
+    calls = []
+    monkeypatch.setitem(CHECKS, "truncation",
+                        lambda *args: calls.append(args) or (True, ""))
+    with pytest.raises(ModeError, match=match):
+        run_checks(make(), None, ("truncation", name))
+    assert calls == []

@@ -362,3 +362,12 @@ def test_axis_wise_apply_is_rfftn_bit_for_bit(cells, lead, adjoint):
     want = np.fft.irfftn(np.fft.rfftn(flat, shape, axes) * spec, shape, axes)
     want = want[(slice(None),) + tuple(slice(0, n) for n in grid.cells)]
     assert np.array_equal(cp.apply(f, adjoint), want.reshape(f.shape))
+
+
+def test_fft_size_is_scipys_next_fast_len():
+    """The padded FFT length is the smallest 2^a 3^b 5^c >= n, the length
+    ``scipy.fft.next_fast_len`` gives a real transform, for n up to 4096."""
+    from scipy.fft import next_fast_len
+
+    assert [longrange._fft_size(n) for n in range(1, 4097)] \
+        == [next_fast_len(n, real=True) for n in range(1, 4097)]

@@ -10,6 +10,7 @@ from unittest import mock
 import hypothesis
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
@@ -777,15 +778,21 @@ def test_newton_solver_follows_the_band(dim, cells, solver, monkeypatch):
     """A 1D bar factorises every Newton system; a plate, with dense axis
     bases (16^2 to 64^2) or the FFT's DCT-II (128^2), calls CG once per
     Newton iteration, that is once per Jacobian evaluation, and never
-    factorises."""
+    factorises.  Only the 128^2 plate, past ``_DENSE_AXIS``, runs the DCT
+    that the preconditioner imports from ``scipy.fft`` where it is used."""
     overrides = {"solver.horizon": "0.002", "solver.rho": "100"}
     comp = plate(cells, **overrides) if dim == 2 \
         else default_physics(**{"grid.cells": str(cells), **overrides})
     calls = counting(monkeypatch, "cg", "solveh_banded")
     jacobians = recording(comp.model, "cv")
+    transforms = []
+    for name in ("dct", "idct"):
+        monkeypatch.setattr(scipy.fft, name, lambda *a, _real=getattr(
+            scipy.fft, name), **kw: transforms.append(1) or _real(*a, **kw))
     run(comp)
     assert calls[solver] == len(jacobians) >= 2
     assert sum(calls.values()) == calls[solver]
+    assert (len(transforms) > 0) == (cells > stepper._DENSE_AXIS)
 
 
 @pytest.mark.parametrize("dt", [1e-3, 0.1])
@@ -882,6 +889,17 @@ def test_robin_axis_bases_are_built_once_per_operator(gamma, lag, bases,
     calls = counting(monkeypatch, "cg", "eigh_tridiagonal")
     run(comp)
     assert calls["eigh_tridiagonal"] == bases < calls["cg"]
+
+
+@pytest.mark.parametrize("n", [2, 16, 64, 112])
+def test_closed_form_dct_basis_is_scipys(n):
+    """The dense DCT-II basis of a short insulated axis, built with numpy,
+    is orthonormal and is scipy's orthonormal DCT-II matrix, transposed,
+    to 1e-14."""
+    q = stepper._dct_basis(n)
+    assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-14
+    want = scipy.fft.dct(np.eye(n), norm="ortho", axis=0).T
+    assert np.max(np.abs(q - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("cells, lengths, side_gamma", [

@@ -12,8 +12,8 @@ from inverse_oracle import inverse_temperature
 from ode_oracle import closed_form_envelope
 from nlpf.convex import IndicatorSimplex
 from nlpf.errors import ConfigError, ModelContractError
-from nlpf.thermo import (MODEL_REGISTRY, TwoPhasePowerModel, _power_ratio,
-                         build_model, generic_coefficients,
+from nlpf.thermo import (MODEL_REGISTRY, TwoPhasePowerModel, _norm,
+                         _power_ratio, build_model, generic_coefficients,
                          truncated_entropy_gradient, truncated_mobility,
                          validate_model)
 
@@ -229,3 +229,11 @@ def test_mobility_sandwich():
     mu = TP.mu(th)
     assert np.all(mu >= TP.mu0)
     assert np.all(np.diff(mu) >= 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_component_norm_is_linalg_norm(d):
+    """validate_model's norm over the component axis, summed by d - 1
+    vector adds, is ``np.linalg.norm(..., axis=-1)`` bit for bit."""
+    v = np.random.default_rng(d).standard_normal((121, 25, d))
+    assert np.array_equal(_norm(v), np.linalg.norm(v, axis=-1))
